@@ -19,7 +19,7 @@ from .errors import (
     SimulationError,
     SteadyStateError,
 )
-from .scenarios import SCENARIOS, parse_config, resolve_params, run_scenario
+from .scenarios import SCENARIOS, _branch_for, parse_config, resolve_params, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,15 +69,12 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load_scenario(args.config)
+    p = resolve_params(sc)
     report = {"valid": True, "scenario": sc.name}
     if sc.name != "sweep":
         from . import model
 
-        p = resolve_params(sc)
-        branch = "memory" if sc.name == "memory" else "nonadiabatic"
-        if sc.name == "effective-check":
-            branch = sc.options.get("branch", "nonadiabatic")
-        regime = model.check_regime(p, branch)
+        regime = model.check_regime(p, _branch_for(sc))
         report["regime_ok"] = regime.ok
         report["ratios"] = regime.ratios
         report["residuals"] = {k: res for k, (ok, res) in regime.checks.items()}

@@ -1,18 +1,22 @@
-"""Time-ordered frame propagators, operator conjugation, and the
-time-averaging oracle used to validate dressed-frame reductions.
+"""Rotating frames, time-ordered propagators, operator conjugation, and
+the time-averaging oracle used to validate dressed-frame reductions.
 
-A frame is the unitary family ``R(t) = T exp(-i \\int_0^t H(t') dt')``
-generated by a (possibly time-dependent) Hermitian ``H``.  States map as
-``psi -> R(t) psi`` and operators as ``O -> R O R^dag``.
+A frame is the unitary family ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...``,
+a product of exponentials of static Hermitian generators.  States map as
+``psi -> R(t) psi`` and operators as ``O -> R O R^dag``.  An operator
+seen from inside the frame, ``R(t)^dag O R(t)``, is a finite Fourier sum
+and is returned exactly as a :class:`~reslab.lindblad.Harmonic`.
 
 The averaging oracle works at the superoperator level: averaging the
-jump operator itself would discard the cross terms between different
-oscillation frequencies that survive in ``O rho O^dag``.
+jump operator itself would discard the terms that survive in
+``O rho O^dag``.  For a harmonic jump the long-time average is exact: the
+secular sum keeps the products of equal-frequency components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,7 +24,7 @@ import scipy.integrate
 
 from . import qmath
 from .errors import DimensionMismatchError, IntegrationDivergenceError
-from .lindblad import LindbladTerm, dissipator_matrix
+from .lindblad import Harmonic, LindbladTerm, dissipator_matrix
 
 __all__ = [
     "FrameTransform",
@@ -34,50 +38,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameTransform:
-    """Unitary frame ``R(t)`` with its Hermitian generator sampler."""
+    """Unitary frame ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...`` given by its
+    static Hermitian generators, outermost first."""
 
-    sampler: Callable[[float], np.ndarray]
-    generator_sampler: Callable[[float], np.ndarray]
+    generators: tuple
+    _eigh: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gens = tuple(qmath.as_operator(g) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(
+            self, "_eigh", tuple(np.linalg.eigh(0.5 * (g + qmath.dag(g))) for g in gens)
+        )
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sampler(t)
 
-    @staticmethod
-    def from_static_generator(g) -> "FrameTransform":
-        """Frame generated by a constant Hermitian matrix: ``R(t) = exp(-i g t)``."""
-        gm = qmath.as_operator(g)
-        w, v = np.linalg.eigh(0.5 * (gm + qmath.dag(gm)))
-        vd = qmath.dag(v)
+    def _factors(self, t: float) -> list:
+        return [(v * np.exp(-1j * w * t)) @ qmath.dag(v) for w, v in self._eigh]
 
-        def sampler(t: float) -> np.ndarray:
-            return (v * np.exp(-1j * w * t)) @ vd
+    def sampler(self, t: float) -> np.ndarray:
+        """``R(t)``."""
+        return functools.reduce(np.matmul, self._factors(t))
 
-        return FrameTransform(sampler=sampler, generator_sampler=lambda t: gm)
+    def generator_sampler(self, t: float) -> np.ndarray:
+        """Hermitian generator ``i dR/dt R^dag = G_1 + U_1 G_2 U_1^dag + ...``."""
+        h, outer = 0, np.eye(len(self.generators[0]))
+        for g, u in zip(self.generators, self._factors(t)):
+            h, outer = h + outer @ g @ qmath.dag(outer), outer @ u
+        return h
 
-    @staticmethod
-    def identity(dim: int) -> "FrameTransform":
-        eye = np.eye(dim, dtype=complex)
-        zero = np.zeros((dim, dim), dtype=complex)
-        return FrameTransform(sampler=lambda t: eye, generator_sampler=lambda t: zero)
+    def to_frame(self, o) -> Harmonic:
+        """``R(t)^dag O R(t)`` for a static ``O``, exactly, as a harmonic sum.
+
+        Each factor is ``U = sum_a exp(-i w_a t) P_a`` over its eigenprojectors,
+        so conjugation maps ``exp(-i nu t) A`` to the terms
+        ``exp(-i (nu + w_b - w_a) t) P_a A P_b``.
+        """
+        h = Harmonic([0.0], [qmath.as_operator(o)])
+        for w, v in self._eigh:
+            vd = qmath.dag(v)
+            nus, mats = [], []
+            for nu, a in zip(h.frequencies, h.matrices):
+                elements = vd @ a @ v  # <v_a| A |v_b>
+                for i, j in np.ndindex(elements.shape):
+                    nus.append(nu + w[j] - w[i])
+                    mats.append(elements[i, j] * np.outer(v[:, i], vd[j]))
+            h = Harmonic(nus, mats)
+        return h
 
 
 def compose_frames(outer: FrameTransform, inner: FrameTransform) -> FrameTransform:
-    """Frame of the product ``R(t) = R_outer(t) R_inner(t)``.
-
-    The generator follows from ``i dR/dt R^dag``:
-    ``H = H_outer + R_outer H_inner R_outer^dag``.
-    """
-
-    def sampler(t: float) -> np.ndarray:
-        return outer.sampler(t) @ inner.sampler(t)
-
-    def generator(t: float) -> np.ndarray:
-        ro = outer.sampler(t)
-        return outer.generator_sampler(t) + ro @ inner.generator_sampler(t) @ qmath.dag(ro)
-
-    return FrameTransform(sampler=sampler, generator_sampler=generator)
+    """Frame of the product ``R(t) = R_outer(t) R_inner(t)``."""
+    return FrameTransform(outer.generators + inner.generators)
 
 
 def _midpoint_product(h_sampler, t: float, steps: int) -> np.ndarray:
@@ -131,44 +146,19 @@ def conjugate_operator(r, o) -> np.ndarray:
     return rm @ om @ qmath.dag(rm)
 
 
-def transformed_dissipator_average(
-    term: LindbladTerm,
-    period: float,
-    *,
-    n_points: int = 256,
-    tol: float = 1e-10,
-    max_doublings: int = 8,
-) -> np.ndarray:
-    """Average the superoperator of a periodically time-dependent jump term
-    over one period.
+def transformed_dissipator_average(term: LindbladTerm) -> np.ndarray:
+    """Long-time average of a jump term's superoperator.
 
     Returns a constant Liouvillian fragment (``dim^2 x dim^2``), suitable
-    as the ``extra_generator`` of a :class:`MasterEquation`.  The uniform
-    midpoint grid makes the average exact for any trigonometric
-    polynomial whose harmonics are below the grid size; the grid is
-    doubled until the fragment is stable within ``tol``.
+    as the ``extra_generator`` of a :class:`MasterEquation`.  For a harmonic
+    jump ``sum_k exp(-i nu_k t) A_k`` the products of components with
+    different frequencies oscillate and average to zero, and the merged
+    ``nu_k`` are distinct, so the average is exactly the secular sum
+    ``sum_k D[A_k]``.  A static term passes through unchanged.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
-
-    def average(n: int) -> np.ndarray:
-        ts = (np.arange(n) + 0.5) * (period / n)
-        acc = None
-        for t in ts:
-            d = dissipator_matrix(term.operator_at(t), term.rate, term.factor)
-            acc = d if acc is None else acc + d
-        return acc / n
-
-    coarse = average(n_points)
-    achieved = np.inf
-    for _ in range(max_doublings):
-        n_points *= 2
-        fine = average(n_points)
-        achieved = float(np.max(np.abs(fine - coarse)))
-        if achieved <= tol * max(1.0, float(np.max(np.abs(fine)))):
-            return fine
-        coarse = fine
-    raise IntegrationDivergenceError(achieved, tol, "dissipator average did not converge")
+    if term.is_static:
+        return dissipator_matrix(term.operator_at(0.0), term.rate, term.factor)
+    return sum(dissipator_matrix(a, term.rate, term.factor) for a in term.operator.matrices)
 
 
 def schroedinger_evolve(
@@ -181,8 +171,8 @@ def schroedinger_evolve(
 ) -> np.ndarray:
     """Integrate ``i dpsi/dt = H(t) psi`` on a time grid (DOP853).
 
-    ``hamiltonian`` may be a static matrix or a sampler; returns an array
-    of shape ``(len(times), dim)``.
+    ``hamiltonian`` may be a static matrix, a :class:`Harmonic` or any
+    sampler ``t -> matrix``; returns an array of shape ``(len(times), dim)``.
     """
     times = np.asarray(times, dtype=float)
     psi0 = qmath.as_ket(psi0)
@@ -228,7 +218,7 @@ def compare_effective(
     horizon: float,
     *,
     n_samples: int = 201,
-    frame: FrameTransform | Callable[[float], np.ndarray] | None = None,
+    frame: Callable[[float], np.ndarray] | None = None,
 ) -> EffectiveComparison:
     """Evolve ``psi0`` under a full (possibly time-dependent) Hamiltonian and
     under a static effective one and record ``|<psi_full|psi_eff>|^2``.
@@ -236,7 +226,8 @@ def compare_effective(
     ``psi0`` is given in full-frame coordinates.  ``frame`` maps
     effective-frame states back into the full frame, so the effective side
     starts from ``R(0)^dag psi0`` and is compared as
-    ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``.
+    ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``; a
+    :class:`FrameTransform` or any sampler ``t -> R(t)`` will do.
     """
     times = np.linspace(0.0, horizon, n_samples)
     psi0 = qmath.normalized(psi0)
@@ -244,14 +235,13 @@ def compare_effective(
 
     h_eff = qmath.as_operator(effective)
     w, v = np.linalg.eigh(0.5 * (h_eff + qmath.dag(h_eff)))
-    r = frame.sampler if isinstance(frame, FrameTransform) else frame
-    psi_eff0 = qmath.dag(r(0.0)) @ psi0 if r is not None else psi0
+    psi_eff0 = qmath.dag(frame(0.0)) @ psi0 if frame is not None else psi0
     coeff = qmath.dag(v) @ psi_eff0
 
     fids = np.empty(n_samples)
     for i, t in enumerate(times):
         psi_eff = v @ (np.exp(-1j * w * t) * coeff)
-        if r is not None:
-            psi_eff = r(t) @ psi_eff
+        if frame is not None:
+            psi_eff = frame(t) @ psi_eff
         fids[i] = abs(np.vdot(full_states[i], psi_eff)) ** 2
     return EffectiveComparison(time_grid=times, fidelity_series=fids)

@@ -86,18 +86,11 @@ def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
     jump[1, 2] = 1.0  # |up><down|, auxiliary row and column identically zero
     terms = [LindbladTerm(rate=model.engineered_rate(p, "nonadiabatic"), operator=jump, factor=0.5)]
 
-    r = model.nonadiabatic_frame(p)
-    w = model.dressed_basis_matrix(p, "nonadiabatic")
     if cfg.include_tl_decay:
-        s_ge = model.sigma(model.ket_g(), model.ket_e())
-
-        def decay_op(t: float) -> np.ndarray:
-            rt = r.sampler(t)
-            o = np.zeros((3, 3), dtype=complex)
-            o[1:, 1:] = qmath.dag(w) @ (qmath.dag(rt) @ s_ge @ rt) @ w
-            return o
-
-        terms.append(LindbladTerm(rate=p.gamma, operator=decay_op, factor=0.5))
+        decay = model.dressed_decay_jump(p, "nonadiabatic")
+        # auxiliary row and column identically zero
+        decay = decay.map(lambda o: np.pad(o, ((1, 0), (1, 0))))
+        terms.append(LindbladTerm(rate=p.gamma, operator=decay, factor=0.5))
 
     me = MasterEquation(dim=3, hamiltonian=None, terms=tuple(terms))
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -109,6 +102,8 @@ def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
     conservation = float(max(abs(a + u + d - 1.0) for a, u, d in zip(rho_aa, pop_up, pop_down)))
 
     # reference ray mapped back into the frame of the simulation
+    r = model.nonadiabatic_frame(p)
+    w = model.dressed_basis_matrix(p, "nonadiabatic")
     coherence = np.empty(times.size, dtype=complex)
     for i, t in enumerate(times):
         ref = qmath.dag(w) @ (qmath.dag(r.sampler(t)) @ model.protected_state_dressed_gauge(p, t))

@@ -14,6 +14,12 @@ the population transfer rate of the pumped transition, ``1.0`` doubles
 it.  Both conventions appear in the literature for the same bracket, so
 the factor is explicit per term rather than baked into the engine.
 
+Operators are static matrices or :class:`Harmonic` sums
+``O(t) = sum_k exp(-i nu_k t) A_k``, the one time-dependent form: every
+rotating-frame Hamiltonian and jump operator of the model is such a
+finite Fourier sum, so its frequencies are known exactly rather than
+probed.
+
 Integration is classical fixed-step fourth-order Runge-Kutta with
 automatic step halving until the final state is stable; for
 time-independent generators the RK4 step map is a fixed matrix
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +45,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Harmonic",
     "LindbladTerm",
     "MasterEquation",
     "Trajectory",
@@ -57,6 +63,10 @@ __all__ = [
 #: substeps per fastest period: initial step = 1 / (STEP_FRACTION * fastest rate)
 STEP_FRACTION = 50.0
 
+#: frequencies closer than this fraction of the largest |frequency| are one
+#: harmonic; a merge moves a phase by at most this fraction of the fastest one
+FREQUENCY_RTOL = 1e-9
+
 
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -70,16 +80,59 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+@dataclass(frozen=True, eq=False)
+class Harmonic:
+    """Time-dependent operator ``O(t) = sum_k exp(-i nu_k t) A_k`` with static
+    ``A_k``.  Frequencies closer than ``FREQUENCY_RTOL`` times the largest
+    ``|nu_k|`` are merged, so the stored ones are distinct and ascending."""
+
+    frequencies: np.ndarray
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        nu = np.asarray(self.frequencies, dtype=float)
+        mats = np.asarray(self.matrices, dtype=complex)
+        if nu.ndim != 1 or nu.size == 0 or mats.shape != (nu.size, *mats.shape[-2:]):
+            raise DimensionMismatchError(f"{nu.shape} frequencies, matrices {mats.shape}")
+        order = np.argsort(nu, kind="stable")
+        nu, mats = nu[order], mats[order]
+        starts = np.flatnonzero(np.diff(nu, prepend=-np.inf) > FREQUENCY_RTOL * np.max(np.abs(nu)))
+        counts = np.diff(starts, append=nu.size)
+        object.__setattr__(self, "frequencies", np.add.reduceat(nu, starts) / counts)
+        object.__setattr__(self, "matrices", np.add.reduceat(mats, starts, axis=0))
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.tensordot(np.exp(-1j * self.frequencies * t), self.matrices, axes=1)
+
+    def map(self, f) -> "Harmonic":
+        """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``."""
+        return Harmonic(self.frequencies, [f(a) for a in self.matrices])
+
+    @property
+    def rms_frequency(self) -> float:
+        """Frobenius-weighted RMS frequency ``sqrt(sum nu^2 |A|^2 / sum |A|^2)``;
+        equals ``|dO/dt| / |O|`` when the ``A_k`` are Frobenius-orthogonal."""
+        weights = np.sum(np.abs(self.matrices) ** 2, axis=(1, 2))
+        total = float(np.sum(weights))
+        return math.sqrt(float(np.sum(self.frequencies**2 * weights)) / total) if total else 0.0
+
+
+def _check_operator(op, what: str) -> None:
+    if callable(op) and not isinstance(op, Harmonic):
+        raise TypeError(f"{what} must be a static matrix or a Harmonic, got {type(op).__name__}")
+
+
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One rated jump channel; ``operator`` may be a static matrix or a
-    sampler ``t -> matrix`` for frame-transformed channels."""
+    """One rated jump channel; ``operator`` is a static matrix or, for
+    frame-transformed channels, a :class:`Harmonic`."""
 
     rate: float
     operator: object
     factor: float = 0.5
 
     def __post_init__(self):
+        _check_operator(self.operator, "jump operator")
         if self.rate < 0:
             raise ValueError(f"negative rate {self.rate}")
         if self.factor not in (0.5, 1.0):
@@ -89,19 +142,19 @@ class LindbladTerm:
 
     @property
     def is_static(self) -> bool:
-        return not callable(self.operator)
+        return not isinstance(self.operator, Harmonic)
 
     def operator_at(self, t: float) -> np.ndarray:
-        op = self.operator(t) if callable(self.operator) else self.operator
+        op = self.operator if self.is_static else self.operator(t)
         return np.asarray(op, dtype=complex)
 
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Hamiltonian sampler plus rated jump terms on a ``dim``-dimensional space.
+    """Hamiltonian plus rated jump terms on a ``dim``-dimensional space.
 
     ``hamiltonian`` may be None (pure dissipation), a static Hermitian
-    matrix, or a sampler ``t -> matrix``.  ``extra_generator`` is an
+    matrix, or a :class:`Harmonic`.  ``extra_generator`` is an
     optional constant ``dim^2 x dim^2`` superoperator added verbatim to
     the Liouvillian; it carries generators that are not of Lindblad form
     (rate-equation systems folded onto the trace-one affine subspace).
@@ -113,6 +166,7 @@ class MasterEquation:
     extra_generator: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_operator(self.hamiltonian, "hamiltonian")
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.extra_generator is not None:
             g = np.asarray(self.extra_generator, dtype=complex)
@@ -124,12 +178,13 @@ class MasterEquation:
 
     @property
     def is_time_independent(self) -> bool:
-        return not callable(self.hamiltonian) and all(t.is_static for t in self.terms)
+        static_h = not isinstance(self.hamiltonian, Harmonic)
+        return static_h and all(t.is_static for t in self.terms)
 
     def hamiltonian_at(self, t: float) -> np.ndarray | None:
         if self.hamiltonian is None:
             return None
-        h = self.hamiltonian(t) if callable(self.hamiltonian) else self.hamiltonian
+        h = self.hamiltonian(t) if isinstance(self.hamiltonian, Harmonic) else self.hamiltonian
         h = np.asarray(h, dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise DimensionMismatchError(f"hamiltonian shape {h.shape} != dim {self.dim}")
@@ -212,40 +267,24 @@ def residual(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> float:
     return float(np.linalg.norm(apply_generator(me, np.asarray(rho, dtype=complex), t)))
 
 
-def _sampler_frequency(sample: Callable[[float], np.ndarray], t0: float, t1: float) -> float:
-    """Crude spectral-content estimate ``max ||dO/dt|| / ||O||`` by finite
-    differences at a handful of probe times."""
-    span = max(t1 - t0, 1e-300)
-    delta = span * 1e-7
-    freq = 0.0
-    for x in np.linspace(t0, t1 - delta, 9):
-        a = np.asarray(sample(x), dtype=complex)
-        b = np.asarray(sample(x + delta), dtype=complex)
-        na = float(np.linalg.norm(a))
-        if na == 0.0:
-            continue
-        freq = max(freq, float(np.linalg.norm(b - a)) / (delta * na))
-    return freq
-
-
 def _fastest_scale(me: MasterEquation, t0: float, t1: float) -> float:
     """Fastest rate or angular frequency present in the generator: spectral
-    norm of H plus the largest damping rate, plus the sampled oscillation
-    frequency of any time-dependent piece."""
+    norm of H plus the largest damping rate, plus the RMS oscillation
+    frequency of every harmonic piece."""
     omega = 0.0
-    if me.hamiltonian is not None:
-        ts = [t0] if not callable(me.hamiltonian) else list(np.linspace(t0, t1, 5))
+    h = me.hamiltonian
+    if h is not None:
+        ts = list(np.linspace(t0, t1, 5)) if isinstance(h, Harmonic) else [t0]
         for t in ts:
-            h = me.hamiltonian_at(t)
-            omega = max(omega, float(np.linalg.norm(h, 2)))
-        if callable(me.hamiltonian):
-            omega += _sampler_frequency(lambda t: me.hamiltonian_at(t), t0, t1)
+            omega = max(omega, float(np.linalg.norm(me.hamiltonian_at(t), 2)))
+        if isinstance(h, Harmonic):
+            omega += h.rms_frequency
     rate = 0.0
     for term in me.terms:
         o = term.operator_at(t0)
         rate = max(rate, 2.0 * term.rate * term.factor * float(np.linalg.norm(o, 2)) ** 2)
         if not term.is_static:
-            omega += _sampler_frequency(term.operator_at, t0, t1)
+            omega += term.operator.rms_frequency
     omega += rate
     if me.extra_generator is not None:
         omega += float(np.max(np.abs(me.extra_generator))) * me.dim

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import qmath
 from .errors import RegimeError
-from .frames import FrameTransform, compose_frames
-from .lindblad import LindbladTerm, MasterEquation
+from .frames import FrameTransform
+from .lindblad import Harmonic, LindbladTerm, MasterEquation
 
 __all__ = [
     "ModelParams",
@@ -48,8 +48,6 @@ __all__ = [
     "drive_generator_1",
     "drive_generator_2",
     "memory_generator",
-    "u1_frame",
-    "u2_frame",
     "nonadiabatic_frame",
     "memory_frame",
     "dressed_basis_matrix",
@@ -57,6 +55,7 @@ __all__ = [
     "build_h1_memory",
     "build_h2_effective",
     "build_h2_memory",
+    "dressed_decay_jump",
     "engineered_rate",
     "epsilon_closed_form",
     "reduced_master_equation",
@@ -283,60 +282,54 @@ def memory_generator(p: ModelParams) -> np.ndarray:
     return 0.5 * p.delta1 * SIGMA_Z + drive_generator_1(p)
 
 
-def u1_frame(p: ModelParams) -> FrameTransform:
-    return FrameTransform.from_static_generator(drive_generator_1(p))
-
-
-def u2_frame(p: ModelParams) -> FrameTransform:
-    return FrameTransform.from_static_generator(drive_generator_2(p))
-
-
 def nonadiabatic_frame(p: ModelParams) -> FrameTransform:
-    """R(t) = U1(t) U2(t); maps doubly dressed frame states into the
-    interaction picture.  The protected trajectory is R(t)|up>."""
-    return compose_frames(u1_frame(p), u2_frame(p))
+    """R(t) = U1(t) U2(t), generated by the two drives; maps doubly dressed
+    frame states into the interaction picture.  The protected trajectory is
+    R(t)|up>."""
+    return FrameTransform((drive_generator_1(p), drive_generator_2(p)))
 
 
 def memory_frame(p: ModelParams) -> FrameTransform:
     """R(t) = exp(-i delta1 sigma_z t / 2) exp(-i K t) with K the detuned
     drive generator; maps the memory dressed frame into the interaction
     picture.  The protected trajectory is R(t)|T+>."""
-    return compose_frames(
-        FrameTransform.from_static_generator(0.5 * p.delta1 * SIGMA_Z),
-        FrameTransform.from_static_generator(memory_generator(p)),
-    )
+    return FrameTransform((0.5 * p.delta1 * SIGMA_Z, memory_generator(p)))
 
 
 # --- Hamiltonians ----------------------------------------------------------
 
 
-def build_h1(p: ModelParams, t: float) -> np.ndarray:
+def build_h1(p: ModelParams) -> Harmonic:
     """Interaction-picture Hamiltonian of the driven ion-cavity system:
 
     ``[g e^{-i delta_a t} a + omega1 e^{i(phi1 - delta1 t)}
-    + omega2 e^{i(phi2 - delta2 t)}] |e><g| + h.c.``
+    + omega2 e^{i(phi2 - delta2 t)}] |e><g| + h.c.``,
 
-    Valid for any parameters; resonance constraints are only required by
-    the effective builders.
+    a harmonic sum at frequencies ``+-delta_a``, ``+-delta1`` and
+    ``+-delta2``.  Valid for any parameters; resonance constraints are only
+    required by the effective builders.
     """
-    a = qmath.fock_annihilation(p.n_max)
     eye_f = np.eye(p.n_max + 1)
     seg = sigma(ket_e(), ket_g())
-    drive = p.omega1 * np.exp(1j * (p.phi1 - p.delta1 * t)) + p.omega2 * np.exp(
-        1j * (p.phi2 - p.delta2 * t)
-    )
-    upper = p.g * np.exp(-1j * p.delta_a * t) * np.kron(seg, a) + drive * np.kron(seg, eye_f)
-    return upper + qmath.dag(upper)
+    nus = [p.delta_a, p.delta1, p.delta2]
+    uppers = [
+        p.g * np.kron(seg, qmath.fock_annihilation(p.n_max)),
+        p.omega1 * np.exp(1j * p.phi1) * np.kron(seg, eye_f),
+        p.omega2 * np.exp(1j * p.phi2) * np.kron(seg, eye_f),
+    ]
+    return Harmonic(nus + [-nu for nu in nus], uppers + [qmath.dag(u) for u in uppers])
 
 
-def build_h1_memory(p: ModelParams, t: float) -> np.ndarray:
+def build_h1_memory(p: ModelParams) -> Harmonic:
     """Single-drive Hamiltonian in the frame where the detuned drive is
     static: ``delta1 sigma_z/2 + omega1 (e^{i phi1}|e><g| + h.c.)
     + (g e^{-i delta_a t} a |e><g| + h.c.)``."""
-    a = qmath.fock_annihilation(p.n_max)
     eye_f = np.eye(p.n_max + 1)
-    upper = p.g * np.exp(-1j * p.delta_a * t) * np.kron(sigma(ket_e(), ket_g()), a)
-    return np.kron(memory_generator(p), eye_f) + upper + qmath.dag(upper)
+    upper = p.g * np.kron(sigma(ket_e(), ket_g()), qmath.fock_annihilation(p.n_max))
+    return Harmonic(
+        [0.0, p.delta_a, -p.delta_a],
+        [np.kron(memory_generator(p), eye_f), upper, qmath.dag(upper)],
+    )
 
 
 def _raising_block(coupling: float, phi1: float, n_max: int) -> np.ndarray:
@@ -566,6 +559,16 @@ def drive_interaction_hamiltonian(p: ModelParams, t: float) -> np.ndarray:
 # --- full two-part model ------------------------------------------------------
 
 
+def dressed_decay_jump(p: ModelParams, branch: str) -> Harmonic:
+    """Spontaneous-emission jump ``|g><e|`` seen in the rotating dressed
+    frame of the branch, in protected-basis coordinates:
+    ``w^dag R(t)^dag |g><e| R(t) w`` with ``R`` the branch frame and ``w``
+    the dressed basis matrix."""
+    w = dressed_basis_matrix(p, branch)
+    r = nonadiabatic_frame(p) if branch == "nonadiabatic" else memory_frame(p)
+    return r.to_frame(sigma(ket_g(), ket_e())).map(lambda a: qmath.dag(w) @ a @ w)
+
+
 def full_system_master_equation(
     p: ModelParams,
     branch: str = "nonadiabatic",
@@ -578,9 +581,9 @@ def full_system_master_equation(
     ``frame="dressed-effective"``: static engineered Hamiltonian (H2 form)
     in the protected basis, cavity decay at rate Gamma (factor 1/2), and
     optionally the spontaneous-emission channel conjugated into the
-    rotating dressed frame (a time-dependent jump sampler).
+    rotating dressed frame (the harmonic :func:`dressed_decay_jump`).
 
-    ``frame="bare"``: the full interaction-picture Hamiltonian sampler
+    ``frame="bare"``: the full interaction-picture Hamiltonian (harmonic)
     with static jump operators.
     """
     a = qmath.fock_annihilation(p.n_max)
@@ -590,9 +593,9 @@ def full_system_master_equation(
 
     if frame == "bare":
         if branch == "nonadiabatic":
-            hamiltonian = lambda t: build_h1(p, t)  # noqa: E731
+            hamiltonian = build_h1(p)
         elif branch == "memory":
-            hamiltonian = lambda t: build_h1_memory(p, t)  # noqa: E731
+            hamiltonian = build_h1_memory(p)
         else:
             raise ValueError(f"unknown branch {branch!r}")
         terms = [cavity]
@@ -612,16 +615,6 @@ def full_system_master_equation(
     h2 = build_h2_effective(p) if branch == "nonadiabatic" else build_h2_memory(p)
     terms = [cavity]
     if include_gamma:
-        r = nonadiabatic_frame(p) if branch == "nonadiabatic" else memory_frame(p)
-        w = dressed_basis_matrix(p, branch)
-        s_ge = sigma(ket_g(), ket_e())
-
-        def dressed_jump(t: float) -> np.ndarray:
-            rt = r.sampler(t)
-            # bare-frame jump conjugated into the dressed frame, then
-            # re-expressed in dressed coordinates
-            o = qmath.dag(w) @ (qmath.dag(rt) @ s_ge @ rt) @ w
-            return np.kron(o, eye_f)
-
-        terms.append(LindbladTerm(rate=p.gamma, operator=dressed_jump, factor=0.5))
+        jump = dressed_decay_jump(p, branch).map(lambda o: np.kron(o, eye_f))
+        terms.append(LindbladTerm(rate=p.gamma, operator=jump, factor=0.5))
     return MasterEquation(dim=dim, hamiltonian=h2, terms=tuple(terms))

@@ -86,6 +86,16 @@ _OPTION_KEYS = {
     "sweep": {"base": str},
 }
 
+# parameters a scenario's runner divides by or derives its time scale from
+_POSITIVE_KEYS = {
+    "nonadiabatic": ("Gamma",),
+    "memory": ("Gamma",),
+    "interferometer": ("Gamma", "omega1"),
+    "effective-check": ("g",),
+    "elimination-check": ("Gamma", "g"),
+    "phase-cycle": ("omega1",),
+}
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -185,6 +195,13 @@ def parse_config(text: str) -> Scenario:
             _require(isinstance(value, str), f"option {key} must be a string", ("options", key))
             options[key] = value
 
+    if name == "effective-check":
+        branch = options.get("branch", "nonadiabatic")
+        branches = ("nonadiabatic", "memory")
+        _require(branch in branches, f"unknown branch {branch!r}", ("options", "branch"))
+        chi = options.get("chi", 0.0)
+        _require(-2.0 < chi < 2.0, f"chi must lie in (-2, 2), got {chi}", ("options", "chi"))
+
     sweep_axis = None
     if name == "sweep":
         axis = raw.get("sweep_axis")
@@ -264,23 +281,32 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     nonadiabatic family; omega2 = 0, delta_a = -2 lambda for the memory
     branch), so that overriding a drive amplitude keeps the run on
     resonance unless the detunings are pinned too.
+
+    Parameters the scenario divides by must be positive; a zero raises
+    :class:`ConfigError`.  A sweep is checked at every point and resolves
+    to its first point.
     """
+    if sc.name == "sweep":
+        points = [resolve_params(_child_scenario(sc, v)) for v in sc.sweep_axis[1]]
+        return points[0]
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
     branch = _branch_for(sc)
+    positive = _POSITIVE_KEYS[sc.name]
+    if sc.name == "effective-check" and branch == "memory":
+        # the memory check derives delta1 from omega1 and chi
+        positive += ("Gamma", "omega1")
+    for key in positive:
+        _require(vals[key] > 0, f"{key} must be positive for {sc.name}", ("params", key))
     if branch == "memory":
-        if "omega2" not in sc.params:
-            vals["omega2"] = 0.0
-        lam = float(np.hypot(vals["omega1"], 0.5 * vals["delta1"]))
-        if "delta_a" not in sc.params and lam > 0:
-            vals["delta_a"] = -2.0 * lam
+        both_zero = vals["omega1"] == 0 and vals["delta1"] == 0
+        _require(not both_zero, "omega1 and delta1 cannot both vanish", ("params", "omega1"))
+        pinned = model.apply_memory_constraints(model.ModelParams(**vals))
     else:
-        if "delta1" not in sc.params:
-            vals["delta1"] = 0.0
-        if "delta2" not in sc.params:
-            vals["delta2"] = -2.0 * vals["omega1"]
-        if "delta_a" not in sc.params:
-            vals["delta_a"] = -vals["omega2"]
+        pinned = model.apply_nonadiabatic_constraints(model.ModelParams(**vals))
+    for key in ("omega2", "delta_a", "delta1", "delta2"):
+        if key not in sc.params:
+            vals[key] = getattr(pinned, key)
     for key in _RATE_KEYS:
         vals[key] *= sc.unit_scale
     return model.ModelParams(**vals)
@@ -289,8 +315,8 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
 def _branch_for(sc: Scenario) -> str:
     if sc.name == "memory":
         return "memory"
-    if sc.name == "effective-check" and sc.options.get("branch") == "memory":
-        return "memory"
+    if sc.name == "effective-check":
+        return sc.options.get("branch", "nonadiabatic")
     return "nonadiabatic"
 
 
@@ -438,24 +464,20 @@ def _run_interferometer(sc: Scenario) -> ScenarioResult:
 
 def _run_effective_check(sc: Scenario) -> ScenarioResult:
     p = resolve_params(sc)
-    branch = sc.options.get("branch", "nonadiabatic")
+    branch = _branch_for(sc)
     if branch == "memory":
         chi = sc.options.get("chi", 0.0)
-        if not -2.0 < chi < 2.0:
-            raise ConfigError(f"chi must lie in (-2, 2), got {chi}", ("options", "chi"))
         lam = 2.0 * p.omega1 / math.sqrt(4.0 - chi * chi)
         p = p.replace(omega2=0.0, delta1=chi * lam, delta2=0.0, delta_a=-2.0 * lam)
         h_eff = model.build_h2_memory(p)
-        full = lambda t: model.build_h1_memory(p, t)  # noqa: E731
-        frame_tl = model.FrameTransform.from_static_generator(model.memory_generator(p))
+        full = model.build_h1_memory(p)
+        frame_tl = model.FrameTransform((model.memory_generator(p),))
         psi0_tl = model.tilde_minus_ket(chi, p.phi1)
-    elif branch == "nonadiabatic":
+    else:
         h_eff = model.build_h2_effective(p)
-        full = lambda t: model.build_h1(p, t)  # noqa: E731
+        full = model.build_h1(p)
         frame_tl = model.nonadiabatic_frame(p)
         psi0_tl = model.up_ket(p.phi1, p.phi)
-    else:
-        raise ConfigError(f"unknown branch {branch!r}", ("options", "branch"))
 
     eye_f = np.eye(p.n_max + 1)
     w = np.kron(model.dressed_basis_matrix(p, branch), eye_f)
@@ -592,7 +614,7 @@ def _run_sweep(sc: Scenario, workers: int) -> ScenarioResult:
     rows = [
         [v] + [s["derived"][c] for c in columns] for v, s in zip(values, summaries)
     ]
-    p = resolve_params(_child_scenario(sc, values[0]))
+    p = resolve_params(sc)
     derived = {
         "axis": axis_name,
         "values": list(values),

@@ -130,7 +130,7 @@ def _nonadiabatic_comparison(p):
     frame = lambda t: np.kron(r.sampler(t), eye_f) @ w  # noqa: E731
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
-        lambda t: model.build_h1(p, t),
+        model.build_h1(p),
         model.build_h2_effective(p),
         psi0,
         2.0 / p.g,
@@ -143,12 +143,12 @@ def _memory_comparison(chi):
     p = memory_params(chi)
     eye_f = np.eye(p.n_max + 1)
     w = np.kron(model.dressed_basis_matrix(p, "memory"), eye_f)
-    u2 = model.FrameTransform.from_static_generator(model.memory_generator(p))
+    u2 = model.FrameTransform((model.memory_generator(p),))
     frame = lambda t: np.kron(u2.sampler(t), eye_f) @ w  # noqa: E731
     d = model.DerivedMemoryParams.from_params(p)
     psi0 = np.kron(model.tilde_minus_ket(d.chi, p.phi1), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
-        lambda t: model.build_h1_memory(p, t),
+        model.build_h1_memory(p),
         model.build_h2_memory(p),
         psi0,
         2.0 / p.g,
@@ -215,19 +215,8 @@ def test_criterion_8_consistency_audit():
         g=1.0, omega1=8.0, omega2=1.0, phi1=0.0, phi2=0.0,
         delta1=0.0, delta2=-16.0, delta_a=-1.0, Gamma=1e6, gamma=gamma, n_max=1,
     )
-    r = model.nonadiabatic_frame(pav)
-    w = model.dressed_basis_matrix(pav, "nonadiabatic")
-    s_ge = model.sigma(model.ket_g(), model.ket_e())
-
-    def dressed(t):
-        rt = r.sampler(t)
-        return qmath.dag(w) @ (qmath.dag(rt) @ s_ge @ rt) @ w
-
-    frag = transformed_dissipator_average(
-        LindbladTerm(rate=gamma, operator=dressed, factor=0.5),
-        period=2.0 * np.pi / pav.omega2,
-        n_points=512,
-    )
+    dressed = model.dressed_decay_jump(pav, "nonadiabatic")
+    frag = transformed_dissipator_average(LindbladTerm(rate=gamma, operator=dressed, factor=0.5))
     oracle = {
         "pump": frag[0, 3].real,
         "damping": (frag[0, 3] - frag[0, 0]).real,

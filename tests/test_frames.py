@@ -12,7 +12,7 @@ from reslab.frames import (
     transformed_dissipator_average,
 )
 from reslab.frames import _midpoint_product
-from reslab.lindblad import LindbladTerm, dissipator_matrix, unvec, vec
+from reslab.lindblad import Harmonic, LindbladTerm, dissipator_matrix, unvec, vec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0 + 0j])
@@ -28,7 +28,7 @@ class TestFrameTransform:
     def test_static_generator_frame(self):
         rng = np.random.default_rng(0)
         g = random_hermitian(rng, 3)
-        frame = FrameTransform.from_static_generator(g)
+        frame = FrameTransform((g,))
         assert np.max(np.abs(frame(0.0) - np.eye(3))) < 1e-12
         for t in (0.3, 1.7):
             assert qmath.unitarity_defect(frame(t)) < 1e-10
@@ -37,9 +37,7 @@ class TestFrameTransform:
     def test_compose_generator(self):
         rng = np.random.default_rng(1)
         g1, g2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        composed = compose_frames(
-            FrameTransform.from_static_generator(g1), FrameTransform.from_static_generator(g2)
-        )
+        composed = compose_frames(FrameTransform((g1,)), FrameTransform((g2,)))
         t = 0.41
         # i dR/dt R^dag by finite differences
         dt = 1e-7
@@ -122,22 +120,20 @@ class TestConjugateOperator:
 class TestDissipatorAverage:
     def test_static_passthrough(self):
         term = LindbladTerm(rate=0.7, operator=SIGMA_GE, factor=1.0)
-        frag = transformed_dissipator_average(term, period=1.0)
+        frag = transformed_dissipator_average(term)
         assert np.max(np.abs(frag - dissipator_matrix(SIGMA_GE, 0.7, 1.0))) < 1e-12
 
     def test_global_phase_invariance(self):
         omega = 2.0 * np.pi * 3.0
-        term = LindbladTerm(
-            rate=0.9, operator=lambda t: np.exp(1j * omega * t) * SIGMA_GE, factor=1.0
-        )
-        frag = transformed_dissipator_average(term, period=1.0)
+        term = LindbladTerm(rate=0.9, operator=Harmonic([-omega], [SIGMA_GE]), factor=1.0)
+        frag = transformed_dissipator_average(term)
         assert np.max(np.abs(frag - dissipator_matrix(SIGMA_GE, 0.9, 1.0))) < 1e-12
 
     def test_fragment_is_valid_generator(self):
         gamma = 1.3
         p = dressed_decay_params(gamma)
         term = dressed_decay_term(p)
-        frag = transformed_dissipator_average(term, period=2.0 * np.pi / p.omega2)
+        frag = transformed_dissipator_average(term)
         tau = np.zeros(4, dtype=complex)
         tau[[0, 3]] = 1.0
         assert np.max(np.abs(tau @ frag)) < 1e-10
@@ -155,9 +151,7 @@ class TestDissipatorAverage:
         #   d rho_ud/dt = -(5g/8) rho_ud      (no rho_du cross term)
         gamma = 2.0
         p = dressed_decay_params(gamma)
-        frag = transformed_dissipator_average(
-            dressed_decay_term(p), period=2.0 * np.pi / p.omega2, n_points=512
-        )
+        frag = transformed_dissipator_average(dressed_decay_term(p))
         pump = frag[0, 3].real
         damp = (frag[0, 3] - frag[0, 0]).real
         coh_decay = -frag[2, 2].real
@@ -166,6 +160,29 @@ class TestDissipatorAverage:
         assert damp == pytest.approx(3.0 * gamma / 4.0, abs=1e-9)
         assert coh_decay == pytest.approx(5.0 * gamma / 8.0, abs=1e-9)
         assert abs(cross) < 1e-9
+
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_secular_sum_matches_midpoint_average(self, branch):
+        # brute force: the midpoint rule over a common period is exact for
+        # trigonometric polynomials with fewer harmonics than grid points
+        if branch == "nonadiabatic":
+            p = dressed_decay_params(1.3)
+            period = 2.0 * np.pi / p.omega2
+        else:
+            lam, chi = 16.0, 1.0
+            p = model.ModelParams(
+                g=1.0, omega1=float(np.sqrt(lam**2 - (chi * lam) ** 2 / 4.0)), omega2=0.0,
+                phi1=0.3, delta1=chi * lam, delta2=0.0, delta_a=-2.0 * lam, Gamma=1e6,
+                gamma=0.8, n_max=1,
+            )
+            period = np.pi / lam
+        term = LindbladTerm(
+            rate=p.gamma, operator=model.dressed_decay_jump(p, branch), factor=0.5
+        )
+        n = 512
+        ts = (np.arange(n) + 0.5) * (period / n)
+        brute = sum(dissipator_matrix(term.operator_at(t), term.rate, term.factor) for t in ts) / n
+        assert np.max(np.abs(transformed_dissipator_average(term) - brute)) < 1e-12
 
 
 def dressed_decay_params(gamma):
@@ -185,15 +202,9 @@ def dressed_decay_params(gamma):
 
 
 def dressed_decay_term(p):
-    r = model.nonadiabatic_frame(p)
-    w = model.dressed_basis_matrix(p, "nonadiabatic")
-    s_ge = model.sigma(model.ket_g(), model.ket_e())
-
-    def sampler(t):
-        rt = r.sampler(t)
-        return qmath.dag(w) @ (qmath.dag(rt) @ s_ge @ rt) @ w
-
-    return LindbladTerm(rate=p.gamma, operator=sampler, factor=0.5)
+    return LindbladTerm(
+        rate=p.gamma, operator=model.dressed_decay_jump(p, "nonadiabatic"), factor=0.5
+    )
 
 
 class TestCompareEffective:
@@ -246,6 +257,4 @@ def run_h1_h2_comparison(p, enforce=True):
     r = model.nonadiabatic_frame(p)
     frame = lambda t: np.kron(r.sampler(t), eye_f) @ w  # noqa: E731
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
-    return compare_effective(
-        lambda t: model.build_h1(p, t), h2, psi0, 2.0, n_samples=101, frame=frame
-    )
+    return compare_effective(model.build_h1(p), h2, psi0, 2.0, n_samples=101, frame=frame)

@@ -4,6 +4,7 @@ import pytest
 from reslab import qmath
 from reslab.errors import IntegrationDivergenceError, NotHermitianError
 from reslab.lindblad import (
+    Harmonic,
     LindbladTerm,
     MasterEquation,
     apply_generator,
@@ -132,9 +133,8 @@ class TestEvolve:
     def test_time_dependent_commuting_oracle(self):
         # H(t) = (A/2) cos(nu t) sigma_z: coherence phase exp(-i A sin(nu t)/nu)
         amp, nu = 2.0, 3.0
-        me = MasterEquation(
-            dim=2, hamiltonian=lambda t: 0.5 * amp * np.cos(nu * t) * np.diag([1.0, -1.0 + 0j])
-        )
+        half_cos = 0.25 * amp * np.diag([1.0, -1.0 + 0j])
+        me = MasterEquation(dim=2, hamiltonian=Harmonic([nu, -nu], [half_cos, half_cos]))
         rho0 = qmath.projector(qmath.normalized([1.0, 1.0]))
         times = np.linspace(0.0, 2.0, 9)
         traj = evolve(me, rho0, times)
@@ -215,6 +215,27 @@ class TestResidual:
         assert residual(me, np.eye(2) / 2) == 0.0
 
 
+class TestHarmonic:
+    def test_evaluates_fourier_sum(self):
+        rng = np.random.default_rng(6)
+        nus = [2.0, -0.5, 7.0]
+        mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in nus]
+        op = Harmonic(nus, mats)
+        for t in (0.0, 0.3, 2.9):
+            direct = sum(np.exp(-1j * nu * t) * a for nu, a in zip(nus, mats))
+            assert np.max(np.abs(op(t) - direct)) < 1e-12
+
+    def test_merges_equal_frequencies(self):
+        op = Harmonic([1.0, -1.0, 1.0 + 1e-13, 0.0], [SIGMA_GE, SIGMA_GE, 2.0 * SIGMA_GE, SIGMA_GE])
+        assert np.array_equal(op.frequencies, [-1.0, 0.0, 1.0 + 5e-14])
+        assert np.max(np.abs(op.matrices[2] - 3.0 * SIGMA_GE)) == 0.0
+
+    def test_rms_frequency(self):
+        op = Harmonic([3.0, -4.0], [SIGMA_GE, SIGMA_GE.T])
+        assert op.rms_frequency == pytest.approx(np.sqrt(12.5), rel=1e-15)
+        assert Harmonic([5.0], [np.zeros((2, 2))]).rms_frequency == 0.0
+
+
 class TestLindbladTermValidation:
     def test_negative_rate(self):
         with pytest.raises(ValueError):
@@ -223,6 +244,12 @@ class TestLindbladTermValidation:
     def test_factor_restricted(self):
         with pytest.raises(ValueError):
             LindbladTerm(rate=1.0, operator=SIGMA_GE, factor=0.25)
+
+    def test_rejects_sampler_closures(self):
+        with pytest.raises(TypeError):
+            LindbladTerm(rate=1.0, operator=lambda t: SIGMA_GE)
+        with pytest.raises(TypeError):
+            MasterEquation(dim=2, hamiltonian=lambda t: np.eye(2))
 
     def test_dissipator_factor_scaling(self):
         d_half = dissipator_matrix(SIGMA_GE, 1.0, 0.5)

@@ -136,7 +136,7 @@ class TestBases:
 class TestBuildH1:
     def test_zero_couplings(self):
         p = dimensionless_params(g=0.0, omega1=0.0, omega2=0.0)
-        assert np.max(np.abs(model.build_h1(p, 0.37))) == 0.0
+        assert np.max(np.abs(model.build_h1(p)(0.37))) == 0.0
 
     def test_resonant_snapshot(self):
         p = dimensionless_params(
@@ -145,7 +145,7 @@ class TestBuildH1:
         seg = model.sigma(model.ket_e(), model.ket_g())
         a = qmath.fock_annihilation(1)
         upper = 0.5 * np.kron(seg, a) + (2.0 + 0.25) * np.kron(seg, np.eye(2))
-        assert np.max(np.abs(model.build_h1(p, 0.0) - (upper + qmath.dag(upper)))) < 1e-14
+        assert np.max(np.abs(model.build_h1(p)(0.0) - (upper + qmath.dag(upper)))) < 1e-14
 
     def test_hermitian_everywhere(self):
         rng = np.random.default_rng(0)
@@ -157,8 +157,8 @@ class TestBuildH1:
                 delta_a=rng.normal(),
             )
             t = rng.uniform(0.0, 10.0)
-            assert qmath.hermitian_defect(model.build_h1(p, t)) < 1e-12
-            assert qmath.hermitian_defect(model.build_h1_memory(p, t)) < 1e-12
+            assert qmath.hermitian_defect(model.build_h1(p)(t)) < 1e-12
+            assert qmath.hermitian_defect(model.build_h1_memory(p)(t)) < 1e-12
 
 
 class TestBuildH2:
@@ -433,9 +433,27 @@ class TestFullSystemMasterEquation:
         p = dimensionless_params(gamma=0.1)
         me = model.full_system_master_equation(p, "nonadiabatic", frame="bare", include_gamma=True)
         t = 0.23
-        assert np.max(np.abs(me.hamiltonian_at(t) - model.build_h1(p, t))) < 1e-12
+        assert np.max(np.abs(me.hamiltonian_at(t) - model.build_h1(p)(t))) < 1e-12
         assert all(term.is_static for term in me.terms)
         assert len(me.terms) == 2
+
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_dressed_decay_jump_matches_conjugated_sampler(self, branch):
+        # independent reference: the frame sampler conjugating |g><e| directly
+        rng = np.random.default_rng(7)
+        s_ge = model.sigma(model.ket_g(), model.ket_e())
+        for phi1, phi2 in ((0.0, 0.0), (0.4, 1.1), (-2.3, 0.6)):
+            if branch == "nonadiabatic":
+                p = dimensionless_params(phi1=phi1, phi2=phi2)
+                r = model.nonadiabatic_frame(p)
+            else:
+                p = memory_params(0.8, phi1=phi1)
+                r = model.memory_frame(p)
+            w = model.dressed_basis_matrix(p, branch)
+            jump = model.dressed_decay_jump(p, branch)
+            for t in rng.uniform(0.0, 0.1, 5):
+                direct = qmath.dag(w) @ conjugate_operator(qmath.dag(r.sampler(t)), s_ge) @ w
+                assert np.max(np.abs(jump(t) - direct)) < 1e-12
 
     def test_dressed_gamma_jump_at_origin(self):
         p = dimensionless_params(gamma=0.1)

@@ -5,7 +5,7 @@ the memory branch, where no closed rate-equation system is available."""
 import numpy as np
 import pytest
 
-from reslab import model, qmath
+from reslab import model
 from reslab.frames import transformed_dissipator_average
 from reslab.lindblad import LindbladTerm, MasterEquation, steady_state
 
@@ -27,20 +27,8 @@ def memory_params(chi, lam=16.0, gamma=1.0):
 
 
 def averaged_memory_decay(p):
-    d = model.DerivedMemoryParams.from_params(p)
-    r = model.memory_frame(p)
-    w = model.dressed_basis_matrix(p, "memory")
-    s_ge = model.sigma(model.ket_g(), model.ket_e())
-
-    def sampler(t):
-        rt = r.sampler(t)
-        return qmath.dag(w) @ (qmath.dag(rt) @ s_ge @ rt) @ w
-
-    term = LindbladTerm(rate=p.gamma, operator=sampler, factor=0.5)
-    # spectral content sits at 0 and +-2 lambda (plus the global drive
-    # detuning phase, which cancels); one period of the slower component
-    period = np.pi / d.lam
-    return transformed_dissipator_average(term, period, n_points=512)
+    term = LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, "memory"), factor=0.5)
+    return transformed_dissipator_average(term)
 
 
 class TestMemoryBranchOracle:

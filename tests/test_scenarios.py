@@ -231,6 +231,46 @@ class TestCli:
         assert payload["exit_code"] == 2
         assert payload["error"]["path"] == ["params", "omega2"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"name": "effective-check", "options": {"branch": "foo"}}, ["options", "branch"]),
+            (
+                {"name": "effective-check", "options": {"branch": "memory", "chi": 2.0}},
+                ["options", "chi"],
+            ),
+            ({"name": "nonadiabatic", "params": {"Gamma": 0}}, ["params", "Gamma"]),
+            ({"name": "memory", "params": {"Gamma": 0}}, ["params", "Gamma"]),
+            ({"name": "sweep", "sweep_axis": ["Gamma", [1e6, 0]]}, ["params", "Gamma"]),
+            ({"name": "phase-cycle", "params": {"omega1": 0}}, ["params", "omega1"]),
+            ({"name": "interferometer", "params": {"omega1": 0}}, ["params", "omega1"]),
+            ({"name": "interferometer", "params": {"Gamma": 0}}, ["params", "Gamma"]),
+            ({"name": "memory", "params": {"omega1": 0}}, ["params", "omega1"]),
+            ({"name": "elimination-check", "params": {"g": 0}}, ["params", "g"]),
+            ({"name": "elimination-check", "params": {"Gamma": 0}}, ["params", "Gamma"]),
+            ({"name": "effective-check", "params": {"g": 0}}, ["params", "g"]),
+            (
+                {"name": "effective-check", "params": {"Gamma": 0},
+                 "options": {"branch": "memory"}},
+                ["params", "Gamma"],
+            ),
+            (
+                {"name": "effective-check", "params": {"omega1": 0, "delta1": 5.0},
+                 "options": {"branch": "memory"}},
+                ["params", "omega1"],
+            ),
+        ],
+    )
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, path):
+        cfg = self.write(tmp_path, doc)
+        extra = ["--out", str(tmp_path)] if command == "run" else []
+        assert cli.main([command, cfg, *extra]) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["exit_code"] == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["path"] == path
+
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["run", "/nonexistent/config.json"]) == 2
 
