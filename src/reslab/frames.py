@@ -24,7 +24,7 @@ import scipy.integrate
 
 from . import qmath
 from .errors import DimensionMismatchError, IntegrationDivergenceError
-from .lindblad import Harmonic, LindbladTerm, dissipator_matrix
+from .lindblad import Harmonic, LindbladTerm
 
 __all__ = [
     "FrameTransform",
@@ -150,15 +150,15 @@ def transformed_dissipator_average(term: LindbladTerm) -> np.ndarray:
     """Long-time average of a jump term's superoperator.
 
     Returns a constant Liouvillian fragment (``dim^2 x dim^2``), suitable
-    as the ``extra_generator`` of a :class:`MasterEquation`.  For a harmonic
+    as the ``extra_generator`` of a :class:`MasterEquation`: the
+    zero-frequency component of ``term.superoperator()``.  For a harmonic
     jump ``sum_k exp(-i nu_k t) A_k`` the products of components with
     different frequencies oscillate and average to zero, and the merged
     ``nu_k`` are distinct, so the average is exactly the secular sum
-    ``sum_k D[A_k]``.  A static term passes through unchanged.
+    ``sum_k D[A_k]``; a static term is its own average.
     """
-    if term.is_static:
-        return dissipator_matrix(term.operator_at(0.0), term.rate, term.factor)
-    return sum(dissipator_matrix(a, term.rate, term.factor) for a in term.operator.matrices)
+    sup = term.superoperator()
+    return sup.matrices[np.argmin(np.abs(sup.frequencies))]
 
 
 def schroedinger_evolve(

@@ -18,7 +18,9 @@ Operators are static matrices or :class:`Harmonic` sums
 ``O(t) = sum_k exp(-i nu_k t) A_k``, the one time-dependent form: every
 rotating-frame Hamiltonian and jump operator of the model is such a
 finite Fourier sum, so its frequencies are known exactly rather than
-probed.
+probed.  A static operator is the zero-frequency harmonic.  So is the
+generator: each master equation assembles ``L(t) = sum_k exp(-i nu_k t) L_k``
+once (:attr:`MasterEquation.liouvillian`), and everything else reads it.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
 automatic step halving until the final state is stable; for
@@ -30,6 +32,7 @@ associatively).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +58,6 @@ __all__ = [
     "dissipator_matrix",
     "liouvillian_matrix",
     "apply_generator",
-    "residual",
     "evolve",
     "steady_state",
 ]
@@ -117,6 +119,10 @@ class Harmonic:
         return math.sqrt(float(np.sum(self.frequencies**2 * weights)) / total) if total else 0.0
 
 
+def _as_harmonic(op) -> Harmonic:
+    return op if isinstance(op, Harmonic) else Harmonic([0.0], [op])
+
+
 def _check_operator(op, what: str) -> None:
     if callable(op) and not isinstance(op, Harmonic):
         raise TypeError(f"{what} must be a static matrix or a Harmonic, got {type(op).__name__}")
@@ -145,8 +151,22 @@ class LindbladTerm:
         return not isinstance(self.operator, Harmonic)
 
     def operator_at(self, t: float) -> np.ndarray:
-        op = self.operator if self.is_static else self.operator(t)
-        return np.asarray(op, dtype=complex)
+        return _as_harmonic(self.operator)(t)
+
+    def superoperator(self) -> Harmonic:
+        """``D[O(t)]`` as a harmonic sum of ``dim^2 x dim^2`` superoperators: the
+        pair ``(A_k, A_l)`` of components enters at ``nu_k - nu_l``, added into
+        one matrix per merged frequency as it is built."""
+        op = _as_harmonic(self.operator)
+        nus = np.subtract.outer(op.frequencies, op.frequencies)
+        # merged as a harmonic, the unit vectors e_kl mark the pairs of each frequency
+        groups = Harmonic(nus.ravel(), np.eye(nus.size)[:, None, :])
+        slots = np.argmax(np.abs(groups.matrices[:, 0, :]), axis=0).reshape(nus.shape)
+        d = op.matrices.shape[-1]
+        out = np.zeros((groups.frequencies.size, d * d, d * d), dtype=complex)
+        for (k, l), slot in np.ndenumerate(slots):
+            out[slot] += _pair_dissipator(op.matrices[k], op.matrices[l], self.rate * self.factor)
+        return Harmonic(groups.frequencies, out)
 
 
 @dataclass(frozen=True)
@@ -182,17 +202,33 @@ class MasterEquation:
         return static_h and all(t.is_static for t in self.terms)
 
     def hamiltonian_at(self, t: float) -> np.ndarray | None:
-        if self.hamiltonian is None:
-            return None
-        h = self.hamiltonian(t) if isinstance(self.hamiltonian, Harmonic) else self.hamiltonian
-        h = np.asarray(h, dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"hamiltonian shape {h.shape} != dim {self.dim}")
-        defect = qmath.hermitian_defect(h)
-        scale = float(np.max(np.abs(h))) if h.size else 0.0
-        if defect > max(1e-10, 1e-12 * scale):
-            raise NotHermitianError(defect, f"sampled hamiltonian at t={t} is not Hermitian")
-        return h
+        return None if self.hamiltonian is None else _as_harmonic(self.hamiltonian)(t)
+
+    @functools.cached_property
+    def liouvillian(self) -> Harmonic:
+        """The generator ``L(t) = sum_k exp(-i nu_k t) L_k``, with
+        ``vec(drho/dt) = L(t) vec(rho)``; assembled on first use and kept.
+        The Hamiltonian's shape and Hermiticity are checked here."""
+        d = self.dim
+        eye = np.eye(d)
+        parts = [Harmonic([0.0], [np.zeros((d * d, d * d))])]
+        if self.hamiltonian is not None:
+            h = _as_harmonic(self.hamiltonian)
+            if h.matrices.shape[1:] != (d, d):
+                raise DimensionMismatchError(f"hamiltonian shape {h.matrices.shape} != dim {d}")
+            # Hermitian at every t exactly when the component at -nu is the
+            # adjoint of the one at nu; a static H is the nu = 0 case
+            adjoint = h.matrices.conj().transpose(0, 2, 1)
+            gap = Harmonic([*h.frequencies, *-h.frequencies], [*h.matrices, *-adjoint])
+            defect = float(np.max(np.abs(gap.matrices)))
+            if defect > max(1e-10, 1e-12 * float(np.max(np.abs(h.matrices)))):
+                raise NotHermitianError(defect, "hamiltonian is not Hermitian: H(-nu) != H(nu)^dag")
+            parts.append(h.map(lambda a: -1j * (np.kron(eye, a) - np.kron(a.T, eye))))
+        parts += [term.superoperator() for term in self.terms if term.rate != 0.0]
+        if self.extra_generator is not None:
+            parts.append(Harmonic([0.0], [self.extra_generator]))
+        nus = np.concatenate([p.frequencies for p in parts])
+        return Harmonic(nus, np.concatenate([p.matrices for p in parts]))
 
 
 @dataclass
@@ -216,55 +252,28 @@ class SteadyStateInfo:
     residual: float
 
 
+def _pair_dissipator(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """Superoperator of ``scale * (2 A . B^dag - B^dag A . - . B^dag A)``, the
+    ``(A, B)`` pair term of a dissipator; ``A = B = O`` gives ``D[O]``."""
+    eye = np.eye(a.shape[0])
+    bda = qmath.dag(b) @ a
+    return scale * (2.0 * np.kron(b.conj(), a) - np.kron(eye, bda) - np.kron(bda.T, eye))
+
+
 def dissipator_matrix(op: np.ndarray, rate: float, factor: float) -> np.ndarray:
     """Superoperator of ``rate * factor * (2 O . O^dag - O^dag O . - . O^dag O)``."""
     o = np.asarray(op, dtype=complex)
-    d = o.shape[0]
-    odo = qmath.dag(o) @ o
-    eye = np.eye(d)
-    return (rate * factor) * (
-        2.0 * np.kron(o.conj(), o) - np.kron(eye, odo) - np.kron(odo.T, eye)
-    )
+    return _pair_dissipator(o, o, rate * factor)
 
 
 def liouvillian_matrix(me: MasterEquation, t: float = 0.0) -> np.ndarray:
     """Matrix ``L`` with ``vec(drho/dt) = L vec(rho)`` at time ``t``."""
-    d = me.dim
-    eye = np.eye(d)
-    L = np.zeros((d * d, d * d), dtype=complex)
-    h = me.hamiltonian_at(t)
-    if h is not None:
-        L += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for term in me.terms:
-        if term.rate != 0.0:
-            L += dissipator_matrix(term.operator_at(t), term.rate, term.factor)
-    if me.extra_generator is not None:
-        L += me.extra_generator
-    return L
+    return me.liouvillian(t)
 
 
 def apply_generator(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Right-hand side ``drho/dt`` assembled directly (no superoperator)."""
-    d = me.dim
-    out = np.zeros((d, d), dtype=complex)
-    h = me.hamiltonian_at(t)
-    if h is not None:
-        out += -1j * (h @ rho - rho @ h)
-    for term in me.terms:
-        if term.rate == 0.0:
-            continue
-        o = term.operator_at(t)
-        od = qmath.dag(o)
-        odo = od @ o
-        out += (term.rate * term.factor) * (2.0 * (o @ rho @ od) - odo @ rho - rho @ odo)
-    if me.extra_generator is not None:
-        out += unvec(me.extra_generator @ vec(rho), d)
-    return out
-
-
-def residual(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> float:
-    """Frobenius norm of ``drho/dt`` at ``(rho, t)``; an equilibration detector."""
-    return float(np.linalg.norm(apply_generator(me, np.asarray(rho, dtype=complex), t)))
+    """Right-hand side ``drho/dt``: the assembled ``L(t)`` applied to ``vec(rho)``."""
+    return unvec(me.liouvillian(t) @ vec(rho), me.dim)
 
 
 def _fastest_scale(me: MasterEquation, t0: float, t1: float) -> float:

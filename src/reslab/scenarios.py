@@ -42,7 +42,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "parse_config",
-    "serialize_scenario",
     "resolve_params",
     "run_scenario",
     "write_outputs",
@@ -249,27 +248,6 @@ def parse_config(text: str) -> Scenario:
     )
 
 
-def serialize_scenario(sc: Scenario) -> str:
-    """Inverse of :func:`parse_config` (round-trips through JSON)."""
-    doc: dict = {"name": sc.name}
-    if sc.params:
-        doc["params"] = dict(sc.params)
-    grid = {}
-    if sc.grid.t_end is not None:
-        grid["t_end"] = sc.grid.t_end
-    if sc.grid.n_samples is not None:
-        grid["n_samples"] = sc.grid.n_samples
-    if grid:
-        doc["grid"] = grid
-    if sc.options:
-        doc["options"] = dict(sc.options)
-    if sc.sweep_axis is not None:
-        doc["sweep_axis"] = [sc.sweep_axis[0], list(sc.sweep_axis[1])]
-    if sc.unit_scale != 1.0:
-        doc["unit_scale"] = sc.unit_scale
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 # --- resolution ---------------------------------------------------------------
 
 
@@ -280,7 +258,9 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     scenario (delta1 = 0, delta2 = -2 omega1, delta_a = -omega2 for the
     nonadiabatic family; omega2 = 0, delta_a = -2 lambda for the memory
     branch), so that overriding a drive amplitude keeps the run on
-    resonance unless the detunings are pinned too.
+    resonance unless the detunings are pinned too.  The effective-check
+    memory branch takes delta1 = chi lambda from ``options.chi`` (setting
+    ``params.delta1`` there is a :class:`ConfigError`) and delta2 = 0.
 
     Parameters the scenario divides by must be positive; a zero raises
     :class:`ConfigError`.  A sweep is checked at every point and resolves
@@ -292,12 +272,17 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
     branch = _branch_for(sc)
-    positive = _POSITIVE_KEYS[sc.name]
-    if sc.name == "effective-check" and branch == "memory":
-        # the memory check derives delta1 from omega1 and chi
-        positive += ("Gamma", "omega1")
+    memory_check = sc.name == "effective-check" and branch == "memory"
+    positive = _POSITIVE_KEYS[sc.name] + (("Gamma", "omega1") if memory_check else ())
     for key in positive:
         _require(vals[key] > 0, f"{key} must be positive for {sc.name}", ("params", key))
+    if memory_check:
+        # chi sets delta1 = chi lambda with lambda = 2 omega1 / sqrt(4 - chi^2);
+        # the second drive is off, and its detuning defaults to 0
+        _require("delta1" not in sc.params, "options.chi sets delta1", ("params", "delta1"))
+        chi = sc.options.get("chi", 0.0)
+        vals["delta1"] = chi * (2.0 * vals["omega1"] / math.sqrt(4.0 - chi * chi))
+        vals["delta2"] = sc.params.get("delta2", 0.0)
     if branch == "memory":
         both_zero = vals["omega1"] == 0 and vals["delta1"] == 0
         _require(not both_zero, "omega1 and delta1 cannot both vanish", ("params", "omega1"))
@@ -466,13 +451,10 @@ def _run_effective_check(sc: Scenario) -> ScenarioResult:
     p = resolve_params(sc)
     branch = _branch_for(sc)
     if branch == "memory":
-        chi = sc.options.get("chi", 0.0)
-        lam = 2.0 * p.omega1 / math.sqrt(4.0 - chi * chi)
-        p = p.replace(omega2=0.0, delta1=chi * lam, delta2=0.0, delta_a=-2.0 * lam)
         h_eff = model.build_h2_memory(p)
         full = model.build_h1_memory(p)
         frame_tl = model.FrameTransform((model.memory_generator(p),))
-        psi0_tl = model.tilde_minus_ket(chi, p.phi1)
+        psi0_tl = model.tilde_minus_ket(sc.options.get("chi", 0.0), p.phi1)
     else:
         h_eff = model.build_h2_effective(p)
         full = model.build_h1(p)
@@ -604,7 +586,8 @@ def _run_sweep(sc: Scenario, workers: int) -> ScenarioResult:
     axis_name, values = sc.sweep_axis
     jobs = [(_child_scenario(sc, v), v) for v in values]
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at the first submit: no more than the points
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             summaries = list(pool.map(_run_child, jobs))
     else:
         summaries = [_run_child(job) for job in jobs]

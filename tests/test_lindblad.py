@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reslab import qmath
+from reslab import model, qmath
 from reslab.errors import IntegrationDivergenceError, NotHermitianError
 from reslab.lindblad import (
     Harmonic,
@@ -11,7 +13,6 @@ from reslab.lindblad import (
     dissipator_matrix,
     evolve,
     liouvillian_matrix,
-    residual,
     steady_state,
     unvec,
     vec,
@@ -39,6 +40,37 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_harmonic_master_equation(rng, dim, nu, jump_nu, rate):
+    """Paired harmonic H = H0 + e^{-i nu t} A + e^{i nu t} A^dag and a
+    three-component harmonic jump."""
+    h0 = random_matrix(rng, dim)
+    a = 0.5 * random_matrix(rng, dim)
+    h = Harmonic([0.0, nu, -nu], [0.5 * (h0 + h0.conj().T), a, a.conj().T])
+    components = [0.5 * random_matrix(rng, dim) for _ in range(3)]
+    jump = Harmonic([jump_nu, -0.5 * jump_nu, 0.0], components)
+    return MasterEquation(dim=dim, hamiltonian=h, terms=(LindbladTerm(rate, jump, 0.5),))
+
+
+def direct_rhs(me, rho, t=0.0):
+    """Reference ``-i[H, rho] + sum rate factor (2 O rho O^dag - {O^dag O, rho})``
+    from the operators sampled at ``t``, plus the extra generator."""
+    out = np.zeros((me.dim, me.dim), dtype=complex)
+    h = me.hamiltonian_at(t)
+    if h is not None:
+        out += -1j * (h @ rho - rho @ h)
+    for term in me.terms:
+        o = term.operator_at(t)
+        odo = o.conj().T @ o
+        out += (term.rate * term.factor) * (2.0 * (o @ rho @ o.conj().T) - odo @ rho - rho @ odo)
+    if me.extra_generator is not None:
+        out += unvec(me.extra_generator @ vec(rho), me.dim)
+    return out
 
 
 class TestVectorization:
@@ -90,18 +122,44 @@ class TestLiouvillian:
 
     def test_superoperator_matches_direct_rhs(self):
         rng = np.random.default_rng(3)
-        for dim in (2, 4):
-            me = random_master_equation(rng, dim)
-            L = liouvillian_matrix(me)
+        memory = model.ModelParams(
+            g=1.0, omega1=float(np.sqrt(16.0**2 - 8.0**2 / 4.0)), omega2=0.0, phi1=0.3,
+            delta1=8.0, delta2=0.0, delta_a=-32.0, Gamma=1e6, gamma=0.8, n_max=1,
+        )
+        nonadiabatic = model.ModelParams(
+            g=1.0, omega1=400.0, omega2=20.0, phi1=0.4, phi2=1.1, delta_a=-20.0,
+            delta1=0.0, delta2=-800.0, Gamma=20.0, gamma=0.7, n_max=1,
+        )
+        equations = [random_master_equation(rng, dim) for dim in (2, 4)]
+        equations += [random_harmonic_master_equation(rng, dim, 1.7, 2.9, 0.8) for dim in (2, 3)]
+        for p, branch in ((nonadiabatic, "nonadiabatic"), (memory, "memory")):
+            jump = model.dressed_decay_jump(p, branch)
+            terms = (LindbladTerm(p.gamma, jump, 0.5), LindbladTerm(0.3, SIGMA_GE, 1.0))
+            equations.append(MasterEquation(dim=2, hamiltonian=np.diag([0.5, -0.5]), terms=terms))
+        for me in equations:
             for _ in range(5):
-                rho = random_density(rng, dim)
-                direct = apply_generator(me, rho)
-                assert np.max(np.abs(unvec(L @ vec(rho), dim) - direct)) < 1e-12
+                t = rng.uniform(0.0, 0.1)
+                rho = random_density(rng, me.dim)
+                direct = direct_rhs(me, rho, t)
+                assert np.max(np.abs(apply_generator(me, rho, t) - direct)) < 1e-12
+                L = liouvillian_matrix(me, t)
+                assert np.max(np.abs(unvec(L @ vec(rho), me.dim) - direct)) < 1e-12
 
     def test_rejects_non_hermitian_hamiltonian(self):
         me = MasterEquation(dim=2, hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitianError):
             liouvillian_matrix(me)
+
+    def test_rejects_unpaired_harmonic_hamiltonian(self):
+        # e^{-i t} sigma_x is Hermitian at t = 0 only: its partner at -nu is missing
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        me = MasterEquation(dim=2, hamiltonian=Harmonic([1.0], [sigma_x]))
+        with pytest.raises(NotHermitianError):
+            liouvillian_matrix(me)
+
+    def test_assembled_once(self):
+        me = random_harmonic_master_equation(np.random.default_rng(8), 2, 1.0, 2.0, 0.5)
+        assert me.liouvillian is me.liouvillian
 
 
 class TestEvolve:
@@ -167,6 +225,24 @@ class TestEvolve:
             assert qmath.hermitian_defect(s) < 1e-9
             assert np.min(np.linalg.eigvalsh(0.5 * (s + qmath.dag(s)))) > -1e-7
 
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(
+        dim=st.integers(2, 3),
+        nu=st.floats(0.2, 4.0),
+        jump_nu=st.floats(0.2, 4.0),
+        rate=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_harmonic_generators_keep_states_physical(self, dim, nu, jump_nu, rate, seed):
+        rng = np.random.default_rng(seed)
+        me = random_harmonic_master_equation(rng, dim, nu, jump_nu, rate)
+        rho0 = 0.5 * random_density(rng, dim) + 0.5 * np.eye(dim) / dim
+        traj = evolve(me, rho0, np.linspace(0.0, 1.0, 5))
+        for s in traj.states:
+            assert abs(np.trace(s) - 1.0) <= 1e-9
+            assert qmath.hermitian_defect(s) <= 1e-10
+            assert np.min(np.linalg.eigvalsh(0.5 * (s + qmath.dag(s)))) >= -1e-9
+
 
 class TestSteadyState:
     def test_decay_only(self):
@@ -177,7 +253,7 @@ class TestSteadyState:
         me = decay_qubit(2.0)
         rho, info = steady_state(me, return_info=True)
         assert info.residual <= 1e-9
-        assert residual(me, rho) < 1e-9
+        assert np.linalg.norm(apply_generator(me, rho)) < 1e-9
 
     def test_degenerate_null_space(self):
         me = MasterEquation(dim=2, hamiltonian=np.diag([1.0, -1.0 + 0j]))
@@ -198,13 +274,12 @@ class TestSteadyState:
 class TestResidual:
     def test_decay_magnitude(self):
         gamma = 1.7
-        assert residual(decay_qubit(gamma), np.diag([1.0, 0.0])) == pytest.approx(
-            gamma * np.sqrt(2.0)
-        )
+        rhodot = apply_generator(decay_qubit(gamma), np.diag([1.0, 0.0]))
+        assert np.linalg.norm(rhodot) == pytest.approx(gamma * np.sqrt(2.0))
 
     def test_closed_eigenstate(self):
         me = MasterEquation(dim=2, hamiltonian=np.diag([1.0, -1.0 + 0j]))
-        assert residual(me, np.diag([1.0, 0.0])) < 1e-12
+        assert np.linalg.norm(apply_generator(me, np.diag([1.0, 0.0]))) < 1e-12
 
     def test_zero_rate_terms_ignored(self):
         me = MasterEquation(
@@ -212,7 +287,7 @@ class TestResidual:
             hamiltonian=np.zeros((2, 2)),
             terms=(LindbladTerm(rate=0.0, operator=SIGMA_GE, factor=1.0),),
         )
-        assert residual(me, np.eye(2) / 2) == 0.0
+        assert np.linalg.norm(apply_generator(me, np.eye(2) / 2)) == 0.0
 
 
 class TestHarmonic:

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reslab import cli, model
+from reslab import cli, model, scenarios
 from reslab.errors import ConfigError
 from reslab.scenarios import (
     SCENARIOS,
@@ -12,7 +13,6 @@ from reslab.scenarios import (
     parse_config,
     resolve_params,
     run_scenario,
-    serialize_scenario,
 )
 
 
@@ -68,30 +68,6 @@ class TestParseConfig:
         assert sc.options == {"include_tl_decay": True}
         with pytest.raises(ConfigError):
             parse_config('{"name": "interferometer", "options": {"include_gamma": true}}')
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "sc",
-        [
-            Scenario(name="nonadiabatic"),
-            Scenario(name="memory", params={"delta1": 1000.0, "g": 2e5}),
-            Scenario(
-                name="interferometer",
-                grid=TimeGrid(t_end=1e-6, n_samples=301),
-                options={"include_tl_decay": True},
-            ),
-            Scenario(
-                name="sweep",
-                sweep_axis=("gamma", (1.0, 2.0)),
-                options={"base": "nonadiabatic"},
-                unit_scale=2.0,
-            ),
-            Scenario(name="effective-check", options={"branch": "memory", "chi": 1.0}),
-        ],
-    )
-    def test_parse_serialize_round_trip(self, sc):
-        assert parse_config(serialize_scenario(sc)) == sc
 
 
 class TestResolution:
@@ -208,6 +184,29 @@ class TestRunScenario:
         parallel = run_scenario(sc, workers=2)
         assert serial.series_rows == parallel.series_rows
 
+    def test_sweep_pool_capped_at_point_count(self, monkeypatch):
+        # a stand-in executor records the pool size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(scenarios.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        sc = parse_config('{"name": "sweep", "sweep_axis": ["gamma", [100.0, 1000.0]]}')
+        run_scenario(sc, workers=8)
+        run_scenario(sc, workers=2)
+        assert sizes == [2, 2]
+
 
 class TestCli:
     def write(self, tmp_path, doc):
@@ -260,6 +259,11 @@ class TestCli:
                  "options": {"branch": "memory"}},
                 ["params", "omega1"],
             ),
+            (
+                {"name": "effective-check", "params": {"delta1": 5.0},
+                 "options": {"branch": "memory", "chi": 1.0}},
+                ["params", "delta1"],
+            ),
         ],
     )
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, path):
@@ -283,6 +287,25 @@ class TestCli:
         assert code == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "RegimeError"
+
+    @pytest.mark.parametrize("params, expected", [({}, 0), ({"delta_a": -5.0}, 4)])
+    def test_validate_and_run_agree_on_memory_check(self, tmp_path, capsys, params, expected):
+        doc = {
+            "name": "effective-check",
+            "options": {"branch": "memory", "chi": 1.0},
+            "params": params,
+            "grid": {"t_end": 2e-7, "n_samples": 5},
+        }
+        cfg = self.write(tmp_path, doc)
+        assert cli.main(["validate", cfg]) == expected
+        validated = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "runs")]) == expected
+        if expected == 0:
+            run_dir = json.loads(capsys.readouterr().out)["out_dir"]
+            derived = json.loads((Path(run_dir) / "summary.json").read_text())["derived"]
+            ratios = {k[len("ratio_"):]: v for k, v in derived.items() if k.startswith("ratio_")}
+            assert validated["ratios"] == ratios
+            assert ratios["rate_eng_over_gamma"] == pytest.approx(25.0)
 
     def test_validate_ok(self, tmp_path, capsys):
         cfg = self.write(tmp_path, {"name": "nonadiabatic"})
