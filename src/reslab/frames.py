@@ -1,5 +1,5 @@
-"""Rotating frames, time-ordered propagators, operator conjugation, and
-the time-averaging oracle used to validate dressed-frame reductions.
+"""Rotating frames, operator conjugation, and the time-averaging oracle
+used to validate dressed-frame reductions.
 
 A frame is the unitary family ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...``,
 a product of exponentials of static Hermitian generators.  States map as
@@ -29,7 +29,6 @@ from .lindblad import Harmonic, LindbladTerm
 __all__ = [
     "FrameTransform",
     "compose_frames",
-    "time_ordered_propagator",
     "conjugate_operator",
     "transformed_dissipator_average",
     "EffectiveComparison",
@@ -93,48 +92,6 @@ class FrameTransform:
 def compose_frames(outer: FrameTransform, inner: FrameTransform) -> FrameTransform:
     """Frame of the product ``R(t) = R_outer(t) R_inner(t)``."""
     return FrameTransform(outer.generators + inner.generators)
-
-
-def _midpoint_product(h_sampler, t: float, steps: int) -> np.ndarray:
-    h0 = qmath.as_operator(h_sampler(0.5 * t / steps))
-    u = np.eye(h0.shape[0], dtype=complex)
-    dt = t / steps
-    for k in range(steps):
-        hk = h_sampler((k + 0.5) * dt)
-        u = qmath.expm_hermitian_generator(hk, dt) @ u  # latest time leftmost
-    return u
-
-
-def time_ordered_propagator(
-    h_sampler,
-    t: float,
-    steps: int = 64,
-    *,
-    tol: float = 1e-8,
-    max_doublings: int = 16,
-) -> np.ndarray:
-    """Time-ordered exponential ``T exp(-i \\int_0^t H dt')``.
-
-    Product of midpoint-rule exponentials, latest time leftmost.  Each
-    factor is a true exponential of a Hermitian sample, so the result is
-    exactly unitary; the step count is doubled until doubling changes the
-    result by at most ``tol`` (max-abs entry).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if t == 0.0:
-        h0 = qmath.as_operator(h_sampler(0.0))
-        return np.eye(h0.shape[0], dtype=complex)
-    coarse = _midpoint_product(h_sampler, t, steps)
-    achieved = np.inf
-    for _ in range(max_doublings):
-        steps *= 2
-        fine = _midpoint_product(h_sampler, t, steps)
-        achieved = float(np.max(np.abs(fine - coarse)))
-        if achieved <= tol:
-            return fine
-        coarse = fine
-    raise IntegrationDivergenceError(achieved, tol, "time-ordered propagator did not refine")
 
 
 def conjugate_operator(r, o) -> np.ndarray:

@@ -34,6 +34,7 @@ __all__ = [
     "DerivedMemoryParams",
     "RegimeReport",
     "check_regime",
+    "require_regime",
     "apply_nonadiabatic_constraints",
     "apply_memory_constraints",
     "ket_e",
@@ -171,10 +172,12 @@ def check_regime(p: ModelParams, branch: str, *, rtol: float = 1e-9) -> RegimeRe
     """Check the resonance constraints of the requested branch.
 
     Residuals are absolute (rad/s); a constraint passes when its residual
-    is below ``rtol`` times the drive scale of the branch.
+    is below ``rtol`` times the drive scale of the branch.  The memory
+    branch has no second drive, so ``delta2`` sets no scale there.
     """
-    scale = max(p.omega1, p.omega2, abs(p.delta2) / 2.0, abs(p.delta_a), p.g, 1.0)
+    scale = max(p.omega1, p.omega2, abs(p.delta_a), p.g, 1.0)
     if branch == "nonadiabatic":
+        scale = max(scale, abs(p.delta2) / 2.0)
         checks = {
             "delta1_zero": abs(p.delta1),
             "delta2_minus_two_omega1": abs(p.delta2 + 2.0 * p.omega1),
@@ -202,6 +205,15 @@ def check_regime(p: ModelParams, branch: str, *, rtol: float = 1e-9) -> RegimeRe
         else float("inf"),
     }
     return RegimeReport(branch=branch, checks=rated, ratios=ratios)
+
+
+def require_regime(p: ModelParams, branch: str) -> RegimeReport:
+    """:func:`check_regime`, raising :class:`RegimeError` carrying the report
+    when a constraint fails."""
+    report = check_regime(p, branch)
+    if not report.ok:
+        raise RegimeError(report)
+    return report
 
 
 # --- bases -----------------------------------------------------------------
@@ -349,18 +361,14 @@ def build_h2_effective(p: ModelParams) -> np.ndarray:
     Requires the nonadiabatic resonance constraints; violations raise
     :class:`RegimeError` carrying the report.
     """
-    report = check_regime(p, "nonadiabatic")
-    if not report.ok:
-        raise RegimeError(report)
+    require_regime(p, "nonadiabatic")
     return _raising_block(0.5 * p.g, p.phi1, p.n_max)
 
 
 def build_h2_memory(p: ModelParams) -> np.ndarray:
     """Engineered memory coupling ``(g_tilde/2)(e^{i phi1} a^dag |T+><T-|
     + h.c.)`` in the (T+, T-) x Fock basis, with g_tilde = g (1 - chi/2)."""
-    report = check_regime(p, "memory")
-    if not report.ok:
-        raise RegimeError(report)
+    require_regime(p, "memory")
     gt = DerivedMemoryParams.from_params(p).g_tilde
     return _raising_block(0.5 * gt, p.phi1, p.n_max)
 

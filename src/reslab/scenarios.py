@@ -319,6 +319,8 @@ def _integrator_stats(traj: Trajectory) -> dict:
     return {
         "refinements": traj.refinements,
         "max_substeps_per_interval": int(np.max(traj.substeps)) if traj.substeps is not None else 0,
+        "achieved_residual": traj.achieved,
+        "tol": traj.tol,
     }
 
 
@@ -343,6 +345,7 @@ def _run_nonadiabatic(sc: Scenario) -> ScenarioResult:
         (9.0 * p.gamma / 8.0) / (rate + 1.5 * p.gamma) if p.gamma > 0 else 0.0
     )
     rho_ss = steady_state(me)
+    evolved = "rate-equations" if include_gamma else "reduced, no gamma channel"
     derived = {
         "rate_eng": rate,
         "rate_ratio": ratio,
@@ -352,6 +355,12 @@ def _run_nonadiabatic(sc: Scenario) -> ScenarioResult:
         "fidelity_rate_equations": 1.0 - eps_rate_eqs,
         "fidelity_steady": qmath.fidelity(rho_ss, up),
         "fidelity_final": qmath.fidelity(traj.final, up),
+        "fidelity_generators": {
+            "fidelity_formula": "closed-form",
+            "fidelity_rate_equations": "rate-equations",
+            "fidelity_steady": evolved,
+            "fidelity_final": evolved,
+        },
         "include_gamma": include_gamma,
     }
     header = ["t", "rho_uu", "rho_dd", "re_rho_ud", "im_rho_ud", "fidelity_up"]
@@ -371,6 +380,7 @@ def _run_nonadiabatic(sc: Scenario) -> ScenarioResult:
 
 def _run_memory(sc: Scenario) -> ScenarioResult:
     p = resolve_params(sc)
+    model.require_regime(p, "memory")
     derived_mem = model.DerivedMemoryParams.from_params(p)
     ratio = derived_mem.rate / p.gamma if p.gamma > 0 else float("inf")
     eps = model.epsilon_closed_form(ratio, "memory") if math.isfinite(ratio) else 0.0
@@ -394,6 +404,10 @@ def _run_memory(sc: Scenario) -> ScenarioResult:
         "epsilon_formula": eps,
         "fidelity_formula": 1.0 - eps,
         "fidelity_final": qmath.fidelity(traj.final, plus),
+        "fidelity_generators": {
+            "fidelity_formula": "closed-form",
+            "fidelity_final": "reduced, no gamma channel",
+        },
     }
     header = ["t", "rho_pp", "rho_mm", "fidelity_plus", "bloch_x", "bloch_y", "bloch_z"]
     rows = [

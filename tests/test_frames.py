@@ -8,14 +8,10 @@ from reslab.frames import (
     compare_effective,
     compose_frames,
     conjugate_operator,
-    time_ordered_propagator,
     transformed_dissipator_average,
 )
-from reslab.frames import _midpoint_product
 from reslab.lindblad import Harmonic, LindbladTerm, dissipator_matrix, unvec, vec
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.diag([1.0, -1.0 + 0j])
 SIGMA_GE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -44,57 +40,6 @@ class TestFrameTransform:
         rdot = (composed(t + dt) - composed(t - dt)) / (2 * dt)
         h_num = 1j * rdot @ qmath.dag(composed(t))
         assert np.max(np.abs(h_num - composed.generator_sampler(t))) < 1e-5
-
-
-class TestTimeOrderedPropagator:
-    def test_constant_matches_exponential(self):
-        rng = np.random.default_rng(2)
-        h = random_hermitian(rng, 3)
-        u = time_ordered_propagator(lambda t: h, 0.9)
-        assert np.max(np.abs(u - qmath.expm_hermitian_generator(h, 0.9))) < 1e-10
-
-    def test_commuting_diagonal_family(self):
-        w0, w1 = 1.2, 0.8
-
-        def sampler(t):
-            return 0.5 * (w0 + w1 * t) * SIGMA_Z
-
-        T = 2.0
-        integral = w0 * T + 0.5 * w1 * T * T
-        u = time_ordered_propagator(sampler, T)
-        expected = qmath.expm_hermitian_generator(0.5 * SIGMA_Z, integral)
-        assert np.max(np.abs(u - expected)) < 1e-9
-
-    def test_noncommuting_switch_against_oversampled(self):
-        T = 1.4
-
-        def sampler(t):
-            return SIGMA_X if t < T / 2 else SIGMA_Z
-
-        u = time_ordered_propagator(sampler, T)
-        ref = _midpoint_product(sampler, T, 40960)
-        assert np.max(np.abs(u - ref)) < 1e-7
-
-    def test_half_interval_composition(self):
-        def sampler(t):
-            return np.cos(2.0 * t) * SIGMA_X + np.sin(t) * SIGMA_Z
-
-        T = 1.0
-        whole = time_ordered_propagator(sampler, T)
-        first = time_ordered_propagator(sampler, T / 2)
-        second = time_ordered_propagator(lambda t: sampler(t + T / 2), T / 2)
-        assert np.max(np.abs(whole - second @ first)) < 1e-8
-
-    def test_unitarity(self):
-        def sampler(t):
-            return np.cos(3.0 * t) * SIGMA_X + SIGMA_Z
-
-        u = time_ordered_propagator(sampler, 2.0)
-        assert qmath.unitarity_defect(u) < 1e-10
-
-    def test_zero_time(self):
-        u = time_ordered_propagator(lambda t: SIGMA_X, 0.0)
-        assert np.array_equal(u, np.eye(2))
 
 
 class TestConjugateOperator:

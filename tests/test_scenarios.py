@@ -103,12 +103,24 @@ class TestRunScenario:
             "g", "omega1", "omega2", "phi1", "phi2",
             "delta_a", "delta1", "delta2", "Gamma", "gamma", "n_max",
         }
-        assert result.summary["integrator"]["refinements"] >= 1
+        integrator = result.summary["integrator"]
+        assert integrator["refinements"] >= 1
+        assert integrator["tol"] == 1e-8
+        assert 0.0 <= integrator["achieved_residual"] <= integrator["tol"]
 
     def test_fidelity_predictions_reported_side_by_side(self):
         derived = run_scenario(Scenario(name="nonadiabatic")).summary["derived"]
         assert derived["fidelity_formula"] != derived["fidelity_rate_equations"]
         assert abs(derived["fidelity_steady"] - derived["fidelity_rate_equations"]) < 1e-9
+        assert derived["fidelity_generators"] == {
+            "fidelity_formula": "closed-form",
+            "fidelity_rate_equations": "rate-equations",
+            "fidelity_steady": "rate-equations",
+            "fidelity_final": "rate-equations",
+        }
+        closed = Scenario(name="nonadiabatic", options={"include_gamma": False})
+        labels = run_scenario(closed).summary["derived"]["fidelity_generators"]
+        assert labels["fidelity_final"] == labels["fidelity_steady"] == "reduced, no gamma channel"
 
     def test_memory_summary(self):
         result = run_scenario(Scenario(name="memory", params={"delta1": 0.0}))
@@ -117,6 +129,10 @@ class TestRunScenario:
         assert derived["g_tilde"] == pytest.approx(1e5)
         assert derived["rate_ratio"] == pytest.approx(100.0)
         assert abs(derived["fidelity_formula"] - 101.0 / 102.0) < 1e-12
+        assert derived["fidelity_generators"] == {
+            "fidelity_formula": "closed-form",
+            "fidelity_final": "reduced, no gamma channel",
+        }
 
     def test_phase_cycle_summary(self):
         derived = run_scenario(Scenario(name="phase-cycle")).summary["derived"]
@@ -307,6 +323,17 @@ class TestCli:
             assert validated["ratios"] == ratios
             assert ratios["rate_eng_over_gamma"] == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_memory_tolerance_ignores_second_drive_detuning(self, tmp_path, capsys, command):
+        # a 0.01 rad/s delta_a residual; the memory branch keeps the default
+        # delta2 = -4e7, which must not widen its tolerance
+        doc = {"name": "memory", "params": {"omega1": 200.0, "delta_a": -400.01}}
+        cfg = self.write(tmp_path, doc)
+        extra = ["--out", str(tmp_path / "runs")] if command == "run" else []
+        assert cli.main([command, cfg, *extra]) == 4
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "RegimeError"
+
     def test_validate_ok(self, tmp_path, capsys):
         cfg = self.write(tmp_path, {"name": "nonadiabatic"})
         assert cli.main(["validate", cfg]) == 0
@@ -351,6 +378,11 @@ class TestSummaryBounds:
     )
     def test_reported_fidelities_bounded(self, sc):
         derived = run_scenario(sc).summary["derived"]
+        labels = derived.get("fidelity_generators")
         for key, value in derived.items():
+            if key == "fidelity_generators":
+                continue
             if key.startswith("fidelity") or key == "worst_fidelity":
                 assert 0.0 <= value <= 1.0 + 1e-8
+                # every reported fidelity names the generator behind it
+                assert labels is None or key in labels
