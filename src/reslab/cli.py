@@ -19,7 +19,8 @@ from .errors import (
     SimulationError,
     SteadyStateError,
 )
-from .scenarios import SCENARIOS, _branch_for, parse_config, resolve_params, run_scenario
+from . import model
+from .scenarios import SCENARIOS, _branch_for, _points, parse_config, resolve_params, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,19 +70,22 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load_scenario(args.config)
-    p = resolve_params(sc)
+    # the regime every run checks: each sweep point's, or the scenario's own
+    regimes = [model.check_regime(resolve_params(pt), _branch_for(pt)) for pt in _points(sc)]
+    entries = [
+        {
+            "regime_ok": regime.ok,
+            "ratios": regime.ratios,
+            "residuals": {k: res for k, (ok, res) in regime.checks.items()},
+        }
+        for regime in regimes
+    ]
     report = {"valid": True, "scenario": sc.name}
-    if sc.name != "sweep":
-        from . import model
-
-        regime = model.check_regime(p, _branch_for(sc))
-        report["regime_ok"] = regime.ok
-        report["ratios"] = regime.ratios
-        report["residuals"] = {k: res for k, (ok, res) in regime.checks.items()}
-        if not regime.ok:
-            print(json.dumps(report, sort_keys=True))
-            raise RegimeError(regime, "resolved parameters violate the branch constraints")
+    report.update({"points": entries} if sc.name == "sweep" else entries[0])
     print(json.dumps(report, sort_keys=True))
+    for regime in regimes:
+        if not regime.ok:
+            raise RegimeError(regime, "resolved parameters violate the branch constraints")
     return EXIT_OK
 
 

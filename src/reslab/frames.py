@@ -3,9 +3,11 @@ used to validate dressed-frame reductions.
 
 A frame is the unitary family ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...``,
 a product of exponentials of static Hermitian generators.  States map as
-``psi -> R(t) psi`` and operators as ``O -> R O R^dag``.  An operator
-seen from inside the frame, ``R(t)^dag O R(t)``, is a finite Fourier sum
-and is returned exactly as a :class:`~reslab.lindblad.Harmonic`.
+``psi -> R(t) psi`` and operators as ``O -> R O R^dag``.  ``R(t)`` itself
+and an operator seen from inside the frame, ``R(t)^dag O R(t)``, are
+finite Fourier sums and are built exactly as
+:class:`~reslab.lindblad.Harmonic` operators, which evaluate on a whole
+time grid at once.
 
 The averaging oracle works at the superoperator level: averaging the
 jump operator itself would discard the terms that survive in
@@ -15,20 +17,17 @@ secular sum keeps the products of equal-frequency components.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.integrate
 
 from . import qmath
 from .errors import DimensionMismatchError, IntegrationDivergenceError
-from .lindblad import Harmonic, LindbladTerm
+from .lindblad import Harmonic, LindbladTerm, _as_harmonic, _check_operator
 
 __all__ = [
     "FrameTransform",
-    "compose_frames",
     "conjugate_operator",
     "transformed_dissipator_average",
     "EffectiveComparison",
@@ -40,34 +39,33 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class FrameTransform:
     """Unitary frame ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...`` given by its
-    static Hermitian generators, outermost first."""
+    static Hermitian generators, outermost first.  ``rotation`` is ``R(t)``
+    as a harmonic sum, built once from the cached eigendecompositions: each
+    factor is ``sum_a exp(-i w_a t) P_a`` over its eigenprojectors."""
 
     generators: tuple
     _eigh: tuple = field(init=False, repr=False)
+    rotation: Harmonic = field(init=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(qmath.as_operator(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(
-            self, "_eigh", tuple(np.linalg.eigh(0.5 * (g + qmath.dag(g))) for g in gens)
-        )
+        eighs = tuple(np.linalg.eigh(0.5 * (g + qmath.dag(g))) for g in gens)
+        object.__setattr__(self, "_eigh", eighs)
+        d = gens[0].shape[0]
+        r = Harmonic([0.0], [np.eye(d)])
+        for w, v in eighs:
+            projectors = np.einsum("ia,ja->aij", v, v.conj())
+            products = np.einsum("kij,ajl->kail", r.matrices, projectors)
+            r = Harmonic(np.add.outer(r.frequencies, w).ravel(), products.reshape(-1, d, d))
+        object.__setattr__(self, "rotation", r)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return self.sampler(t)
 
-    def _factors(self, t: float) -> list:
-        return [(v * np.exp(-1j * w * t)) @ qmath.dag(v) for w, v in self._eigh]
-
-    def sampler(self, t: float) -> np.ndarray:
-        """``R(t)``."""
-        return functools.reduce(np.matmul, self._factors(t))
-
-    def generator_sampler(self, t: float) -> np.ndarray:
-        """Hermitian generator ``i dR/dt R^dag = G_1 + U_1 G_2 U_1^dag + ...``."""
-        h, outer = 0, np.eye(len(self.generators[0]))
-        for g, u in zip(self.generators, self._factors(t)):
-            h, outer = h + outer @ g @ qmath.dag(outer), outer @ u
-        return h
+    def sampler(self, t) -> np.ndarray:
+        """``R(t)``; a 1-d array of times gives the stack of ``R`` on that grid."""
+        return self.rotation(t)
 
     def to_frame(self, o) -> Harmonic:
         """``R(t)^dag O R(t)`` for a static ``O``, exactly, as a harmonic sum.
@@ -87,11 +85,6 @@ class FrameTransform:
                     mats.append(elements[i, j] * np.outer(v[:, i], vd[j]))
             h = Harmonic(nus, mats)
         return h
-
-
-def compose_frames(outer: FrameTransform, inner: FrameTransform) -> FrameTransform:
-    """Frame of the product ``R(t) = R_outer(t) R_inner(t)``."""
-    return FrameTransform(outer.generators + inner.generators)
 
 
 def conjugate_operator(r, o) -> np.ndarray:
@@ -128,19 +121,16 @@ def schroedinger_evolve(
 ) -> np.ndarray:
     """Integrate ``i dpsi/dt = H(t) psi`` on a time grid (DOP853).
 
-    ``hamiltonian`` may be a static matrix, a :class:`Harmonic` or any
-    sampler ``t -> matrix``; returns an array of shape ``(len(times), dim)``.
+    ``hamiltonian`` is a static matrix or a :class:`Harmonic`; returns an
+    array of shape ``(len(times), dim)``.
     """
+    _check_operator(hamiltonian, "hamiltonian")
+    h = _as_harmonic(hamiltonian)
     times = np.asarray(times, dtype=float)
     psi0 = qmath.as_ket(psi0)
-    if callable(hamiltonian):
-        sample = hamiltonian
-    else:
-        h_static = qmath.as_operator(hamiltonian)
-        sample = lambda t: h_static  # noqa: E731
 
     def rhs(t, y):
-        return -1j * (sample(t) @ y)
+        return -1j * (h(t) @ y)
 
     sol = scipy.integrate.solve_ivp(
         rhs,
@@ -175,30 +165,27 @@ def compare_effective(
     horizon: float,
     *,
     n_samples: int = 201,
-    frame: Callable[[float], np.ndarray] | None = None,
+    frame: Harmonic | None = None,
 ) -> EffectiveComparison:
     """Evolve ``psi0`` under a full (possibly time-dependent) Hamiltonian and
     under a static effective one and record ``|<psi_full|psi_eff>|^2``.
 
-    ``psi0`` is given in full-frame coordinates.  ``frame`` maps
+    ``psi0`` is given in full-frame coordinates.  ``frame`` is the unitary
+    ``R(t)`` (a :class:`Harmonic` or a static matrix) that maps
     effective-frame states back into the full frame, so the effective side
     starts from ``R(0)^dag psi0`` and is compared as
-    ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``; a
-    :class:`FrameTransform` or any sampler ``t -> R(t)`` will do.
+    ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``.
     """
+    _check_operator(frame, "frame")
     times = np.linspace(0.0, horizon, n_samples)
     psi0 = qmath.normalized(psi0)
     full_states = schroedinger_evolve(full, psi0, times)
 
     h_eff = qmath.as_operator(effective)
     w, v = np.linalg.eigh(0.5 * (h_eff + qmath.dag(h_eff)))
-    psi_eff0 = qmath.dag(frame(0.0)) @ psi0 if frame is not None else psi0
-    coeff = qmath.dag(v) @ psi_eff0
-
-    fids = np.empty(n_samples)
-    for i, t in enumerate(times):
-        psi_eff = v @ (np.exp(-1j * w * t) * coeff)
-        if frame is not None:
-            psi_eff = frame(t) @ psi_eff
-        fids[i] = abs(np.vdot(full_states[i], psi_eff)) ** 2
+    rs = _as_harmonic(np.eye(psi0.size) if frame is None else frame)(times)
+    coeff = qmath.dag(v) @ (qmath.dag(rs[0]) @ psi0)
+    eff_states = (np.exp(-1j * np.multiply.outer(times, w)) * coeff) @ v.T
+    eff_states = np.einsum("nij,nj->ni", rs, eff_states)
+    fids = np.abs(np.einsum("ni,ni->n", full_states.conj(), eff_states)) ** 2
     return EffectiveComparison(time_grid=times, fidelity_series=fids)

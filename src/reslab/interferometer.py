@@ -96,19 +96,15 @@ def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     traj = evolve(me, qmath.projector(psi0), times)
 
-    rho_aa = np.array([float(np.real(s[0, 0])) for s in traj.states])
-    pop_up = np.array([float(np.real(s[1, 1])) for s in traj.states])
-    pop_down = np.array([float(np.real(s[2, 2])) for s in traj.states])
-    conservation = float(max(abs(a + u + d - 1.0) for a, u, d in zip(rho_aa, pop_up, pop_down)))
+    rho = np.array(traj.states)
+    rho_aa, pop_up, pop_down = (rho[:, i, i].real for i in range(3))
+    conservation = float(np.max(np.abs(rho_aa + pop_up + pop_down - 1.0)))
 
-    # reference ray mapped back into the frame of the simulation
-    r = model.nonadiabatic_frame(p)
+    # reference ray mapped back into the frame of the simulation: (R(t) W)^dag ref(t)
     w = model.dressed_basis_matrix(p, "nonadiabatic")
-    coherence = np.empty(times.size, dtype=complex)
-    for i, t in enumerate(times):
-        ref = qmath.dag(w) @ (qmath.dag(r.sampler(t)) @ model.protected_state_dressed_gauge(p, t))
-        row = np.concatenate(([0.0 + 0j], ref))
-        coherence[i] = np.vdot(row, traj.states[i][:, 0])
+    rw = model.nonadiabatic_frame(p).rotation.map(lambda u: u @ w)(times)
+    refs = np.einsum("nji,nj->ni", rw.conj(), model.protected_state_dressed_gauge(p, times))
+    coherence = np.einsum("ni,ni->n", refs.conj(), rho[:, 1:, 0])
 
     phase = -np.unwrap(np.angle(coherence))
     slope = float(np.polyfit(times, phase, 1)[0])

@@ -36,7 +36,8 @@ the final state by at most ``tol``.  Every ``A_i`` annihilates the trace
 functional and maps Hermitian matrices to Hermitian ones, and so does
 their commutator, so each step keeps trace and Hermiticity.  For a static
 Liouvillian the commutator vanishes and ``Omega = h L``: the interval map
-``expm(dt/k L)^k`` is exact and built once per distinct ``(dt, k)``.
+``expm(dt/k L)^k`` is exact and built once per ``(dt, k)``, interval lengths
+that differ only by rounding counting as one.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ class Harmonic:
         object.__setattr__(self, "frequencies", np.add.reduceat(nu, starts) / counts)
         object.__setattr__(self, "matrices", np.add.reduceat(mats, starts, axis=0))
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.tensordot(np.exp(-1j * self.frequencies * t), self.matrices, axes=1)
+    def __call__(self, t) -> np.ndarray:
+        """``O(t)``; a 1-d array of ``N`` times gives the stack ``(N, d, d)``."""
+        phases = np.exp(-1j * np.multiply.outer(t, self.frequencies))
+        return np.tensordot(phases, self.matrices, axes=1)
 
     def map(self, f) -> "Harmonic":
         """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``."""
@@ -284,8 +287,7 @@ _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 def _magnus_map(L: Harmonic, t: float, h: float) -> np.ndarray:
     """``expm(Omega)`` of the fourth-order Magnus step over ``[t, t + h]``."""
-    phases = np.exp(-1j * np.outer(t + h * _GAUSS_NODES, L.frequencies))
-    a1, a2 = np.tensordot(phases, L.matrices, axes=1)
+    a1, a2 = L(t + h * _GAUSS_NODES)
     omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
     return scipy.linalg.expm(omega)
 
@@ -299,10 +301,12 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
     cache: dict = {}
     for t, dt, k in zip(times, np.diff(times), substeps):
         if static:
-            M = cache.get((dt, k))
+            # interval lengths equal up to rounding (a linspace grid) share one map
+            key = (round(dt / times[-1] * 1e12), k)
+            M = cache.get(key)
             if M is None:
                 M = np.linalg.matrix_power(scipy.linalg.expm(dt / k * L.matrices[0]), k)
-                cache[(dt, k)] = M
+                cache[key] = M
             v = M @ v
         else:
             h = dt / k

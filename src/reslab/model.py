@@ -51,6 +51,7 @@ __all__ = [
     "memory_generator",
     "nonadiabatic_frame",
     "memory_frame",
+    "effective_check_frame",
     "dressed_basis_matrix",
     "build_h1",
     "build_h1_memory",
@@ -61,7 +62,6 @@ __all__ = [
     "epsilon_closed_form",
     "reduced_master_equation",
     "dressed_decay_generator",
-    "bloch_ode_rhs",
     "asymptotic_state",
     "protected_state_nonadiabatic",
     "protected_state_memory",
@@ -308,6 +308,19 @@ def memory_frame(p: ModelParams) -> FrameTransform:
     return FrameTransform((0.5 * p.delta1 * SIGMA_Z, memory_generator(p)))
 
 
+def effective_check_frame(p: ModelParams, branch: str) -> Harmonic:
+    """``R(t) (x) 1 . W``: maps states of the effective model (protected basis
+    ``W`` x Fock) into the frame of :func:`build_h1` (nonadiabatic branch,
+    ``R = U1 U2``) or :func:`build_h1_memory` (memory branch, where the
+    detuned drive is already static and ``R`` is its ``exp(-i K t)`` alone)."""
+    if branch == "nonadiabatic":
+        r = nonadiabatic_frame(p)
+    else:
+        r = FrameTransform((memory_generator(p),))
+    w = dressed_basis_matrix(p, branch)
+    return r.rotation.map(lambda u: np.kron(u @ w, np.eye(p.n_max + 1)))
+
+
 # --- Hamiltonians ----------------------------------------------------------
 
 
@@ -458,31 +471,6 @@ def reduced_master_equation(
     )
 
 
-def bloch_ode_rhs(state, rate_eng: float, gamma: float) -> np.ndarray:
-    """Closed dressed-basis rate equations for
-    ``(rho_uu, rho_dd, rho_ud, rho_du)``:
-
-        d rho_uu/dt = (rate + 3 gamma/8) - (rate + 6 gamma/4) rho_uu
-        d rho_dd/dt = -d rho_uu/dt
-        d rho_ud/dt = -(rate/2 + 5 gamma/4) rho_ud + (gamma/8) rho_du
-        d rho_du/dt = conj(d rho_ud/dt)
-
-    Inputs must satisfy ``rho_uu + rho_dd = 1`` and ``rho_du =
-    conj(rho_ud)``.
-    """
-    s = np.asarray(state, dtype=complex)
-    if s.shape != (4,):
-        raise ValueError("state must have four components (uu, dd, ud, du)")
-    uu, dd, ud, du = s
-    if abs((uu + dd) - 1.0) > 1e-9:
-        raise ValueError(f"populations must sum to 1, got {uu + dd}")
-    if abs(du - np.conj(ud)) > 1e-9:
-        raise ValueError("rho_du must be the conjugate of rho_ud")
-    duu = (rate_eng + 3.0 * gamma / 8.0) - (rate_eng + 6.0 * gamma / 4.0) * uu
-    dud = -(rate_eng / 2.0 + 5.0 * gamma / 4.0) * ud + (gamma / 8.0) * du
-    return np.array([duu, -duu, dud, np.conj(dud)])
-
-
 def asymptotic_state(branch: str, epsilon: float) -> np.ndarray:
     """Asymptotic reduced state in the protected basis.
 
@@ -508,9 +496,15 @@ def asymptotic_state(branch: str, epsilon: float) -> np.ndarray:
 
 
 # --- protected states --------------------------------------------------------
+# each takes a time or a 1-d array of N times and returns a ket or an (N, 2) stack
 
 
-def protected_state_nonadiabatic(p: ModelParams, t: float) -> np.ndarray:
+def _ket_path(e, g) -> np.ndarray:
+    """Kets ``e|e> + g|g>`` from broadcast amplitudes, along the last axis."""
+    return np.stack(np.broadcast_arrays(e, g), axis=-1).astype(complex)
+
+
+def protected_state_nonadiabatic(p: ModelParams, t) -> np.ndarray:
     """Protected trajectory of the nonadiabatic branch in the bare basis:
 
     ``cos(phi/2 - omega1 t)|e> + i e^{-i phi1} sin(phi/2 - omega1 t)|g>``.
@@ -519,49 +513,43 @@ def protected_state_nonadiabatic(p: ModelParams, t: float) -> np.ndarray:
     jump operator (the ray R(t)|up> with the global dynamical phase
     removed).
     """
-    theta = 0.5 * p.phi - p.omega1 * t
-    return np.array(
-        [np.cos(theta), 1j * np.exp(-1j * p.phi1) * np.sin(theta)], dtype=complex
-    )
+    theta = 0.5 * p.phi - p.omega1 * np.asarray(t, dtype=float)
+    return _ket_path(np.cos(theta), 1j * np.exp(-1j * p.phi1) * np.sin(theta))
 
 
-def protected_state_dressed_gauge(p: ModelParams, t: float) -> np.ndarray:
+def protected_state_dressed_gauge(p: ModelParams, t) -> np.ndarray:
     """The same protected ray written in the drive-dressed gauge,
     ``[|+> + e^{-i(phi - 2 omega1 t)}|->]/sqrt(2)``; the gauge in which the
     interferometric phase (omega1 + omega2/2) t is defined."""
-    return (
-        plus_ket(p.phi1)
-        + np.exp(-1j * (p.phi - 2.0 * p.omega1 * t)) * minus_ket(p.phi1)
-    ) / np.sqrt(2.0)
+    phase = np.exp(-1j * (p.phi - 2.0 * p.omega1 * np.asarray(t, dtype=float)))
+    return (plus_ket(p.phi1) + np.multiply.outer(phase, minus_ket(p.phi1))) / np.sqrt(2.0)
 
 
-def protected_state_memory(p: ModelParams, t: float) -> np.ndarray:
+def protected_state_memory(p: ModelParams, t) -> np.ndarray:
     """Protected stationary-superposition trajectory of the memory branch:
 
     ``[sqrt(2 + chi)|e> + e^{-i(phi1 - delta1 t)} sqrt(2 - chi)|g>]/2``.
     """
     chi = DerivedMemoryParams.from_params(p).chi
-    return np.array(
-        [
-            0.5 * np.sqrt(2.0 + chi),
-            0.5 * np.exp(-1j * (p.phi1 - p.delta1 * t)) * np.sqrt(2.0 - chi),
-        ],
-        dtype=complex,
-    )
+    phase = np.exp(-1j * (p.phi1 - p.delta1 * np.asarray(t, dtype=float)))
+    return _ket_path(0.5 * np.sqrt(2.0 + chi), 0.5 * phase * np.sqrt(2.0 - chi))
 
 
-def drive_interaction_hamiltonian(p: ModelParams, t: float) -> np.ndarray:
+def drive_interaction_hamiltonian(p: ModelParams) -> Harmonic:
     """Drive Hamiltonian governing the protected trajectory in the
     interaction picture (bare basis):
 
     ``omega1 (|+><+| - |-><-|) + omega2/2 [e^{i(phi - 2 omega1 t)}|+><-|
-    + h.c.]``.
+    + h.c.]``,
 
-    Equal to ``i dR/dt R^dag`` for the composed frame R = U1 U2.
+    a harmonic sum at frequencies ``0`` and ``+-2 omega1``.  Equal to
+    ``i dR/dt R^dag`` for the composed frame R = U1 U2.
     """
     pk, mk = plus_ket(p.phi1), minus_ket(p.phi1)
-    upper = 0.5 * p.omega2 * np.exp(1j * (p.phi - 2.0 * p.omega1 * t)) * sigma(pk, mk)
-    return p.omega1 * (qmath.projector(pk) - qmath.projector(mk)) + upper + qmath.dag(upper)
+    upper = 0.5 * p.omega2 * np.exp(1j * p.phi) * sigma(pk, mk)
+    static = p.omega1 * (qmath.projector(pk) - qmath.projector(mk))
+    nu = 2.0 * p.omega1
+    return Harmonic([0.0, nu, -nu], [static, upper, qmath.dag(upper)])
 
 
 # --- full two-part model ------------------------------------------------------

@@ -1,6 +1,11 @@
 """Geometric and dynamic phase extraction along pure-state trajectories,
 plus Bloch-sphere path export.
 
+Trajectories are ``(N, d)`` stacks of kets on a time grid.  The dynamic
+phase takes the Hamiltonian itself, a static matrix or a
+:class:`~reslab.lindblad.Harmonic`, and evaluates it on the whole grid at
+once.
+
 The geometric phase is accumulated in the manifestly gauge-covariant
 discrete (Pancharatnam) form
 
@@ -22,6 +27,7 @@ import numpy as np
 
 from . import qmath
 from .errors import IllConditionedPathError
+from .lindblad import _as_harmonic, _check_operator
 
 __all__ = [
     "PhaseRecord",
@@ -83,26 +89,27 @@ def geometric_phase(states, *, principal: bool = True, min_overlap: float = 1e-6
     return principal_phase(acc) if principal else acc
 
 
-def dynamic_phase(states, times, h_sampler) -> float:
-    """Dynamic phase ``-integral <psi(t)|H(t)|psi(t)> dt`` (trapezoidal)."""
+def dynamic_phase(states, times, hamiltonian) -> float:
+    """Dynamic phase ``-integral <psi(t)|H(t)|psi(t)> dt`` (trapezoidal) of the
+    kets ``states`` (an ``(N, d)`` stack) on ``times`` under ``hamiltonian``,
+    a static matrix or a :class:`~reslab.lindblad.Harmonic`."""
+    _check_operator(hamiltonian, "hamiltonian")
     times = np.asarray(times, dtype=float)
-    kets = [qmath.as_ket(s) for s in states]
-    if len(kets) != times.size:
-        raise ValueError("states and times must have equal length")
-    for k in kets:
-        if abs(np.linalg.norm(k) - 1.0) > 1e-8:
-            raise ValueError("states must be normalized")
-    energies = np.array(
-        [float(np.real(np.vdot(k, h_sampler(t) @ k))) for k, t in zip(kets, times)]
-    )
+    kets = np.asarray(states, dtype=complex)
+    if kets.ndim != 2 or len(kets) != times.size:
+        raise ValueError("states must be a stack of kets, one per time")
+    if np.any(np.abs(np.linalg.norm(kets, axis=1) - 1.0) > 1e-8):
+        raise ValueError("states must be normalized")
+    h = _as_harmonic(hamiltonian)(times)
+    energies = np.real(np.einsum("ni,nij,nj->n", kets.conj(), h, kets))
     return -float(np.trapezoid(energies, times))
 
 
-def phase_record(states, times, h_sampler) -> PhaseRecord:
+def phase_record(states, times, hamiltonian) -> PhaseRecord:
     """Geometric plus dynamic phase bookkeeping for one cycle."""
     times = np.asarray(times, dtype=float)
     geo = geometric_phase(states)
-    dyn = dynamic_phase(states, times, h_sampler)
+    dyn = dynamic_phase(states, times, hamiltonian)
     return PhaseRecord(
         geometric=geo,
         dynamic=dyn,
@@ -114,13 +121,9 @@ def phase_record(states, times, h_sampler) -> PhaseRecord:
 def export_bloch_path(states, times, basis) -> np.ndarray:
     """Sampled Bloch coordinates ``(t, x, y, z)`` of a qubit trajectory.
 
-    ``states`` may be kets or density matrices.
+    ``states`` is a stack of kets ``(N, d)`` or of density matrices ``(N, d, d)``.
     """
     times = np.asarray(times, dtype=float)
-    rows = np.empty((times.size, 4))
-    for i, (s, t) in enumerate(zip(states, times)):
-        arr = np.asarray(s, dtype=complex)
-        rho = qmath.projector(arr) if arr.ndim == 1 else arr
-        x, y, z = qmath.bloch_vector(rho, basis)
-        rows[i] = (t, x, y, z)
-    return rows
+    arr = np.asarray(states, dtype=complex)
+    rho = np.einsum("ni,nj->nij", arr, arr.conj()) if arr.ndim == 2 else arr
+    return np.column_stack([times, qmath.bloch_vector(rho, basis)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError
 
 __all__ = [
     "as_operator",
@@ -29,7 +29,6 @@ __all__ = [
     "normalized",
     "basis_ket",
     "kron",
-    "expm_hermitian_generator",
     "fock_annihilation",
     "fidelity",
     "bloch_vector",
@@ -37,7 +36,6 @@ __all__ = [
     "trace_distance",
     "partial_trace",
     "hermitian_defect",
-    "unitarity_defect",
     "density_matrix_defects",
     "is_valid_density_matrix",
 ]
@@ -92,41 +90,9 @@ def hermitian_defect(a) -> float:
     return float(np.max(np.abs(m - dag(m)))) if m.size else 0.0
 
 
-def unitarity_defect(u) -> float:
-    """Largest absolute entry of ``U^dag U - I``."""
-    m = as_operator(u)
-    return float(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))))
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product of two operators (dims multiply)."""
     return np.kron(as_operator(a), as_operator(b))
-
-
-def expm_hermitian_generator(h, t: float, *, atol: float = 1e-12) -> np.ndarray:
-    """Unitary ``exp(-i H t)`` of a Hermitian generator, via eigendecomposition.
-
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix (rad/s).
-    t : float
-        Evolution time (s).
-    atol : float
-        Hermiticity tolerance, relative to ``max|H|``.
-
-    Raises
-    ------
-    NotHermitianError
-        If ``max|H - H^dag|`` exceeds ``atol * max(1, max|H|)``.
-    """
-    m = as_operator(h)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = hermitian_defect(m)
-    if defect > atol * scale:
-        raise NotHermitianError(defect)
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * w * t)) @ dag(v)
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:
@@ -158,22 +124,23 @@ def fidelity(rho, psi, *, atol: float = 1e-10) -> float:
     return float(val.real)
 
 
-def bloch_vector(rho, basis, *, atol: float = 1e-8) -> tuple[float, float, float]:
-    """Bloch components of a qubit state in an orthonormal basis pair.
+def bloch_vector(rho, basis, *, atol: float = 1e-8) -> np.ndarray:
+    """Bloch components ``(x, y, z)`` of a qubit state in an orthonormal basis
+    pair; a stack of states ``(N, d, d)`` gives ``(N, 3)``.
 
     With ``rho_01 = <b0|rho|b1>`` the components are ``x = 2 Re rho_01``,
     ``y = -2 Im rho_01`` and ``z = rho_00 - rho_11``.
     """
-    r = as_operator(rho)
+    r = np.asarray(rho, dtype=complex)
     b0, b1 = (normalized(b) for b in basis)
-    if r.shape[0] != b0.size or b0.size != b1.size:
+    if r.ndim < 2 or r.shape[-2:] != (b0.size, b0.size) or b0.size != b1.size:
         raise DimensionMismatchError("basis kets do not match the operator dimension")
     if abs(np.vdot(b0, b1)) > atol:
         raise ValueError("basis pair is not orthonormal")
-    r01 = complex(b0.conj() @ r @ b1)
-    r00 = float(np.real(b0.conj() @ r @ b0))
-    r11 = float(np.real(b1.conj() @ r @ b1))
-    return (2.0 * r01.real, -2.0 * r01.imag, r00 - r11)
+    r01, r00, r11 = (
+        np.einsum("i,...ij,j->...", a.conj(), r, b) for a, b in ((b0, b1), (b0, b0), (b1, b1))
+    )
+    return np.stack([2.0 * r01.real, -2.0 * r01.imag, (r00 - r11).real], axis=-1)
 
 
 def purity(rho) -> float:

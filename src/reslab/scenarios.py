@@ -267,8 +267,7 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     to its first point.
     """
     if sc.name == "sweep":
-        points = [resolve_params(_child_scenario(sc, v)) for v in sc.sweep_axis[1]]
-        return points[0]
+        return [resolve_params(point) for point in _points(sc)][0]
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
     branch = _branch_for(sc)
@@ -295,6 +294,13 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     for key in _RATE_KEYS:
         vals[key] *= sc.unit_scale
     return model.ModelParams(**vals)
+
+
+def _points(sc: Scenario) -> list:
+    """The single runs a scenario consists of: a sweep's points, or itself."""
+    if sc.name != "sweep":
+        return [sc]
+    return [_child_scenario(sc, v) for v in sc.sweep_axis[1]]
 
 
 def _branch_for(sc: Scenario) -> str:
@@ -327,8 +333,7 @@ def _integrator_stats(traj: Trajectory) -> dict:
 # --- runners ------------------------------------------------------------------
 
 
-def _run_nonadiabatic(sc: Scenario) -> ScenarioResult:
-    p = resolve_params(sc)
+def _run_nonadiabatic(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     include_gamma = sc.options.get("include_gamma", p.gamma > 0)
     rate = model.engineered_rate(p, "nonadiabatic")
     ratio = rate / p.gamma if p.gamma > 0 else float("inf")
@@ -378,9 +383,7 @@ def _run_nonadiabatic(sc: Scenario) -> ScenarioResult:
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
-def _run_memory(sc: Scenario) -> ScenarioResult:
-    p = resolve_params(sc)
-    model.require_regime(p, "memory")
+def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     derived_mem = model.DerivedMemoryParams.from_params(p)
     ratio = derived_mem.rate / p.gamma if p.gamma > 0 else float("inf")
     eps = model.epsilon_closed_form(ratio, "memory") if math.isfinite(ratio) else 0.0
@@ -391,9 +394,7 @@ def _run_memory(sc: Scenario) -> ScenarioResult:
     traj = evolve(me, rho0, times)
     plus = qmath.basis_ket(2, 0)
     bloch = export_bloch_path(
-        [model.protected_state_memory(p, t) for t in times],
-        times,
-        (model.ket_e(), model.ket_g()),
+        model.protected_state_memory(p, times), times, (model.ket_e(), model.ket_g())
     )
     derived = {
         "lambda": derived_mem.lam,
@@ -425,8 +426,7 @@ def _run_memory(sc: Scenario) -> ScenarioResult:
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
-def _run_interferometer(sc: Scenario) -> ScenarioResult:
-    p = resolve_params(sc)
+def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     times = _grid(sc, 3.0 * np.pi / p.omega1, 601)
     cfg = ThreeLevelConfig(
         params=p,
@@ -461,23 +461,18 @@ def _run_interferometer(sc: Scenario) -> ScenarioResult:
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(res.trajectory))
 
 
-def _run_effective_check(sc: Scenario) -> ScenarioResult:
-    p = resolve_params(sc)
+def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     branch = _branch_for(sc)
     if branch == "memory":
         h_eff = model.build_h2_memory(p)
         full = model.build_h1_memory(p)
-        frame_tl = model.FrameTransform((model.memory_generator(p),))
         psi0_tl = model.tilde_minus_ket(sc.options.get("chi", 0.0), p.phi1)
     else:
         h_eff = model.build_h2_effective(p)
         full = model.build_h1(p)
-        frame_tl = model.nonadiabatic_frame(p)
         psi0_tl = model.up_ket(p.phi1, p.phi)
 
-    eye_f = np.eye(p.n_max + 1)
-    w = np.kron(model.dressed_basis_matrix(p, branch), eye_f)
-    frame = lambda t: np.kron(frame_tl.sampler(t), eye_f) @ w  # noqa: E731
+    frame = model.effective_check_frame(p, branch)
     psi0 = np.kron(psi0_tl, qmath.basis_ket(p.n_max + 1, 0))
     horizon = sc.grid.t_end if sc.grid.t_end is not None else 2.0 / max(p.g, 1e-300)
     n = sc.grid.n_samples if sc.grid.n_samples is not None else 201
@@ -497,9 +492,9 @@ def _run_effective_check(sc: Scenario) -> ScenarioResult:
     return _result(sc, p, derived, header, rows)
 
 
-def _run_elimination_check(sc: Scenario) -> ScenarioResult:
+def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     # the elimination comparison isolates the engineered channel: gamma = 0
-    p = resolve_params(sc).replace(gamma=0.0)
+    p = p.replace(gamma=0.0)
     rate = model.engineered_rate(p, "nonadiabatic")
     times = _grid(sc, 5.0 / rate, 201)
     n_f = p.n_max + 1
@@ -543,12 +538,11 @@ def _run_elimination_check(sc: Scenario) -> ScenarioResult:
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(full))
 
 
-def _run_phase_cycle(sc: Scenario) -> ScenarioResult:
-    p = resolve_params(sc)
+def _run_phase_cycle(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     cycle = np.pi / p.omega1
     times = _grid(sc, cycle, 4097)
-    states = [model.protected_state_nonadiabatic(p, t) for t in times]
-    record = phase_record(states, times, lambda t: model.drive_interaction_hamiltonian(p, t))
+    states = model.protected_state_nonadiabatic(p, times)
+    record = phase_record(states, times, model.drive_interaction_hamiltonian(p))
     bloch = export_bloch_path(states, times, (model.ket_e(), model.ket_g()))
     derived = {
         "geometric_phase": record.geometric,
@@ -558,8 +552,7 @@ def _run_phase_cycle(sc: Scenario) -> ScenarioResult:
         "expected_dynamic_phase": -np.pi * p.omega2 / (2.0 * p.omega1),
     }
     header = ["t", "bloch_x", "bloch_y", "bloch_z"]
-    rows = [[b[0], b[1], b[2], b[3]] for b in bloch]
-    return _result(sc, p, derived, header, rows)
+    return _result(sc, p, derived, header, bloch.tolist())
 
 
 _RUNNERS = {
@@ -591,14 +584,21 @@ def _child_scenario(sc: Scenario, value) -> Scenario:
     )
 
 
-def _run_child(args) -> dict:
-    sc, value = args
-    return _RUNNERS[sc.name](sc).summary
+def _run_point(sc: Scenario) -> ScenarioResult:
+    """Run one single scenario, a sweep point included, on its resolved
+    parameters; they must satisfy the regime of its branch."""
+    p = resolve_params(sc)
+    model.require_regime(p, _branch_for(sc))
+    return _RUNNERS[sc.name](sc, p)
+
+
+def _run_child(sc: Scenario) -> dict:
+    return _run_point(sc).summary
 
 
 def _run_sweep(sc: Scenario, workers: int) -> ScenarioResult:
     axis_name, values = sc.sweep_axis
-    jobs = [(_child_scenario(sc, v), v) for v in values]
+    jobs = _points(sc)
     if workers > 1:
         # the pool forks all its workers at the first submit: no more than the points
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
@@ -661,7 +661,7 @@ def run_scenario(
     if sc.name == "sweep":
         result = _run_sweep(sc, workers)
     else:
-        result = _RUNNERS[sc.name](sc)
+        result = _run_point(sc)
     result.summary["wall_time_s"] = time.perf_counter() - start
     if verbose:
         print(json.dumps(result.summary["derived"], sort_keys=True, default=str))

@@ -124,10 +124,6 @@ def test_criterion_4_adiabatic_elimination():
 
 
 def _nonadiabatic_comparison(p):
-    eye_f = np.eye(p.n_max + 1)
-    w = np.kron(model.dressed_basis_matrix(p, "nonadiabatic"), eye_f)
-    r = model.nonadiabatic_frame(p)
-    frame = lambda t: np.kron(r.sampler(t), eye_f) @ w  # noqa: E731
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
         model.build_h1(p),
@@ -135,16 +131,12 @@ def _nonadiabatic_comparison(p):
         psi0,
         2.0 / p.g,
         n_samples=101,
-        frame=frame,
+        frame=model.effective_check_frame(p, "nonadiabatic"),
     )
 
 
 def _memory_comparison(chi):
     p = memory_params(chi)
-    eye_f = np.eye(p.n_max + 1)
-    w = np.kron(model.dressed_basis_matrix(p, "memory"), eye_f)
-    u2 = model.FrameTransform((model.memory_generator(p),))
-    frame = lambda t: np.kron(u2.sampler(t), eye_f) @ w  # noqa: E731
     d = model.DerivedMemoryParams.from_params(p)
     psi0 = np.kron(model.tilde_minus_ket(d.chi, p.phi1), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
@@ -153,7 +145,7 @@ def _memory_comparison(chi):
         psi0,
         2.0 / p.g,
         n_samples=101,
-        frame=frame,
+        frame=model.effective_check_frame(p, "memory"),
     )
 
 
@@ -176,9 +168,9 @@ def test_criterion_6_phase_regression():
         delta1=0.0, delta2=-2.0, delta_a=-0.05, Gamma=2.0, gamma=0.0, n_max=1,
     )
     times = np.linspace(0.0, np.pi / p.omega1, 4097)
-    states = [model.protected_state_nonadiabatic(p, t) for t in times]
+    states = model.protected_state_nonadiabatic(p, times)
     geo = geometric_phase(states)
-    dyn = dynamic_phase(states, times, lambda t: model.drive_interaction_hamiltonian(p, t))
+    dyn = dynamic_phase(states, times, model.drive_interaction_hamiltonian(p))
     ok = abs(geo - (-np.pi)) <= 1e-3 and abs(dyn - (-np.pi * 0.05 / 2.0)) <= 1e-3
     report(6, f"geometric {geo:.6f} (target -pi) and dynamic {dyn:.6f} phases", ok)
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from reslab import model, qmath
 from reslab.errors import DimensionMismatchError
 from reslab.frames import (
     FrameTransform,
     compare_effective,
-    compose_frames,
     conjugate_operator,
     transformed_dissipator_average,
 )
@@ -27,19 +27,22 @@ class TestFrameTransform:
         frame = FrameTransform((g,))
         assert np.max(np.abs(frame(0.0) - np.eye(3))) < 1e-12
         for t in (0.3, 1.7):
-            assert qmath.unitarity_defect(frame(t)) < 1e-10
-            assert np.max(np.abs(frame(t) - qmath.expm_hermitian_generator(g, t))) < 1e-12
+            u = frame(t)
+            assert np.max(np.abs(qmath.dag(u) @ u - np.eye(3))) < 1e-10
+            assert np.max(np.abs(u - scipy.linalg.expm(-1j * g * t))) < 1e-12
 
     def test_compose_generator(self):
         rng = np.random.default_rng(1)
         g1, g2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        composed = compose_frames(FrameTransform((g1,)), FrameTransform((g2,)))
+        composed = FrameTransform((g1, g2))
         t = 0.41
-        # i dR/dt R^dag by finite differences
+        u1 = scipy.linalg.expm(-1j * g1 * t)
+        assert np.max(np.abs(composed(t) - u1 @ scipy.linalg.expm(-1j * g2 * t))) < 1e-12
+        # i dR/dt R^dag by finite differences against G_1 + U_1 G_2 U_1^dag
         dt = 1e-7
         rdot = (composed(t + dt) - composed(t - dt)) / (2 * dt)
         h_num = 1j * rdot @ qmath.dag(composed(t))
-        assert np.max(np.abs(h_num - composed.generator_sampler(t))) < 1e-5
+        assert np.max(np.abs(h_num - (g1 + u1 @ g2 @ qmath.dag(u1)))) < 1e-5
 
 
 class TestConjugateOperator:
@@ -51,7 +54,7 @@ class TestConjugateOperator:
         rng = np.random.default_rng(3)
         for _ in range(5):
             o = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            u = qmath.expm_hermitian_generator(random_hermitian(rng, 3), 0.7)
+            u = scipy.linalg.expm(-0.7j * random_hermitian(rng, 3))
             before = np.sort_complex(np.linalg.eigvals(o))
             after = np.sort_complex(np.linalg.eigvals(conjugate_operator(u, o)))
             assert np.max(np.abs(before - after)) < 1e-9
@@ -197,9 +200,6 @@ def run_h1_h2_comparison(p, enforce=True):
         if enforce
         else model.build_h2_effective(model.apply_nonadiabatic_constraints(p))
     )
-    eye_f = np.eye(p.n_max + 1)
-    w = np.kron(model.dressed_basis_matrix(p, "nonadiabatic"), eye_f)
-    r = model.nonadiabatic_frame(p)
-    frame = lambda t: np.kron(r.sampler(t), eye_f) @ w  # noqa: E731
+    frame = model.effective_check_frame(p, "nonadiabatic")
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(model.build_h1(p), h2, psi0, 2.0, n_samples=101, frame=frame)

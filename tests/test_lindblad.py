@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reslab
 from reslab import lindblad, model, qmath
 from reslab.errors import IntegrationDivergenceError, NotHermitianError
-from reslab.frames import schroedinger_evolve
+from reslab.frames import compare_effective, schroedinger_evolve
 from reslab.lindblad import (
     Harmonic,
     LindbladTerm,
@@ -24,6 +24,7 @@ from reslab.lindblad import (
     unvec,
     vec,
 )
+from reslab.phases import dynamic_phase, phase_record
 
 SIGMA_GE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|, basis (e, g)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -240,6 +241,24 @@ class TestEvolve:
         for t, s in zip(times, traj.states):
             assert np.max(np.abs(vec(s) - scipy.linalg.expm(t * L) @ vec(rho0))) < 1e-12
 
+    def test_uniform_grid_builds_one_map(self, monkeypatch):
+        # linspace spacings differ in their last bits; they still share one
+        # exponential per pass (coarse and fine), and the states stay exact
+        built = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        rng = np.random.default_rng(12)
+        me = random_master_equation(rng, 3)
+        rho0 = random_density(rng, 3)
+        times = np.linspace(0.0, 1.3, 401)
+        assert len(set(np.diff(times))) > 1
+        traj = evolve(me, rho0, times)
+        assert len(built) == 2
+        L = liouvillian_matrix(me)
+        for i in (1, 200, 400):
+            exact = expm(times[i] * L) @ vec(rho0)
+            assert np.max(np.abs(vec(traj.states[i]) - exact)) < 1e-12
+
     def test_magnus_step_is_fourth_order(self):
         me = random_harmonic_master_equation(np.random.default_rng(10), 3, 1.7, 2.9, 0.8)
         rho0 = random_density(np.random.default_rng(11), 3)
@@ -389,6 +408,19 @@ class TestHarmonic:
             direct = sum(np.exp(-1j * nu * t) * a for nu, a in zip(nus, mats))
             assert np.max(np.abs(op(t) - direct)) < 1e-12
 
+    def test_grid_matches_scalar_calls(self):
+        # one (N, K) x (K, d*d) product against N (K,) x (K, d*d) ones: BLAS
+        # rounds the two shapes differently, so agreement is to rounding
+        rng = np.random.default_rng(8)
+        nus = [3.0, -3.0, 0.0, 11.5]
+        mats = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        op = Harmonic(nus, mats)
+        times = np.linspace(-0.4, 2.0, 37)
+        grid = op(times)
+        assert grid.shape == (37, 3, 3)
+        singles = np.array([op(t) for t in times])
+        assert np.max(np.abs(grid - singles)) <= 4 * np.finfo(float).eps * np.sum(np.abs(mats))
+
     def test_merges_equal_frequencies(self):
         op = Harmonic([1.0, -1.0, 1.0 + 1e-13, 0.0], [SIGMA_GE, SIGMA_GE, 2.0 * SIGMA_GE, SIGMA_GE])
         assert np.array_equal(op.frequencies, [-1.0, 0.0, 1.0 + 5e-14])
@@ -409,6 +441,17 @@ class TestLindbladTermValidation:
             LindbladTerm(rate=1.0, operator=lambda t: SIGMA_GE)
         with pytest.raises(TypeError):
             MasterEquation(dim=2, hamiltonian=lambda t: np.eye(2))
+        sampler = lambda t: SIGMA_Z  # noqa: E731
+        times = np.linspace(0.0, 1.0, 3)
+        kets = np.tile(qmath.basis_ket(2, 0), (3, 1))
+        with pytest.raises(TypeError):
+            dynamic_phase(kets, times, sampler)
+        with pytest.raises(TypeError):
+            phase_record(kets, times, sampler)
+        with pytest.raises(TypeError):
+            schroedinger_evolve(sampler, kets[0], times)
+        with pytest.raises(TypeError):
+            compare_effective(SIGMA_Z, SIGMA_Z, kets[0], 1.0, frame=lambda t: np.eye(2))
 
     def test_dissipator_factor_scaling(self):
         d_half = dissipator_matrix(SIGMA_GE, 1.0, 0.5)

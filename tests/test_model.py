@@ -259,9 +259,12 @@ class TestReducedMasterEquation:
             model.reduced_master_equation(memory_params(0.0), "memory", include_gamma=True)
 
     def test_generator_matches_rate_equations(self):
-        # engine assembly (jump + extra generator) reproduces bloch_ode_rhs
+        # engine assembly (jump + extra generator) reproduces the closed
+        # dressed-basis rate equations
+        #   d rho_uu/dt = (rate + 3 gamma/8) - (rate + 6 gamma/4) rho_uu
+        #   d rho_ud/dt = -(rate/2 + 5 gamma/4) rho_ud + (gamma/8) rho_du
         p = model.ModelParams(g=2.0, Gamma=5.0, gamma=0.7)
-        rate = model.engineered_rate(p)
+        rate, gamma = model.engineered_rate(p), p.gamma
         me = model.reduced_master_equation(p, "nonadiabatic", include_gamma=True)
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -269,43 +272,49 @@ class TestReducedMasterEquation:
             ud = rng.normal() + 1j * rng.normal()
             rho = np.array([[uu, ud], [np.conj(ud), 1.0 - uu]])
             out = apply_generator(me, rho)
-            expect = model.bloch_ode_rhs([uu, 1.0 - uu, ud, np.conj(ud)], rate, p.gamma)
-            assert abs(out[0, 0] - expect[0]) < 1e-12
-            assert abs(out[1, 1] - expect[1]) < 1e-12
-            assert abs(out[0, 1] - expect[2]) < 1e-12
-            assert abs(out[1, 0] - expect[3]) < 1e-12
+            duu = (rate + 3.0 * gamma / 8.0) - (rate + 6.0 * gamma / 4.0) * uu
+            dud = -(rate / 2.0 + 5.0 * gamma / 4.0) * ud + (gamma / 8.0) * np.conj(ud)
+            assert abs(out[0, 0] - duu) < 1e-12
+            assert abs(out[1, 1] + duu) < 1e-12
+            assert abs(out[0, 1] - dud) < 1e-12
+            assert abs(out[1, 0] - np.conj(dud)) < 1e-12
+
+
+def bloch_rhs(rate, gamma, uu, ud):
+    """``d rho/dt`` of the reduced model with the dressed rate equations, as
+    the engine assembles it, at ``rho = [[uu, ud], [ud*, 1 - uu]]``."""
+    p = model.ModelParams(g=np.sqrt(rate), Gamma=1.0, gamma=gamma)
+    me = model.reduced_master_equation(p, "nonadiabatic", include_gamma=True)
+    return apply_generator(me, np.array([[uu, ud], [np.conj(ud), 1.0 - uu]]))
 
 
 class TestBlochOdeRhs:
+    """Properties of the closed dressed-basis rate equations, checked on the
+    generator that carries them (the reduced master equation)."""
+
     def test_fixed_point_without_decay(self):
-        d = model.bloch_ode_rhs([1.0, 0.0, 0.0, 0.0], 3.0, 0.0)
+        d = bloch_rhs(3.0, 0.0, 1.0, 0.0)
         assert np.max(np.abs(d)) == 0.0
 
     def test_decay_only_steady_population(self):
         gamma = 1.6
-        d = model.bloch_ode_rhs([0.25, 0.75, 0.0, 0.0], 0.0, gamma)
-        assert abs(d[0]) < 1e-12
+        d = bloch_rhs(0.0, gamma, 0.25, 0.0)
+        assert abs(d[0, 0]) < 1e-12
 
     def test_population_conservation(self):
-        d = model.bloch_ode_rhs([0.3, 0.7, 0.1 + 0.2j, 0.1 - 0.2j], 2.0, 0.5)
-        assert d[0] == -d[1]
-        assert d[3] == np.conj(d[2])
+        d = bloch_rhs(2.0, 0.5, 0.3, 0.1 + 0.2j)
+        assert d[0, 0] == -d[1, 1]
+        assert d[1, 0] == np.conj(d[0, 1])
 
     def test_coherence_block_eigenvalues(self):
         # eigenmodes of the coherence pair: conjugation-symmetric inputs
         # (ud, du) = (1, 1) and (i, -i) diagonalize the block
         rate, gamma = 2.0, 0.8
         a = rate / 2.0 + 5.0 * gamma / 4.0
-        d_sym = model.bloch_ode_rhs([0.5, 0.5, 1.0, 1.0], rate, gamma)
-        assert d_sym[2] == pytest.approx(-a + gamma / 8.0)
-        d_anti = model.bloch_ode_rhs([0.5, 0.5, 1j, -1j], rate, gamma)
-        assert d_anti[2] / 1j == pytest.approx(-a - gamma / 8.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            model.bloch_ode_rhs([0.6, 0.6, 0.0, 0.0], 1.0, 1.0)
-        with pytest.raises(ValueError):
-            model.bloch_ode_rhs([0.5, 0.5, 0.1j, 0.1j], 1.0, 1.0)
+        d_sym = bloch_rhs(rate, gamma, 0.5, 1.0)
+        assert d_sym[0, 1] == pytest.approx(-a + gamma / 8.0)
+        d_anti = bloch_rhs(rate, gamma, 0.5, 1j)
+        assert d_anti[0, 1] / 1j == pytest.approx(-a - gamma / 8.0)
 
 
 class TestAsymptoticState:
@@ -388,6 +397,21 @@ class TestProtectedStates:
             )
             assert abs(np.linalg.norm(model.protected_state_memory(p, 0.9)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            model.protected_state_nonadiabatic,
+            model.protected_state_dressed_gauge,
+            model.protected_state_memory,
+        ],
+    )
+    def test_grid_matches_scalar_calls(self, path):
+        p = memory_params(0.8, phi1=0.4).replace(omega2=20.0, phi2=-0.3)
+        times = np.linspace(0.0, 0.05, 33)
+        grid = path(p, times)
+        assert grid.shape == (33, 2)
+        assert np.max(np.abs(grid - np.array([path(p, t) for t in times]))) <= 1e-15
+
     def test_bloch_meridian_motion(self):
         # phi1 = phi = 0: (x, y, z) = (0, -sin 2 w1 t, cos 2 w1 t)
         p = dimensionless_params()
@@ -403,19 +427,21 @@ class TestProtectedStates:
 
 class TestDriveInteractionHamiltonian:
     def test_matches_frame_generator(self):
+        # i dR/dt R^dag of the composed frame by a central finite difference
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
         r = model.nonadiabatic_frame(p)
+        h = model.drive_interaction_hamiltonian(p)
+        dt = 1e-7
         for t in (0.0, 0.013, 0.4):
-            assert (
-                np.max(np.abs(r.generator_sampler(t) - model.drive_interaction_hamiltonian(p, t)))
-                < 1e-10
-            )
+            rdot = (r.sampler(t + dt) - r.sampler(t - dt)) / (2.0 * dt)
+            assert np.max(np.abs(1j * rdot @ qmath.dag(r.sampler(t)) - h(t))) < 1e-5
 
     def test_constant_expectation_on_protected_path(self):
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
+        h = model.drive_interaction_hamiltonian(p)
         for t in np.linspace(0.0, 0.01, 5):
             psi = model.protected_state_nonadiabatic(p, t)
-            e = np.real(np.vdot(psi, model.drive_interaction_hamiltonian(p, t) @ psi))
+            e = np.real(np.vdot(psi, h(t) @ psi))
             assert e == pytest.approx(p.omega2 / 2.0, abs=1e-10)
 
 

@@ -32,8 +32,7 @@ def cycle_params(omega2_over_omega1=0.05, phi1=0.0, phi2=0.0):
 
 def protected_cycle(p, n=4097):
     times = np.linspace(0.0, np.pi / p.omega1, n)
-    states = [model.protected_state_nonadiabatic(p, t) for t in times]
-    return times, states
+    return times, model.protected_state_nonadiabatic(p, times)
 
 
 class TestPrincipalPhase:
@@ -99,26 +98,26 @@ class TestDynamicPhase:
     def test_protected_cycle_value(self):
         p = cycle_params()
         times, states = protected_cycle(p)
-        dyn = dynamic_phase(states, times, lambda t: model.drive_interaction_hamiltonian(p, t))
+        dyn = dynamic_phase(states, times, model.drive_interaction_hamiltonian(p))
         assert dyn == pytest.approx(-np.pi * p.omega2 / (2.0 * p.omega1), abs=1e-3)
         assert dyn == pytest.approx(-np.pi * p.omega2 / (2.0 * p.omega1), abs=1e-9)
 
     def test_zero_hamiltonian(self):
         times, states = protected_cycle(cycle_params(), n=101)
         zero = np.zeros((2, 2))
-        assert dynamic_phase(states, times, lambda t: zero) == 0.0
+        assert dynamic_phase(states, times, zero) == 0.0
 
     def test_vanishes_without_second_drive(self):
         p = cycle_params(omega2_over_omega1=0.0)
         times, states = protected_cycle(p, n=801)
-        dyn = dynamic_phase(states, times, lambda t: model.drive_interaction_hamiltonian(p, t))
+        dyn = dynamic_phase(states, times, model.drive_interaction_hamiltonian(p))
         assert abs(dyn) < 1e-10
 
     def test_grid_doubling_stable(self):
         p = cycle_params()
         t1, s1 = protected_cycle(p, n=1001)
         t2, s2 = protected_cycle(p, n=2001)
-        h = lambda t: model.drive_interaction_hamiltonian(p, t)  # noqa: E731
+        h = model.drive_interaction_hamiltonian(p)
         assert abs(dynamic_phase(s2, t2, h) - dynamic_phase(s1, t1, h)) < 1e-6
 
 
@@ -126,7 +125,7 @@ class TestPhaseRecord:
     def test_total_is_sum(self):
         p = cycle_params()
         times, states = protected_cycle(p, n=1001)
-        rec = phase_record(states, times, lambda t: model.drive_interaction_hamiltonian(p, t))
+        rec = phase_record(states, times, model.drive_interaction_hamiltonian(p))
         assert rec.total == rec.geometric + rec.dynamic
         assert rec.cycle_time == pytest.approx(np.pi / p.omega1)
 
@@ -135,7 +134,7 @@ class TestPhaseRecord:
         # overlap phase with geometric + dynamic
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 2001)
-        h = lambda t: model.drive_interaction_hamiltonian(p, t)  # noqa: E731
+        h = model.drive_interaction_hamiltonian(p)
         states = list(schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times))
         rec = phase_record(states, times, h)
         total_overlap = principal_phase(float(np.angle(np.vdot(states[0], states[-1]))))
@@ -146,7 +145,7 @@ class TestPhaseRecord:
     def test_generated_path_follows_protected_ray(self):
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 501)
-        h = lambda t: model.drive_interaction_hamiltonian(p, t)  # noqa: E731
+        h = model.drive_interaction_hamiltonian(p)
         gen = schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)
         for i in range(0, len(times), 100):
             ray = model.protected_state_nonadiabatic(p, times[i])

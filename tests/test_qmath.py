@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from reslab import qmath
-from reslab.errors import DimensionMismatchError, NotHermitianError
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return a + a.conj().T
+from reslab.errors import DimensionMismatchError
 
 
 def random_density(rng, dim):
@@ -46,50 +41,6 @@ class TestKron:
             lhs = qmath.kron(qmath.kron(a, b), c)
             rhs = qmath.kron(a, qmath.kron(b, c))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def expm_series(h, t):
-    """Scaled-and-squared Taylor series, independent of the eigh route."""
-    a = -1j * t * np.asarray(h, dtype=complex)
-    s = max(0, int(np.ceil(np.log2(max(1.0, np.linalg.norm(a, 1))))) + 4)
-    a = a / 2**s
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 30):
-        term = term @ a / k
-        out = out + term
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-class TestExpm:
-    def test_zero_generator(self):
-        assert np.allclose(qmath.expm_hermitian_generator(np.zeros((3, 3)), 1.7), np.eye(3))
-
-    def test_diagonal(self):
-        w = 2.5
-        u = qmath.expm_hermitian_generator(0.5 * w * np.diag([1.0, -1.0]), 0.8)
-        expected = np.diag([np.exp(-1j * w * 0.8 / 2), np.exp(1j * w * 0.8 / 2)])
-        assert np.max(np.abs(u - expected)) < 1e-14
-
-    def test_against_series(self):
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            h = random_hermitian(rng, 4)
-            u = qmath.expm_hermitian_generator(h, 0.37)
-            assert np.max(np.abs(u - expm_series(h, 0.37))) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError) as err:
-            qmath.expm_hermitian_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-        assert err.value.defect == pytest.approx(1.0)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(6)
-        for _ in range(6):
-            u = qmath.expm_hermitian_generator(random_hermitian(rng, 5), rng.uniform(0, 3))
-            assert qmath.unitarity_defect(u) < 1e-10
 
 
 class TestFock:
@@ -171,6 +122,16 @@ class TestBloch:
             rho = qmath.projector(random_ket(rng, 2))
             x, y, z = qmath.bloch_vector(rho, basis)
             assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-10)
+
+    def test_stack_matches_single_states(self):
+        rng = np.random.default_rng(10)
+        b0 = random_ket(rng, 2)
+        basis = (b0, np.array([-np.conj(b0[1]), np.conj(b0[0])]))
+        rhos = np.array([random_density(rng, 2) for _ in range(7)])
+        stacked = qmath.bloch_vector(rhos, basis)
+        assert stacked.shape == (7, 3)
+        singles = np.array([qmath.bloch_vector(rho, basis) for rho in rhos])
+        assert np.max(np.abs(stacked - singles)) < 1e-15
 
 
 class TestStateUtilities:

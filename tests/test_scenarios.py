@@ -340,9 +340,29 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["valid"] and report["regime_ok"]
 
-    def test_validate_flags_regime(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, {"name": "nonadiabatic", "params": {"delta2": -1.0}})
-        assert cli.main(["validate", cfg]) == 4
+    @pytest.mark.parametrize(
+        "command", ["validate", "run", "run --workers 2"], ids=["validate", "run", "run-pool"]
+    )
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": name, "params": {"delta2": -1.0}}
+            for name in ("nonadiabatic", "phase-cycle", "interferometer", "elimination-check")
+        ]
+        + [{"name": "sweep", "sweep_axis": ["delta2", [-4e7, -1.0]]}],
+        ids=lambda doc: doc["name"],
+    )
+    def test_validate_flags_regime(self, tmp_path, capsys, command, doc):
+        # validate and run check the same regime, at every sweep point
+        cfg = self.write(tmp_path, doc)
+        command, *options = command.split()
+        if command == "run":
+            options += ["--out", str(tmp_path / "runs")]
+        assert cli.main([command, cfg, *options]) == 4
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "RegimeError"
+        assert payload["error"]["message"].count("constraints") == 1
+        assert not (tmp_path / "runs").exists()
 
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
