@@ -128,9 +128,11 @@ def schroedinger_evolve(
     h = _as_harmonic(hamiltonian)
     times = np.asarray(times, dtype=float)
     psi0 = qmath.as_ket(psi0)
+    generators, nu = -1j * h.matrices, h.frequencies
 
     def rhs(t, y):
-        return -1j * (h(t) @ y)
+        # -i H(t) y = sum_k exp(-i nu_k t) (-i A_k y), without forming H(t)
+        return np.exp(-1j * t * nu) @ (generators @ y)
 
     sol = scipy.integrate.solve_ivp(
         rhs,

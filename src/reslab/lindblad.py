@@ -32,12 +32,18 @@ fourth-order Magnus exponent
 The static part of ``L`` is thereby handled exactly, so the step is set
 only by the oscillating harmonics: the first count spans at most about
 2 rad of the fastest one, and it is doubled until halving the step moves
-the final state by at most ``tol``.  Every ``A_i`` annihilates the trace
-functional and maps Hermitian matrices to Hermitian ones, and so does
-their commutator, so each step keeps trace and Hermiticity.  For a static
-Liouvillian the commutator vanishes and ``Omega = h L``: the interval map
-``expm(dt/k L)^k`` is exact and built once per ``(dt, k)``, interval lengths
-that differ only by rounding counting as one.
+the final state by at most ``tol``.  ``L`` is evaluated once on all the
+Gauss nodes of an interval, and the interval's exponents are formed
+together.  Each ``expm(Omega)`` is applied to the state, never formed: a
+truncated Taylor series whose degree and number of segments follow from
+``||Omega||_1`` and the double-precision bounds of Al-Mohy & Higham, so it
+is exact to rounding.  Every ``A_i`` annihilates the trace functional and
+maps Hermitian matrices to Hermitian ones, and so does their commutator
+and every Taylor term, so each step keeps trace and Hermiticity.  For a
+static Liouvillian the commutator vanishes and ``Omega = h L``: the
+interval map ``expm(dt/k L)^k`` is exact, formed by ``scipy.linalg.expm``
+and built once per ``(dt, k)``, interval lengths that differ only by
+rounding counting as one.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ class Harmonic:
         object.__setattr__(self, "matrices", np.add.reduceat(mats, starts, axis=0))
 
     def __call__(self, t) -> np.ndarray:
-        """``O(t)``; a 1-d array of ``N`` times gives the stack ``(N, d, d)``."""
+        """``O(t)``; an array of times of shape ``S`` gives the stack ``S + (d, d)``."""
         phases = np.exp(-1j * np.multiply.outer(t, self.frequencies))
         return np.tensordot(phases, self.matrices, axes=1)
 
@@ -284,12 +290,49 @@ def apply_generator(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> np.n
 #: Gauss-Legendre nodes of the two-point Magnus step, as fractions of the step
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
+#: most substeps whose exponents are formed together: an interval with more
+#: is taken in blocks, which bounds the memory of one evaluation of ``L``
+_MAX_BLOCK = 64
 
-def _magnus_map(L: Harmonic, t: float, h: float) -> np.ndarray:
-    """``expm(Omega)`` of the fourth-order Magnus step over ``[t, t + h]``."""
-    a1, a2 = L(t + h * _GAUSS_NODES)
-    omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
-    return scipy.linalg.expm(omega)
+#: Taylor degrees ``m`` and their double-precision bounds ``theta_m``: the
+#: degree-``m`` Taylor polynomial of ``exp(A)`` has a backward error of at
+#: most ``2^-53 ||A||`` when ``||A||_1 <= theta_m`` (Al-Mohy & Higham,
+#: SIAM J. Sci. Comput. 33, 488 (2011), and the tables it draws on)
+_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9,
+])
+
+
+def _exp_action(omegas: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents, each
+    applied by its degree-``m`` Taylor series in ``s`` segments; ``v`` is a
+    vector or a block of columns.  Every term ``Omega^p v`` keeps the trace
+    and Hermiticity that ``Omega`` keeps."""
+    # the least cost m s with ||Omega||_1 / s <= theta_m, for the largest norm
+    norm = float(np.max(np.sum(np.abs(omegas), axis=-2)))
+    segments = np.maximum(1.0, np.ceil(norm / _TAYLOR_THETA))
+    best = int(np.argmin(segments * _TAYLOR_DEGREES))
+    m, s = int(_TAYLOR_DEGREES[best]), int(segments[best])
+    for omega in omegas / s:
+        for _ in range(s):
+            term = v
+            for p in range(1, m + 1):
+                term = omega @ term
+                term *= 1.0 / p
+                v = v + term
+    return v
+
+
+def _magnus_exponents(L: Harmonic, t: float, h: float, steps: np.ndarray) -> np.ndarray:
+    """The fourth-order Magnus exponents of the steps ``[t + j h, t + (j + 1) h]``
+    for ``j`` in ``steps``, from one evaluation of ``L`` on their Gauss nodes."""
+    a = L((t + h * steps)[:, None] + h * _GAUSS_NODES)
+    a1, a2 = a[:, 0], a[:, 1]
+    return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
 
 
 def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
@@ -310,8 +353,9 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
             v = M @ v
         else:
             h = dt / k
-            for j in range(k):
-                v = _magnus_map(L, t + j * h, h) @ v
+            for j in range(0, k, _MAX_BLOCK):
+                steps = np.arange(j, min(j + _MAX_BLOCK, k))
+                v = _exp_action(_magnus_exponents(L, t, h, steps), v)
         states.append(unvec(v, me.dim))
     return states
 
@@ -326,7 +370,8 @@ def evolve(
     max_refinements: int = 12,
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid`` by fourth-order Magnus
-    steps (exact exponentials for a static generator).
+    steps, each applied to the state by a Taylor series exact to rounding
+    (a static generator keeps its exact ``expm`` interval maps).
 
     Each interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))``
     substeps, ``nu_k`` the Liouvillian's frequencies, so one substep spans

@@ -74,18 +74,18 @@ def geometric_phase(states, *, principal: bool = True, min_overlap: float = 1e-6
     IllConditionedPathError
         If any consecutive overlap magnitude falls below ``min_overlap``.
     """
-    kets = [qmath.as_ket(s) for s in states]
+    kets = np.asarray(states, dtype=complex)
     if len(kets) < 2:
         raise ValueError("need at least two states")
-    acc = 0.0
-    loop = kets + [kets[0]]
-    for a, b in zip(loop[:-1], loop[1:]):
-        ov = np.vdot(b, a)  # <psi_{k+1} | psi_k>
-        if abs(ov) < min_overlap:
-            raise IllConditionedPathError(
-                f"consecutive overlap magnitude {abs(ov):.2e} below {min_overlap:.1e}"
-            )
-        acc += float(np.angle(ov))
+    kets = kets.reshape(len(kets), -1)
+    # <psi_{k+1} | psi_k> along the path, the closure <psi_0 | psi_N> last
+    overlaps = np.einsum("ni,ni->n", np.roll(kets, -1, axis=0).conj(), kets)
+    smallest = float(np.min(np.abs(overlaps)))
+    if smallest < min_overlap:
+        raise IllConditionedPathError(
+            f"consecutive overlap magnitude {smallest:.2e} below {min_overlap:.1e}"
+        )
+    acc = float(np.sum(np.angle(overlaps)))
     return principal_phase(acc) if principal else acc
 
 

@@ -179,9 +179,18 @@ def parse_config(text: str) -> Scenario:
         _require(n_samples >= 2, f"n_samples must be >= 2, got {n_samples}", ("grid", "n_samples"))
 
     options = {}
-    option_spec = _OPTION_KEYS[name]
     raw_options = raw.get("options") or {}
     _require(isinstance(raw_options, dict), "options must be an object", ("options",))
+    # a sweep takes its base scenario's options too, and forwards them to every point
+    kind = name
+    if name == "sweep":
+        kind = raw_options.get("base", "nonadiabatic")
+        _require(
+            isinstance(kind, str) and kind in SCENARIOS and kind != "sweep",
+            f"invalid sweep base {kind!r}",
+            ("options", "base"),
+        )
+    option_spec = {**_OPTION_KEYS[name], **_OPTION_KEYS[kind]}
     for key, value in raw_options.items():
         _require(key in option_spec, f"unknown option {key!r} for {name}", ("options", key))
         expected = option_spec[key]
@@ -194,7 +203,7 @@ def parse_config(text: str) -> Scenario:
             _require(isinstance(value, str), f"option {key} must be a string", ("options", key))
             options[key] = value
 
-    if name == "effective-check":
+    if kind == "effective-check":
         branch = options.get("branch", "nonadiabatic")
         branches = ("nonadiabatic", "memory")
         _require(branch in branches, f"unknown branch {branch!r}", ("options", "branch"))
@@ -224,12 +233,6 @@ def parse_config(text: str) -> Scenario:
                 _require(val >= 0, f"{axis_name} must be >= 0", ("sweep_axis", 1, i))
             checked.append(val)
         sweep_axis = (axis_name, tuple(checked))
-        base = options.get("base", "nonadiabatic")
-        _require(
-            base in SCENARIOS and base != "sweep",
-            f"invalid sweep base {base!r}",
-            ("options", "base"),
-        )
     else:
         _require("sweep_axis" not in raw, "sweep_axis is only valid for sweeps", ("sweep_axis",))
 
@@ -579,7 +582,7 @@ def _child_scenario(sc: Scenario, value) -> Scenario:
         name=sc.options.get("base", "nonadiabatic"),
         params=params,
         grid=sc.grid,
-        options={},
+        options={k: v for k, v in sc.options.items() if k != "base"},
         unit_scale=sc.unit_scale,
     )
 

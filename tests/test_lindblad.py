@@ -269,6 +269,51 @@ class TestEvolve:
         )
         assert coarse >= 12.0 * fine
 
+    @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0])
+    @pytest.mark.parametrize("operand", ["vector", "block", "identity"])
+    def test_taylor_action_matches_expm(self, norm, operand):
+        # Liouvillian-shaped exponents scaled to the given 1-norm; a stack of
+        # three applies in order, the first one last
+        rng = np.random.default_rng(14)
+        me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
+        omegas = me.liouvillian(np.array([0.2, 0.9, 1.4]))
+        omegas *= norm / np.max(np.sum(np.abs(omegas), axis=1))
+        columns = random_matrix(rng, 9)
+        v = {"vector": columns[:, 0], "block": columns[:, :4], "identity": np.eye(9)}[operand]
+        for stack in (omegas[:1], omegas):
+            exact = v
+            for omega in stack:
+                exact = scipy.linalg.expm(omega) @ exact
+            error = np.linalg.norm(lindblad._exp_action(stack, v) - exact)
+            assert error <= 1e-13 * np.linalg.norm(exact)
+
+    def test_time_dependent_steps_form_no_exponential(self, monkeypatch):
+        # each pass evaluates L once per interval and applies every step to the state
+        rng = np.random.default_rng(13)
+        me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
+        L = me.liouvillian
+        built, evaluated = [], []
+        expm, evaluate = scipy.linalg.expm, Harmonic.__call__
+        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        monkeypatch.setattr(
+            Harmonic, "__call__", lambda op, t: evaluated.append(op is L) or evaluate(op, t)
+        )
+        times = np.linspace(0.0, 1.0, 5)
+        traj = evolve(me, random_density(rng, 3), times)
+        assert traj.refinements >= 1
+        assert built == []
+        assert evaluated == [True] * (len(times) - 1) * (traj.refinements + 1)
+
+    def test_interval_blocks_match_one_block(self, monkeypatch):
+        me = random_harmonic_master_equation(np.random.default_rng(15), 3, 1.7, 2.9, 0.8)
+        rho0 = random_density(np.random.default_rng(16), 3)
+        times = np.array([0.0, 0.6, 1.0])
+        whole = lindblad._integrate(me, rho0, times, [40, 40])
+        monkeypatch.setattr(lindblad, "_MAX_BLOCK", 16)
+        blocks = lindblad._integrate(me, rho0, times, [40, 40])
+        for a, b in zip(whole, blocks):
+            assert np.max(np.abs(a - b)) < 1e-13
+
     def test_divergence_error_carries_residual(self):
         # a static generator's interval map is exact, so the refinement loop
         # is driven by a harmonic one that does not commute with the decay

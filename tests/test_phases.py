@@ -81,9 +81,27 @@ class TestGeometricPhase:
         _, fine = protected_cycle(p, n=4097)
         assert abs(geometric_phase(fine) - geometric_phase(coarse)) < 1e-5
 
+    @pytest.mark.parametrize("principal", [True, False])
+    def test_matches_sequential_overlaps(self, principal):
+        # reference: the overlaps taken one step at a time, the closure last
+        rng = np.random.default_rng(5)
+        _, states = protected_cycle(cycle_params(phi1=0.4, phi2=-0.3), n=1001)
+        states = states * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(states)))[:, None]
+        loop = list(states) + [states[0]]
+        acc = sum(float(np.angle(np.vdot(b, a))) for a, b in zip(loop[:-1], loop[1:]))
+        expected = principal_phase(acc) if principal else acc
+        assert abs(geometric_phase(states, principal=principal) - expected) < 1e-12
+        assert abs(geometric_phase(list(states), principal=principal) - expected) < 1e-12
+
     def test_ill_conditioned_path(self):
         with pytest.raises(IllConditionedPathError):
             geometric_phase([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+
+    def test_ill_conditioned_closure(self):
+        # every step overlaps by 1/sqrt(2); the closure back to the start is orthogonal
+        path = [np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([0.0, 1.0])]
+        with pytest.raises(IllConditionedPathError):
+            geometric_phase(path)
 
     def test_unwrapped_tracks_winding(self):
         # two full cycles in the dressed gauge wind by -2 pi

@@ -194,6 +194,38 @@ class TestRunScenario:
         resolved = json.loads((result.out_dir / "resolved_config.json").read_text())
         assert resolved["name"] == "phase-cycle"
 
+    @pytest.mark.parametrize(
+        "base, options, axis, params, grid, shown",
+        [
+            (
+                "nonadiabatic",
+                {"include_gamma": False},
+                ["gamma", [100.0, 1000.0]],
+                {},
+                {"n_samples": 50},
+                {"include_gamma": False},
+            ),
+            (
+                "effective-check",
+                {"branch": "memory", "chi": 1.0},
+                ["Gamma", [20.0, 40.0]],
+                {"g": 1.0, "omega1": 200.0, "gamma": 0.0},
+                {"t_end": 0.2, "n_samples": 21},
+                {"branch": "memory", "chi": 1.0},
+            ),
+        ],
+    )
+    def test_sweep_forwards_base_options(self, base, options, axis, params, grid, shown):
+        # every point equals the single run with the same options, and shows them
+        doc = {"name": "sweep", "params": params, "grid": grid, "sweep_axis": axis}
+        sweep = parse_config(json.dumps({**doc, "options": {"base": base, **options}}))
+        points = run_scenario(sweep).summary["derived"]["points"]
+        for value, point in zip(axis[1], points):
+            single = {"name": base, "params": {**params, axis[0]: value}, "grid": grid}
+            forwarded = parse_config(json.dumps({**single, "options": options}))
+            assert point == run_scenario(forwarded).summary["derived"]
+            assert {key: point[key] for key in shown} == shown
+
     def test_sweep_parallel_matches_serial(self):
         sc = parse_config('{"name": "sweep", "sweep_axis": ["gamma", [100.0, 1000.0]]}')
         serial = run_scenario(sc, workers=1)
@@ -279,6 +311,21 @@ class TestCli:
                 {"name": "effective-check", "params": {"delta1": 5.0},
                  "options": {"branch": "memory", "chi": 1.0}},
                 ["params", "delta1"],
+            ),
+            # a sweep takes exactly its base scenario's options
+            (
+                {"name": "sweep", "options": {"base": "memory", "include_gamma": True},
+                 "sweep_axis": ["gamma", [1.0]]},
+                ["options", "include_gamma"],
+            ),
+            (
+                {"name": "sweep", "options": {"base": "effective-check", "branch": "foo"},
+                 "sweep_axis": ["g", [1.0]]},
+                ["options", "branch"],
+            ),
+            (
+                {"name": "sweep", "options": {"base": "sweep"}, "sweep_axis": ["g", [1.0]]},
+                ["options", "base"],
             ),
         ],
     )
