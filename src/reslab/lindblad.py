@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -82,6 +83,13 @@ __all__ = [
 #: harmonic; a merge moves a phase by at most this fraction of the fastest one
 FREQUENCY_RTOL = 1e-9
 
+#: a frequency ratio is commensurate when a fraction whose denominator is at
+#: most PERIOD_MAX_DENOMINATOR matches it to PERIOD_RTOL (relative).  Such
+#: fractions typically stay 1e-8 or more from an irrational ratio, far above
+#: the tolerance, and a larger denominator gives a period too long to use.
+PERIOD_MAX_DENOMINATOR = 10_000
+PERIOD_RTOL = 1e-12
+
 
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -99,7 +107,8 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 class Harmonic:
     """Time-dependent operator ``O(t) = sum_k exp(-i nu_k t) A_k`` with static
     ``A_k``.  Frequencies closer than ``FREQUENCY_RTOL`` times the largest
-    ``|nu_k|`` are merged, so the stored ones are distinct and ascending."""
+    ``|nu_k|`` are merged, so the stored ones are distinct and ascending.
+    When they are commensurate, ``O`` repeats with :attr:`period`."""
 
     frequencies: np.ndarray
     matrices: np.ndarray
@@ -120,6 +129,24 @@ class Harmonic:
         """``O(t)``; an array of times of shape ``S`` gives the stack ``S + (d, d)``."""
         phases = np.exp(-1j * np.multiply.outer(t, self.frequencies))
         return np.tensordot(phases, self.matrices, axes=1)
+
+    @functools.cached_property
+    def period(self) -> float | None:
+        """The smallest ``T > 0`` with ``nu_k T`` in ``2 pi Z`` for every stored
+        frequency, or None for a static or an incommensurate harmonic.
+
+        Each ``|nu_k|`` over the smallest nonzero ``|nu|`` is fitted by a
+        fraction ``p_k / q_k`` with ``q_k <= PERIOD_MAX_DENOMINATOR`` and must
+        match it to ``PERIOD_RTOL``; then ``T = 2 pi lcm(q_k) / min |nu|``.
+        """
+        nu = np.abs(self.frequencies[self.frequencies != 0.0])
+        if nu.size == 0:
+            return None
+        ratios = nu / np.min(nu)
+        fits = [Fraction(x).limit_denominator(PERIOD_MAX_DENOMINATOR) for x in ratios]
+        if any(abs(x - float(f)) > PERIOD_RTOL * x for x, f in zip(ratios, fits)):
+            return None
+        return 2.0 * math.pi * math.lcm(*(f.denominator for f in fits)) / float(np.min(nu))
 
     def map(self, f) -> "Harmonic":
         """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``."""

@@ -28,16 +28,13 @@ __all__ = [
     "projector",
     "normalized",
     "basis_ket",
-    "kron",
     "fock_annihilation",
     "fidelity",
     "bloch_vector",
-    "purity",
     "trace_distance",
     "partial_trace",
     "hermitian_defect",
     "density_matrix_defects",
-    "is_valid_density_matrix",
 ]
 
 
@@ -90,11 +87,6 @@ def hermitian_defect(a) -> float:
     return float(np.max(np.abs(m - dag(m)))) if m.size else 0.0
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two operators (dims multiply)."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Lowering operator on the truncated Fock space {|0>, ..., |n_max>}.
 
@@ -143,11 +135,6 @@ def bloch_vector(rho, basis, *, atol: float = 1e-8) -> np.ndarray:
     return np.stack([2.0 * r01.real, -2.0 * r01.imag, (r00 - r11).real], axis=-1)
 
 
-def purity(rho) -> float:
-    r = as_operator(rho)
-    return float(np.real(np.trace(r @ r)))
-
-
 def trace_distance(a, b) -> float:
     """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian matrices."""
     d = as_operator(a) - as_operator(b)
@@ -190,17 +177,3 @@ def density_matrix_defects(rho) -> dict[str, float]:
         "min_eigenvalue": float(np.min(np.linalg.eigvalsh(sym))),
     }
 
-
-def is_valid_density_matrix(
-    rho,
-    *,
-    trace_atol: float = 1e-9,
-    herm_atol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> bool:
-    d = density_matrix_defects(rho)
-    return (
-        d["trace_deviation"] <= trace_atol
-        and d["hermiticity_defect"] <= herm_atol
-        and d["min_eigenvalue"] >= eig_floor
-    )

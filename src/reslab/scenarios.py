@@ -492,7 +492,7 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         derived["chi"] = sc.options.get("chi", 0.0)
     header = ["t", "fidelity"]
     rows = [[t, f] for t, f in zip(comp.time_grid, comp.fidelity_series)]
-    return _result(sc, p, derived, header, rows)
+    return _result(sc, p, derived, header, rows, integrator=comp.integrator)
 
 
 def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
-from reslab import model, qmath
-from reslab.errors import DimensionMismatchError
+from reslab import frames, model, qmath
 from reslab.frames import (
     FrameTransform,
     compare_effective,
-    conjugate_operator,
+    schroedinger_evolve,
     transformed_dissipator_average,
 )
+from reslab.scenarios import Scenario, resolve_params
 from reslab.lindblad import Harmonic, LindbladTerm, dissipator_matrix, unvec, vec
 
 SIGMA_GE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -25,44 +26,45 @@ class TestFrameTransform:
         rng = np.random.default_rng(0)
         g = random_hermitian(rng, 3)
         frame = FrameTransform((g,))
-        assert np.max(np.abs(frame(0.0) - np.eye(3))) < 1e-12
+        assert np.max(np.abs(frame.rotation(0.0) - np.eye(3))) < 1e-12
         for t in (0.3, 1.7):
-            u = frame(t)
+            u = frame.rotation(t)
             assert np.max(np.abs(qmath.dag(u) @ u - np.eye(3))) < 1e-10
             assert np.max(np.abs(u - scipy.linalg.expm(-1j * g * t))) < 1e-12
 
     def test_compose_generator(self):
         rng = np.random.default_rng(1)
         g1, g2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        composed = FrameTransform((g1, g2))
+        r = FrameTransform((g1, g2)).rotation
         t = 0.41
         u1 = scipy.linalg.expm(-1j * g1 * t)
-        assert np.max(np.abs(composed(t) - u1 @ scipy.linalg.expm(-1j * g2 * t))) < 1e-12
+        assert np.max(np.abs(r(t) - u1 @ scipy.linalg.expm(-1j * g2 * t))) < 1e-12
         # i dR/dt R^dag by finite differences against G_1 + U_1 G_2 U_1^dag
         dt = 1e-7
-        rdot = (composed(t + dt) - composed(t - dt)) / (2 * dt)
-        h_num = 1j * rdot @ qmath.dag(composed(t))
+        rdot = (r(t + dt) - r(t - dt)) / (2 * dt)
+        h_num = 1j * rdot @ qmath.dag(r(t))
         assert np.max(np.abs(h_num - (g1 + u1 @ g2 @ qmath.dag(u1)))) < 1e-5
 
 
 class TestConjugateOperator:
     def test_identity_frame(self):
         o = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        assert np.array_equal(conjugate_operator(np.eye(2), o), o)
+        r = np.eye(2)
+        assert np.array_equal(r @ o @ qmath.dag(r), o)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             o = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            u = scipy.linalg.expm(-0.7j * random_hermitian(rng, 3))
+            frame = FrameTransform((random_hermitian(rng, 3),))
+            u = frame.rotation(0.7)
+            conjugated = u @ o @ qmath.dag(u)
             before = np.sort_complex(np.linalg.eigvals(o))
-            after = np.sort_complex(np.linalg.eigvals(conjugate_operator(u, o)))
+            after = np.sort_complex(np.linalg.eigvals(conjugated))
             assert np.max(np.abs(before - after)) < 1e-9
-            assert abs(np.linalg.norm(o) - np.linalg.norm(conjugate_operator(u, o))) < 1e-9
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            conjugate_operator(np.eye(3), np.eye(2))
+            assert abs(np.linalg.norm(o) - np.linalg.norm(conjugated)) < 1e-9
+            # to_frame is the inverse conjugation R^dag O R, read off the rotation
+            assert np.max(np.abs(frame.to_frame(o)(0.7) - qmath.dag(u) @ o @ u)) < 1e-12
 
 
 class TestDissipatorAverage:
@@ -203,3 +205,158 @@ def run_h1_h2_comparison(p, enforce=True):
     frame = model.effective_check_frame(p, "nonadiabatic")
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(model.build_h1(p), h2, psi0, 2.0, n_samples=101, frame=frame)
+
+
+def memory_params(chi, lam=200.0):
+    return model.ModelParams(
+        g=1.0,
+        omega1=float(np.sqrt(lam**2 - (chi * lam) ** 2 / 4.0)),
+        omega2=0.0,
+        phi1=0.0,
+        phi2=0.0,
+        delta1=chi * lam,
+        delta2=0.0,
+        delta_a=-2.0 * lam,
+        Gamma=20.0,
+        gamma=0.0,
+        n_max=2,
+    )
+
+
+def nonadiabatic_case(p, times):
+    psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
+    return model.build_h1(p), psi0, times
+
+
+def memory_case(p, times):
+    chi = model.DerivedMemoryParams.from_params(p).chi
+    psi0 = np.kron(model.tilde_minus_ket(chi, p.phi1), qmath.basis_ket(p.n_max + 1, 0))
+    return model.build_h1_memory(p), psi0, times
+
+
+def effective_check_case(branch):
+    p = resolve_params(Scenario(name="effective-check", options={"branch": branch}))
+    case = memory_case if branch == "memory" else nonadiabatic_case
+    return case(p, np.linspace(0.0, 2.0 / p.g, 201))
+
+
+def non_periodic_case():
+    # frequencies 1 and sqrt(2): H(t) never repeats
+    rng = np.random.default_rng(21)
+    a, b = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+    nus = [-np.sqrt(2.0), -1.0, 0.0, 1.0, np.sqrt(2.0)]
+    h = Harmonic(nus, [qmath.dag(b), qmath.dag(a), random_hermitian(rng, 4), a, b])
+    psi0 = qmath.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+    return h, psi0, np.linspace(0.0, 12.0, 61)
+
+
+CRITERION_5_PERIOD = 2.0 * np.pi / 20.0
+
+#: each case's H, psi0 and grid, and the largest state error of the direct
+#: DOP853 integration of psi (rtol 1e-10, atol 1e-12) against the reference,
+#: rounded up: the one-period map must do no worse on any of them
+EVOLVE_CASES = {
+    "effective-check nonadiabatic": (lambda: effective_check_case("nonadiabatic"), 4.3e-10),
+    "effective-check memory": (lambda: effective_check_case("memory"), 1.3e-10),
+    "criterion 5 nonadiabatic": (
+        lambda: nonadiabatic_case(regime_params(), np.linspace(0.0, 2.0, 101)),
+        9.9e-10,
+    ),
+    "criterion 5 memory chi=0": (
+        lambda: memory_case(memory_params(0.0), np.linspace(0.0, 2.0, 101)),
+        1.3e-10,
+    ),
+    "criterion 5 memory chi=+1": (
+        lambda: memory_case(memory_params(1.0), np.linspace(0.0, 2.0, 101)),
+        3.1e-10,
+    ),
+    "criterion 5 memory chi=-1": (
+        lambda: memory_case(memory_params(-1.0), np.linspace(0.0, 2.0, 101)),
+        1.2e-10,
+    ),
+    "horizon shorter than a period": (
+        lambda: nonadiabatic_case(regime_params(), np.linspace(0.0, 0.7 * CRITERION_5_PERIOD, 41)),
+        1.9e-10,
+    ),
+    "grid points on k T": (
+        lambda: nonadiabatic_case(regime_params(), np.linspace(0.0, 4.0 * CRITERION_5_PERIOD, 41)),
+        6.3e-10,
+    ),
+    "non-periodic": (non_periodic_case, 3.2e-10),
+}
+
+
+def reference_states(h, psi0, times):
+    """Direct DOP853 integration of the state at tight tolerances."""
+    generators = -1j * h.matrices
+
+    def rhs(t, y):
+        return np.exp(-1j * t * h.frequencies) @ (generators @ y)
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (times[0], times[-1]), psi0, t_eval=times, method="DOP853", rtol=1e-13, atol=1e-15
+    )
+    assert sol.success
+    return sol.y.T
+
+
+class TestSchroedingerEvolve:
+    @pytest.mark.parametrize("case", EVOLVE_CASES)
+    def test_matches_reference(self, case):
+        build, bound = EVOLVE_CASES[case]
+        h, psi0, times = build()
+        states = schroedinger_evolve(h, psi0, times)
+        assert np.max(np.abs(states - reference_states(h, psi0, times))) <= bound
+
+    @pytest.mark.parametrize(
+        "case, span",
+        [
+            ("criterion 5 nonadiabatic", CRITERION_5_PERIOD),
+            ("horizon shorter than a period", 0.7 * CRITERION_5_PERIOD),
+            ("grid points on k T", CRITERION_5_PERIOD),
+            ("non-periodic", 12.0),
+        ],
+    )
+    def test_integrates_one_span(self, monkeypatch, case, span):
+        # the propagator is integrated over one period, or over the whole grid
+        # when there is no shorter period; whole periods are matrix powers
+        spans = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def recording(fun, t_span, y0, **kwargs):
+            spans.append(t_span)
+            return solve_ivp(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(frames.scipy.integrate, "solve_ivp", recording)
+        schroedinger_evolve(*EVOLVE_CASES[case][0]())
+        assert spans == [(0.0, pytest.approx(span, rel=1e-15))]
+
+    def test_shifted_and_reversed_grids(self):
+        # psi0 is the state at times[0], whichever way the grid runs
+        # cos(3 t) sigma_x + sigma_z, period 2 pi / 3
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = Harmonic([3.0, -3.0, 0.0], [0.5 * sigma_x, 0.5 * sigma_x, np.diag([1.0, -1.0])])
+        psi0 = qmath.normalized([1.0, 0.5 - 0.5j])
+        times = np.linspace(0.3, 0.3 + 2.5 * h.period, 26)
+        forward = schroedinger_evolve(h, psi0, times)
+        assert np.max(np.abs(forward - reference_states(h, psi0, times))) < 1e-9
+        backward = schroedinger_evolve(h, forward[-1], times[::-1])
+        assert np.max(np.abs(backward[::-1] - forward)) < 1e-9
+
+    def test_rejects_an_empty_span(self):
+        with pytest.raises(ValueError):
+            schroedinger_evolve(np.eye(2), [1.0, 0.0], [0.5, 0.5])
+
+    def test_comparison_reports_the_period_map(self):
+        h, psi0, times = effective_check_case("nonadiabatic")
+        comp = compare_effective(h, np.zeros((6, 6)), psi0, times[-1], n_samples=11)
+        assert comp.integrator == {
+            "method": "DOP853",
+            "rtol": 1e-10,
+            "atol": 1e-12,
+            "period": 2.0 * np.pi / 1e6,
+            "whole_periods": 3,
+        }
+        short = compare_effective(h, np.zeros((6, 6)), psi0, 1e-6, n_samples=11)
+        assert short.integrator["period"] is None
+        assert short.integrator["whole_periods"] == 0

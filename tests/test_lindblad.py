@@ -471,6 +471,50 @@ class TestHarmonic:
         assert np.array_equal(op.frequencies, [-1.0, 0.0, 1.0 + 5e-14])
         assert np.max(np.abs(op.matrices[2] - 3.0 * SIGMA_GE)) == 0.0
 
+    @pytest.mark.parametrize(
+        "make, period",
+        [
+            # effective-check's defaults: +-1e6 and +-4e7 rad/s
+            (lambda: model.build_h1(model.ModelParams()), 2.0 * np.pi / 1e6),
+            # criterion 5's nonadiabatic parameters: +-20 and +-800
+            (
+                lambda: model.build_h1(
+                    model.ModelParams(
+                        g=1.0, omega1=400.0, omega2=20.0, delta1=0.0, delta2=-800.0,
+                        delta_a=-20.0, Gamma=20.0, gamma=0.0,
+                    )
+                ),
+                2.0 * np.pi / 20.0,
+            ),
+            # the memory branch repeats with |delta_a| = 2 lambda
+            (
+                lambda: model.build_h1_memory(
+                    model.ModelParams(
+                        g=1.0, omega1=float(np.sqrt(200.0**2 - 100.0**2)), omega2=0.0,
+                        delta1=200.0, delta2=0.0, delta_a=-400.0, Gamma=20.0, gamma=0.0,
+                    )
+                ),
+                2.0 * np.pi / 400.0,
+            ),
+            # ratios that carry rounding: 1 / (1/3) is not exactly 3
+            (lambda: Harmonic([1.0 / 3.0, 1.0], [SIGMA_GE, SIGMA_GE]), 6.0 * np.pi),
+            (lambda: Harmonic([-0.5, 1.0 / 3.0, 0.0], [SIGMA_GE] * 3), 12.0 * np.pi),
+            (lambda: Harmonic([0.1, 0.3, 0.7], [SIGMA_GE] * 3), 20.0 * np.pi),
+            (lambda: Harmonic([0.0], [SIGMA_GE]), None),
+            (lambda: Harmonic([1.0, np.sqrt(2.0)], [SIGMA_GE, SIGMA_GE]), None),
+            (lambda: Harmonic([1.0, np.pi], [SIGMA_GE, SIGMA_GE]), None),
+        ],
+    )
+    def test_period(self, make, period):
+        op = make()
+        if period is None:
+            assert op.period is None
+            return
+        assert op.period == pytest.approx(period, rel=1e-14)
+        # every component returns to its phase after one period
+        assert np.max(np.abs(op(op.period) - op(0.0))) <= 1e-12 * np.sum(np.abs(op.matrices))
+        assert op.period is op.period  # cached
+
 
 class TestLindbladTermValidation:
     def test_negative_rate(self):

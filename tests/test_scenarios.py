@@ -165,8 +165,38 @@ class TestRunScenario:
             params={"g": 1.0, "omega1": 200.0, "Gamma": 20.0, "gamma": 0.0},
             options={"branch": "memory", "chi": 1.0},
         )
-        derived = run_scenario(sc).summary["derived"]
-        assert derived["worst_fidelity"] > 0.99
+        summary = run_scenario(sc).summary
+        assert summary["derived"]["worst_fidelity"] > 0.99
+        # H1 repeats with 2 pi / |delta_a|, delta_a = -2 lambda, lambda = 2 omega1 / sqrt(3)
+        period = 2.0 * np.pi / (4.0 * 200.0 / np.sqrt(3.0))
+        integrator = summary["integrator"]
+        assert integrator["period"] == pytest.approx(period, rel=1e-14)
+        assert integrator["whole_periods"] == int(2.0 // period)
+
+    @pytest.mark.parametrize(
+        "grid, period, whole_periods",
+        [({}, 2.0 * np.pi / 20.0, 6), ({"t_end": 0.2, "n_samples": 11}, None, 0)],
+    )
+    def test_effective_check_integrator_block(self, tmp_path, grid, period, whole_periods):
+        doc = {
+            "name": "effective-check",
+            "params": {"g": 1.0, "omega1": 400.0, "omega2": 20.0, "Gamma": 20.0, "gamma": 0.0},
+            "grid": grid,
+        }
+        sc = parse_config(json.dumps(doc))
+        r1 = run_scenario(sc, out_dir=tmp_path / "a")
+        integrator = r1.summary["integrator"]
+        assert integrator == {
+            "method": "DOP853",
+            "rtol": 1e-10,
+            "atol": 1e-12,
+            "period": pytest.approx(period, rel=1e-14) if period else None,
+            "whole_periods": whole_periods,
+        }
+        # every field is deterministic: the summary is byte-identical across runs
+        r2 = run_scenario(sc, out_dir=tmp_path / "b")
+        s1, s2 = ((r.out_dir / "summary.json").read_text().splitlines() for r in (r1, r2))
+        assert [x for x in s1 if "wall_time_s" not in x] == [x for x in s2 if "wall_time_s" not in x]
 
     def test_determinism(self, tmp_path):
         sc = parse_config('{"name": "nonadiabatic", "grid": {"n_samples": 50}}')
