@@ -32,14 +32,20 @@ fourth-order Magnus exponent
 The static part of ``L`` is thereby handled exactly, so the step is set
 only by the oscillating harmonics: the first count spans at most about
 2 rad of the fastest one, and it is doubled until halving the step moves
-the final state by at most ``tol``.  ``L`` is evaluated once on all the
-Gauss nodes of an interval, and the interval's exponents are formed
-together.  Each ``expm(Omega)`` is applied to the state, never formed: a
-truncated Taylor series whose degree and number of segments follow from
-``||Omega||_1`` and the double-precision bounds of Al-Mohy & Higham, so it
-is exact to rounding.  Every ``A_i`` annihilates the trace functional and
-maps Hermitian matrices to Hermitian ones, and so does their commutator
-and every Taylor term, so each step keeps trace and Hermiticity.  For a
+the final state by at most ``tol``.  The steps run in the real coordinates
+``x = B vec(rho)`` of an orthonormal Hermitian operator basis (the
+coherence vector), where a Hermiticity-preserving ``L`` is a real matrix
+``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``, built once per
+master equation; the states map back by ``B^dag`` at the output times.
+``R`` is evaluated once on all the Gauss nodes of an interval, and the
+interval's exponents are formed together.  Each ``expm(Omega)`` is applied
+to the state, never formed: a truncated Taylor series in Horner form, one
+BLAS matrix-vector product per term, whose degree and number of segments
+follow from ``||Omega||_1`` and the double-precision bounds of Al-Mohy &
+Higham, so it is exact to rounding.  Every ``A_i`` annihilates the trace
+functional and maps Hermitian matrices to Hermitian ones, and so does
+their commutator and every Taylor term, so each step keeps trace and
+Hermiticity; a real ``x`` is Hermitian by construction.  For a
 static Liouvillian the commutator vanishes and ``Omega = h L``: the
 interval map ``expm(dt/k L)^k`` is exact, formed by ``scipy.linalg.expm``
 and built once per ``(dt, k)``, interval lengths that differ only by
@@ -72,7 +78,6 @@ __all__ = [
     "SteadyStateInfo",
     "vec",
     "unvec",
-    "dissipator_matrix",
     "liouvillian_matrix",
     "apply_generator",
     "evolve",
@@ -162,6 +167,34 @@ def _check_operator(op, what: str) -> None:
         raise TypeError(f"{what} must be a static matrix or a Harmonic, got {type(op).__name__}")
 
 
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """The unitary ``B`` whose rows are ``vec(E_a)^dag`` for the orthonormal
+    Hermitian basis ``|i><i|``, ``(|i><j| + |j><i|)/sqrt 2`` and
+    ``i (|i><j| - |j><i|)/sqrt 2`` (``i < j``): ``B vec(rho)`` is real for
+    every Hermitian ``rho``."""
+    eye = np.eye(dim * dim)
+    i, j = np.triu_indices(dim, 1)
+    ij, ji = eye[i + dim * j], eye[j + dim * i]  # vec(|i><j|), vec(|j><i|)
+    root2 = math.sqrt(2.0)
+    return np.concatenate([eye[:: dim + 1], (ij + ji) / root2, -1j * (ij - ji) / root2])
+
+
+@dataclass(frozen=True, eq=False)
+class _RealGenerator:
+    """A Hermiticity-preserving generator in the coordinates ``x = B vec(rho)``
+    of :func:`_hermitian_basis`: ``R(t) = sum_nu cos(nu t) C_nu + sin(nu t) S_nu``
+    over ``nu >= 0``, every ``C_nu`` and ``S_nu`` real."""
+
+    basis: np.ndarray
+    frequencies: np.ndarray
+    matrices: np.ndarray  # the C_nu, then the S_nu
+
+    def __call__(self, t) -> np.ndarray:
+        """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``."""
+        nt = np.multiply.outer(t, self.frequencies)
+        return np.tensordot(np.concatenate([np.cos(nt), np.sin(nt)], -1), self.matrices, axes=1)
+
+
 @dataclass(frozen=True)
 class LindbladTerm:
     """One rated jump channel; ``operator`` is a static matrix or, for
@@ -179,10 +212,6 @@ class LindbladTerm:
             # other prefactors are representable through the rate; restricting
             # the factor keeps the two bracket conventions explicit
             raise ValueError(f"factor must be 0.5 or 1.0, got {self.factor}")
-
-    @property
-    def is_static(self) -> bool:
-        return not isinstance(self.operator, Harmonic)
 
     def operator_at(self, t: float) -> np.ndarray:
         return _as_harmonic(self.operator)(t)
@@ -230,11 +259,6 @@ class MasterEquation:
                 )
             object.__setattr__(self, "extra_generator", g)
 
-    @property
-    def is_time_independent(self) -> bool:
-        static_h = not isinstance(self.hamiltonian, Harmonic)
-        return static_h and all(t.is_static for t in self.terms)
-
     def hamiltonian_at(self, t: float) -> np.ndarray | None:
         return None if self.hamiltonian is None else _as_harmonic(self.hamiltonian)(t)
 
@@ -263,6 +287,32 @@ class MasterEquation:
             parts.append(Harmonic([0.0], [self.extra_generator]))
         nus = np.concatenate([p.frequencies for p in parts])
         return Harmonic(nus, np.concatenate([p.matrices for p in parts]))
+
+    @functools.cached_property
+    def _real_liouvillian(self) -> _RealGenerator:
+        """The Liouvillian in real coordinates, assembled on first use and kept.
+
+        With ``R_nu = B L_nu B^dag``, ``B L(t) B^dag`` is real at every t
+        exactly when ``R_0`` is real and ``R_-nu = conj(R_nu)``; that pairing
+        is checked here.  Then ``C_0 = R_0``, and ``C_nu + i S_nu`` is the
+        pair's sum ``R_nu + conj(R_-nu)``."""
+        L = self.liouvillian
+        basis = _hermitian_basis(self.dim)
+        r = basis @ L.matrices @ basis.conj().T
+        # merged at |nu|, each R_nu meets conj(R_-nu), which must equal it
+        below = (L.frequencies < 0.0)[:, None, None]
+        r = np.where(below, r.conj(), r)
+        gap = Harmonic(np.abs(L.frequencies), np.where(below, -r, r))
+        gap.matrices[0] = gap.matrices[0].imag  # the smallest |nu| is 0: R_0 must be real
+        defect = float(np.max(np.abs(gap.matrices)))
+        if defect > max(1e-10, 1e-12 * float(np.max(np.abs(L.matrices)))):
+            raise NotHermitianError(
+                defect, "the Liouvillian does not preserve Hermiticity: R(-nu) != conj(R(nu))"
+            )
+        pairs = Harmonic(np.abs(L.frequencies), r)
+        return _RealGenerator(
+            basis, pairs.frequencies, np.concatenate([pairs.matrices.real, pairs.matrices.imag])
+        )
 
 
 @dataclass
@@ -298,12 +348,6 @@ def _pair_dissipator(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     return scale * (2.0 * np.kron(b.conj(), a) - np.kron(eye, bda) - np.kron(bda.T, eye))
 
 
-def dissipator_matrix(op: np.ndarray, rate: float, factor: float) -> np.ndarray:
-    """Superoperator of ``rate * factor * (2 O . O^dag - O^dag O . - . O^dag O)``."""
-    o = np.asarray(op, dtype=complex)
-    return _pair_dissipator(o, o, rate * factor)
-
-
 def liouvillian_matrix(me: MasterEquation, t: float = 0.0) -> np.ndarray:
     """Matrix ``L`` with ``vec(drho/dt) = L vec(rho)`` at time ``t``."""
     return me.liouvillian(t)
@@ -337,24 +381,28 @@ _TAYLOR_THETA = np.array([
 def _exp_action(omegas: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents, each
     applied by its degree-``m`` Taylor series in ``s`` segments; ``v`` is a
-    vector or a block of columns.  Every term ``Omega^p v`` keeps the trace
-    and Hermiticity that ``Omega`` keeps."""
+    vector or a block of columns, real or complex.  Each segment runs the
+    series in Horner form, ``y <- v + Omega y / (p s)`` for ``p = m, ..., 1``,
+    one BLAS ``gemv`` (vector) or ``gemm`` (block) per term, handed
+    ``Omega.T`` with the transpose flag so nothing is copied.  Every term keeps
+    the trace and Hermiticity that ``Omega`` keeps."""
     # the least cost m s with ||Omega||_1 / s <= theta_m, for the largest norm
     norm = float(np.max(np.sum(np.abs(omegas), axis=-2)))
     segments = np.maximum(1.0, np.ceil(norm / _TAYLOR_THETA))
     best = int(np.argmin(segments * _TAYLOR_DEGREES))
     m, s = int(_TAYLOR_DEGREES[best]), int(segments[best])
-    for omega in omegas / s:
+    name, flag = ("gemv", "trans") if v.ndim == 1 else ("gemm", "trans_a")
+    product = functools.partial(scipy.linalg.blas.get_blas_funcs(name, (omegas, v)), **{flag: 1})
+    for omega in omegas:
         for _ in range(s):
-            term = v
-            for p in range(1, m + 1):
-                term = omega @ term
-                term *= 1.0 / p
-                v = v + term
+            y = v
+            for p in range(m, 0, -1):
+                y = product(1.0 / (p * s), omega.T, y, 1.0, v)
+            v = y
     return v
 
 
-def _magnus_exponents(L: Harmonic, t: float, h: float, steps: np.ndarray) -> np.ndarray:
+def _magnus_exponents(L, t: float, h: float, steps: np.ndarray) -> np.ndarray:
     """The fourth-order Magnus exponents of the steps ``[t + j h, t + (j + 1) h]``
     for ``j`` in ``steps``, from one evaluation of ``L`` on their Gauss nodes."""
     a = L((t + h * steps)[:, None] + h * _GAUSS_NODES)
@@ -365,12 +413,11 @@ def _magnus_exponents(L: Harmonic, t: float, h: float, steps: np.ndarray) -> np.
 def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
     """States at ``times``, each interval ``i`` taken in ``substeps[i]`` Magnus steps."""
     L = me.liouvillian
-    static = not np.any(L.frequencies)
-    v = vec(rho0)
     states = [np.array(rho0, dtype=complex)]
-    cache: dict = {}
-    for t, dt, k in zip(times, np.diff(times), substeps):
-        if static:
+    if not np.any(L.frequencies):
+        v = vec(rho0)
+        cache: dict = {}
+        for dt, k in zip(np.diff(times), substeps):
             # interval lengths equal up to rounding (a linspace grid) share one map
             key = (round(dt / times[-1] * 1e12), k)
             M = cache.get(key)
@@ -378,13 +425,19 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
                 M = np.linalg.matrix_power(scipy.linalg.expm(dt / k * L.matrices[0]), k)
                 cache[key] = M
             v = M @ v
-        else:
-            h = dt / k
-            for j in range(0, k, _MAX_BLOCK):
-                steps = np.arange(j, min(j + _MAX_BLOCK, k))
-                v = _exp_action(_magnus_exponents(L, t, h, steps), v)
-        states.append(unvec(v, me.dim))
-    return states
+            states.append(unvec(v, me.dim))
+        return states
+    R = me._real_liouvillian
+    # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
+    x = (R.basis @ vec(rho0)).real
+    xs = []
+    for t, dt, k in zip(times, np.diff(times), substeps):
+        h = dt / k
+        for j in range(0, k, _MAX_BLOCK):
+            steps = np.arange(j, min(j + _MAX_BLOCK, k))
+            x = _exp_action(_magnus_exponents(R, t, h, steps), x)
+        xs.append(x)
+    return states + [unvec(v, me.dim) for v in np.array(xs) @ R.basis.conj()]
 
 
 def evolve(
@@ -473,7 +526,7 @@ def steady_state(
         If no trace-class null vector exists or the residual target
         cannot be met.
     """
-    if not me.is_time_independent:
+    if np.any(me.liouvillian.frequencies):
         raise ValueError("steady_state requires a time-independent master equation")
     d = me.dim
     L = liouvillian_matrix(me, 0.0)

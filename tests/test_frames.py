@@ -11,9 +11,15 @@ from reslab.frames import (
     transformed_dissipator_average,
 )
 from reslab.scenarios import Scenario, resolve_params
-from reslab.lindblad import Harmonic, LindbladTerm, dissipator_matrix, unvec, vec
+from reslab.lindblad import Harmonic, LindbladTerm, unvec, vec
 
 SIGMA_GE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+
+def dissipator(o, scale):
+    """Superoperator of ``scale (2 O . O^dag - O^dag O . - . O^dag O)``, column stacking."""
+    eye, odo = np.eye(o.shape[0]), o.conj().T @ o
+    return scale * (2.0 * np.kron(o.conj(), o) - np.kron(eye, odo) - np.kron(odo.T, eye))
 
 
 def random_hermitian(rng, dim):
@@ -71,13 +77,13 @@ class TestDissipatorAverage:
     def test_static_passthrough(self):
         term = LindbladTerm(rate=0.7, operator=SIGMA_GE, factor=1.0)
         frag = transformed_dissipator_average(term)
-        assert np.max(np.abs(frag - dissipator_matrix(SIGMA_GE, 0.7, 1.0))) < 1e-12
+        assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.7))) < 1e-12
 
     def test_global_phase_invariance(self):
         omega = 2.0 * np.pi * 3.0
         term = LindbladTerm(rate=0.9, operator=Harmonic([-omega], [SIGMA_GE]), factor=1.0)
         frag = transformed_dissipator_average(term)
-        assert np.max(np.abs(frag - dissipator_matrix(SIGMA_GE, 0.9, 1.0))) < 1e-12
+        assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.9))) < 1e-12
 
     def test_fragment_is_valid_generator(self):
         gamma = 1.3
@@ -131,7 +137,7 @@ class TestDissipatorAverage:
         )
         n = 512
         ts = (np.arange(n) + 0.5) * (period / n)
-        brute = sum(dissipator_matrix(term.operator_at(t), term.rate, term.factor) for t in ts) / n
+        brute = sum(dissipator(term.operator_at(t), term.rate * term.factor) for t in ts) / n
         assert np.max(np.abs(transformed_dissipator_average(term) - brute)) < 1e-12
 
 
@@ -254,17 +260,15 @@ CRITERION_5_PERIOD = 2.0 * np.pi / 20.0
 
 #: each case's H, psi0 and grid, and the largest state error of the direct
 #: DOP853 integration of psi (rtol 1e-10, atol 1e-12) against the reference,
-#: rounded up: the one-period map must do no worse on any of them
+#: rounded up: the one-period map must do no worse on any of them.  The
+#: effective-check memory case is also criterion 5's memory set at chi = 0
+#: (see test_effective_check_memory_is_criterion_5_at_chi_0).
 EVOLVE_CASES = {
     "effective-check nonadiabatic": (lambda: effective_check_case("nonadiabatic"), 4.3e-10),
     "effective-check memory": (lambda: effective_check_case("memory"), 1.3e-10),
     "criterion 5 nonadiabatic": (
         lambda: nonadiabatic_case(regime_params(), np.linspace(0.0, 2.0, 101)),
         9.9e-10,
-    ),
-    "criterion 5 memory chi=0": (
-        lambda: memory_case(memory_params(0.0), np.linspace(0.0, 2.0, 101)),
-        1.3e-10,
     ),
     "criterion 5 memory chi=+1": (
         lambda: memory_case(memory_params(1.0), np.linspace(0.0, 2.0, 101)),
@@ -307,6 +311,17 @@ class TestSchroedingerEvolve:
         h, psi0, times = build()
         states = schroedinger_evolve(h, psi0, times)
         assert np.max(np.abs(states - reference_states(h, psi0, times))) <= bound
+
+    def test_effective_check_memory_is_criterion_5_at_chi_0(self):
+        # one problem in units of g = c: H_a(t) = c H_b(c t) and psi0 agree
+        # exactly, and c t_a holds t_b, so the case checks both
+        h_a, psi_a, t_a = effective_check_case("memory")
+        h_b, psi_b, t_b = memory_case(memory_params(0.0), np.linspace(0.0, 2.0, 101))
+        c = resolve_params(Scenario(name="effective-check", options={"branch": "memory"})).g
+        assert np.array_equal(h_a.frequencies, c * h_b.frequencies)
+        assert np.array_equal(h_a.matrices, c * h_b.matrices)
+        assert np.array_equal(psi_a, psi_b)
+        assert np.max(np.abs(c * t_a[::2] - t_b)) <= 1e-15
 
     @pytest.mark.parametrize(
         "case, span",

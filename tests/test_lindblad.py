@@ -17,7 +17,6 @@ from reslab.lindblad import (
     LindbladTerm,
     MasterEquation,
     apply_generator,
-    dissipator_matrix,
     evolve,
     liouvillian_matrix,
     steady_state,
@@ -136,19 +135,22 @@ class TestLiouvillian:
                 rho = random_density(rng, dim)
                 assert abs(np.trace(unvec(L @ vec(rho), dim))) < 1e-12
 
-    def test_superoperator_matches_direct_rhs(self):
-        rng = np.random.default_rng(3)
-        memory = model.ModelParams(
-            g=1.0, omega1=float(np.sqrt(16.0**2 - 8.0**2 / 4.0)), omega2=0.0, phi1=0.3,
-            delta1=8.0, delta2=0.0, delta_a=-32.0, Gamma=1e6, gamma=0.8, n_max=1,
-        )
-        nonadiabatic = model.ModelParams(
+    DRESSED_PARAMS = {
+        "nonadiabatic": model.ModelParams(
             g=1.0, omega1=400.0, omega2=20.0, phi1=0.4, phi2=1.1, delta_a=-20.0,
             delta1=0.0, delta2=-800.0, Gamma=20.0, gamma=0.7, n_max=1,
-        )
+        ),
+        "memory": model.ModelParams(
+            g=1.0, omega1=float(np.sqrt(16.0**2 - 8.0**2 / 4.0)), omega2=0.0, phi1=0.3,
+            delta1=8.0, delta2=0.0, delta_a=-32.0, Gamma=1e6, gamma=0.8, n_max=1,
+        ),
+    }
+
+    def test_superoperator_matches_direct_rhs(self):
+        rng = np.random.default_rng(3)
         equations = [random_master_equation(rng, dim) for dim in (2, 4)]
         equations += [random_harmonic_master_equation(rng, dim, 1.7, 2.9, 0.8) for dim in (2, 3)]
-        for p, branch in ((nonadiabatic, "nonadiabatic"), (memory, "memory")):
+        for branch, p in self.DRESSED_PARAMS.items():
             jump = model.dressed_decay_jump(p, branch)
             terms = (LindbladTerm(p.gamma, jump, 0.5), LindbladTerm(0.3, SIGMA_GE, 1.0))
             equations.append(MasterEquation(dim=2, hamiltonian=np.diag([0.5, -0.5]), terms=terms))
@@ -176,6 +178,63 @@ class TestLiouvillian:
     def test_assembled_once(self):
         me = random_harmonic_master_equation(np.random.default_rng(8), 2, 1.0, 2.0, 0.5)
         assert me.liouvillian is me.liouvillian
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_basis_is_unitary_and_real_on_hermitian(self, dim):
+        basis = lindblad._hermitian_basis(dim)
+        assert np.max(np.abs(basis @ basis.conj().T - np.eye(dim * dim))) < 1e-15
+        rng = np.random.default_rng(dim)
+        for _ in range(4):
+            a = random_matrix(rng, dim)
+            x = basis @ vec(a + a.conj().T)
+            assert np.max(np.abs(x.imag)) <= 1e-15 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize(
+        "generator", ["paired harmonic", "dressed nonadiabatic", "dressed memory", "mixed"]
+    )
+    def test_real_form_matches_liouvillian(self, generator):
+        rng = np.random.default_rng(17)
+        if generator == "paired harmonic":
+            me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
+        elif generator == "mixed":
+            # static H and jump next to a harmonic jump
+            jump = Harmonic([2.3, -0.7], [random_matrix(rng, 3), random_matrix(rng, 3)])
+            me = random_master_equation(rng, 3)
+            me = MasterEquation(3, me.hamiltonian, (*me.terms, LindbladTerm(0.4, jump, 1.0)))
+        else:
+            branch = generator.removeprefix("dressed ")
+            p = TestLiouvillian.DRESSED_PARAMS[branch]
+            jump = model.dressed_decay_jump(p, branch)
+            terms = (LindbladTerm(p.gamma, jump, 0.5), LindbladTerm(0.3, SIGMA_GE, 1.0))
+            me = MasterEquation(dim=2, hamiltonian=np.diag([0.5, -0.5]), terms=terms)
+        basis = lindblad._hermitian_basis(me.dim)
+        for t in rng.uniform(-3.0, 3.0, size=5):
+            exact = basis @ me.liouvillian(t) @ basis.conj().T
+            assert np.max(np.abs(exact.imag)) <= 1e-12
+            assert np.max(np.abs(me._real_liouvillian(t) - exact)) <= 1e-12
+
+    def test_rejects_non_hermiticity_preserving_generator(self):
+        # -i [A, .] with a non-Hermitian A keeps the trace but not Hermiticity
+        a = 0.3 * SIGMA_GE
+        extra = -1j * (np.kron(np.eye(2), a) - np.kron(a.T, np.eye(2)))
+        cos_drive = Harmonic([3.0, -3.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X])
+        rho0 = qmath.projector(qmath.normalized([1.0, 1.0j]))
+        times = np.array([0.0, 0.5, 1.0])
+        me = MasterEquation(2, cos_drive, decay_qubit(1.0).terms, extra_generator=extra)
+        with pytest.raises(NotHermitianError):
+            evolve(me, rho0, times)
+        # a static Hamiltonian keeps the exact expm path, which admits it
+        me = MasterEquation(2, SIGMA_Z, decay_qubit(1.0).terms, extra_generator=extra)
+        traj = evolve(me, rho0, times)
+        L = me.liouvillian.matrices[0]
+        for t, s in zip(times, traj.states):
+            assert np.max(np.abs(vec(s) - scipy.linalg.expm(t * L) @ vec(rho0))) < 1e-12
+
+    def test_real_form_built_once(self):
+        me = random_harmonic_master_equation(np.random.default_rng(8), 2, 1.0, 2.0, 0.5)
+        assert me._real_liouvillian is me._real_liouvillian
 
 
 class TestEvolve:
@@ -270,16 +329,24 @@ class TestEvolve:
         assert coarse >= 12.0 * fine
 
     @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0])
-    @pytest.mark.parametrize("operand", ["vector", "block", "identity"])
+    @pytest.mark.parametrize(
+        "operand",
+        ["vector", "block", "identity", "real vector", "real block", "real identity"],
+    )
     def test_taylor_action_matches_expm(self, norm, operand):
-        # Liouvillian-shaped exponents scaled to the given 1-norm; a stack of
-        # three applies in order, the first one last
+        # Liouvillian-shaped exponents scaled to the given 1-norm, complex or
+        # in real coordinates; a stack of three applies in order, the first one last
         rng = np.random.default_rng(14)
         me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
-        omegas = me.liouvillian(np.array([0.2, 0.9, 1.4]))
+        real = operand.startswith("real")
+        generator = me._real_liouvillian if real else me.liouvillian
+        omegas = generator(np.array([0.2, 0.9, 1.4]))
         omegas *= norm / np.max(np.sum(np.abs(omegas), axis=1))
         columns = random_matrix(rng, 9)
-        v = {"vector": columns[:, 0], "block": columns[:, :4], "identity": np.eye(9)}[operand]
+        columns = columns.real if real else columns
+        v = {"vector": columns[:, 0], "block": columns[:, :4], "identity": np.eye(9)}[
+            operand.removeprefix("real ")
+        ]
         for stack in (omegas[:1], omegas):
             exact = v
             for omega in stack:
@@ -288,15 +355,18 @@ class TestEvolve:
             assert error <= 1e-13 * np.linalg.norm(exact)
 
     def test_time_dependent_steps_form_no_exponential(self, monkeypatch):
-        # each pass evaluates L once per interval and applies every step to the state
+        # each pass evaluates the real form of L once per interval and applies
+        # every step to the state
         rng = np.random.default_rng(13)
         me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
-        L = me.liouvillian
+        R = me._real_liouvillian
         built, evaluated = [], []
-        expm, evaluate = scipy.linalg.expm, Harmonic.__call__
+        expm, evaluate = scipy.linalg.expm, lindblad._RealGenerator.__call__
         monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
         monkeypatch.setattr(
-            Harmonic, "__call__", lambda op, t: evaluated.append(op is L) or evaluate(op, t)
+            lindblad._RealGenerator,
+            "__call__",
+            lambda op, t: evaluated.append(op is R) or evaluate(op, t),
         )
         times = np.linspace(0.0, 1.0, 5)
         traj = evolve(me, random_density(rng, 3), times)
@@ -413,6 +483,17 @@ class TestSteadyState:
         rho, info = steady_state(me, return_info=True)
         assert info.degenerate and info.null_dimension == 2
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
+
+    def test_zero_frequency_harmonic(self):
+        # a harmonic whose frequencies merge to zero is static; a periodic one is not
+        h0, h1 = np.diag([1.0, -1.0 + 0j]), 0.3 * SIGMA_X
+        terms = decay_qubit(0.8).terms
+        static = steady_state(MasterEquation(dim=2, hamiltonian=h0 + h1, terms=terms))
+        merged = MasterEquation(dim=2, hamiltonian=Harmonic([0.0, 0.0], [h0, h1]), terms=terms)
+        assert np.max(np.abs(steady_state(merged) - static)) < 1e-14
+        periodic = MasterEquation(dim=2, hamiltonian=Harmonic([0.0, 1.0, -1.0], [h0, h1, h1]))
+        with pytest.raises(ValueError):
+            steady_state(periodic)
 
     def test_long_time_agreement(self):
         # slowest relaxation mode is the coherence at gamma/2; by t = 20/(gamma/2)
@@ -543,6 +624,7 @@ class TestLindbladTermValidation:
             compare_effective(SIGMA_Z, SIGMA_Z, kets[0], 1.0, frame=lambda t: np.eye(2))
 
     def test_dissipator_factor_scaling(self):
-        d_half = dissipator_matrix(SIGMA_GE, 1.0, 0.5)
-        d_full = dissipator_matrix(SIGMA_GE, 1.0, 1.0)
+        d_half, d_full = (
+            LindbladTerm(1.0, SIGMA_GE, factor).superoperator().matrices[0] for factor in (0.5, 1.0)
+        )
         assert np.max(np.abs(2.0 * d_half - d_full)) < 1e-14
