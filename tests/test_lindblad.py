@@ -178,6 +178,7 @@ class TestLiouvillian:
     def test_assembled_once(self):
         me = random_harmonic_master_equation(np.random.default_rng(8), 2, 1.0, 2.0, 0.5)
         assert me.liouvillian is me.liouvillian
+        assert me._real_liouvillian is me._real_liouvillian
 
 
 class TestRealCoordinates:
@@ -231,10 +232,6 @@ class TestRealCoordinates:
         L = me.liouvillian.matrices[0]
         for t, s in zip(times, traj.states):
             assert np.max(np.abs(vec(s) - scipy.linalg.expm(t * L) @ vec(rho0))) < 1e-12
-
-    def test_real_form_built_once(self):
-        me = random_harmonic_master_equation(np.random.default_rng(8), 2, 1.0, 2.0, 0.5)
-        assert me._real_liouvillian is me._real_liouvillian
 
 
 class TestEvolve:
