@@ -261,14 +261,18 @@ CRITERION_5_PERIOD = 2.0 * np.pi / 20.0
 #: each case's H, psi0 and grid, and the largest state error of the direct
 #: DOP853 integration of psi (rtol 1e-10, atol 1e-12) against the reference,
 #: rounded up: the one-period map must do no worse on any of them.  The
-#: effective-check memory case is also criterion 5's memory set at chi = 0
-#: (see test_effective_check_memory_is_criterion_5_at_chi_0).
+#: effective-check memory case is criterion 5's memory set at chi = 0 in
+#: units of g (see test_effective_check_memory_is_criterion_5_at_chi_0).
 EVOLVE_CASES = {
     "effective-check nonadiabatic": (lambda: effective_check_case("nonadiabatic"), 4.3e-10),
     "effective-check memory": (lambda: effective_check_case("memory"), 1.3e-10),
     "criterion 5 nonadiabatic": (
         lambda: nonadiabatic_case(regime_params(), np.linspace(0.0, 2.0, 101)),
         9.9e-10,
+    ),
+    "criterion 5 memory chi=0": (
+        lambda: memory_case(memory_params(0.0), np.linspace(0.0, 2.0, 101)),
+        1.3e-10,
     ),
     "criterion 5 memory chi=+1": (
         lambda: memory_case(memory_params(1.0), np.linspace(0.0, 2.0, 101)),
