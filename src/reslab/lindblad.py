@@ -123,12 +123,16 @@ class Harmonic:
         mats = np.asarray(self.matrices, dtype=complex)
         if nu.ndim != 1 or nu.size == 0 or mats.shape != (nu.size, *mats.shape[-2:]):
             raise DimensionMismatchError(f"{nu.shape} frequencies, matrices {mats.shape}")
-        order = np.argsort(nu, kind="stable")
-        nu, mats = nu[order], mats[order]
+        # the stack is copied only to sort it and to merge it, and only if needed
+        if np.any(np.diff(nu) < 0.0):
+            order = np.argsort(nu, kind="stable")
+            nu, mats = nu[order], mats[order]
         starts = np.flatnonzero(np.diff(nu, prepend=-np.inf) > FREQUENCY_RTOL * np.max(np.abs(nu)))
-        counts = np.diff(starts, append=nu.size)
-        object.__setattr__(self, "frequencies", np.add.reduceat(nu, starts) / counts)
-        object.__setattr__(self, "matrices", np.add.reduceat(mats, starts, axis=0))
+        if starts.size < nu.size:
+            counts = np.diff(starts, append=nu.size)
+            nu, mats = np.add.reduceat(nu, starts) / counts, np.add.reduceat(mats, starts, axis=0)
+        object.__setattr__(self, "frequencies", nu)
+        object.__setattr__(self, "matrices", mats)
 
     def __call__(self, t) -> np.ndarray:
         """``O(t)``; an array of times of shape ``S`` gives the stack ``S + (d, d)``."""
@@ -285,8 +289,16 @@ class MasterEquation:
         parts += [term.superoperator() for term in self.terms if term.rate != 0.0]
         if self.extra_generator is not None:
             parts.append(Harmonic([0.0], [self.extra_generator]))
+        # the parts are laid out in ascending frequency, each released once
+        # placed, so the harmonic neither copies the stack to sort it nor keeps
+        # the parts beside it
         nus = np.concatenate([p.frequencies for p in parts])
-        return Harmonic(nus, np.concatenate([p.matrices for p in parts]))
+        order = np.argsort(nus, kind="stable")
+        ends = np.cumsum([p.frequencies.size for p in parts])
+        stack = np.empty((nus.size, d * d, d * d), dtype=complex)
+        for slots in np.split(np.argsort(order), ends[:-1]):
+            stack[slots] = parts.pop(0).matrices
+        return Harmonic(nus[order], stack)
 
     @functools.cached_property
     def _real_liouvillian(self) -> _RealGenerator:
@@ -363,6 +375,7 @@ _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 #: most substeps whose exponents are formed together: an interval with more
 #: is taken in blocks, which bounds the memory of one evaluation of ``L``
+#: (and of ``H`` and the stage systems of :func:`frames.schroedinger_evolve`)
 _MAX_BLOCK = 64
 
 #: Taylor degrees ``m`` and their double-precision bounds ``theta_m``: the

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
+import reslab
 from reslab import frames, model, qmath
+from reslab.errors import IntegrationDivergenceError
 from reslab.frames import (
     FrameTransform,
     compare_effective,
@@ -340,15 +347,16 @@ class TestSchroedingerEvolve:
         # the propagator is integrated over one period, or over the whole grid
         # when there is no shorter period; whole periods are matrix powers
         spans = []
-        solve_ivp = scipy.integrate.solve_ivp
+        propagators = frames._propagators
 
-        def recording(fun, t_span, y0, **kwargs):
-            spans.append(t_span)
-            return solve_ivp(fun, t_span, y0, **kwargs)
+        def recording(h, t0, points, substeps):
+            spans.append((points[0], points[-1]))
+            return propagators(h, t0, points, substeps)
 
-        monkeypatch.setattr(frames.scipy.integrate, "solve_ivp", recording)
+        monkeypatch.setattr(frames, "_propagators", recording)
         schroedinger_evolve(*EVOLVE_CASES[case][0]())
-        assert spans == [(0.0, pytest.approx(span, rel=1e-15))]
+        assert len(spans) >= 2  # a coarse and a fine pass
+        assert spans == [(0.0, pytest.approx(span, rel=1e-15))] * len(spans)
 
     def test_shifted_and_reversed_grids(self):
         # psi0 is the state at times[0], whichever way the grid runs
@@ -369,13 +377,82 @@ class TestSchroedingerEvolve:
     def test_comparison_reports_the_period_map(self):
         h, psi0, times = effective_check_case("nonadiabatic")
         comp = compare_effective(h, np.zeros((6, 6)), psi0, times[-1], n_samples=11)
+        achieved = comp.integrator.pop("achieved")
+        assert 0.0 < achieved <= 1e-10
         assert comp.integrator == {
-            "method": "DOP853",
-            "rtol": 1e-10,
-            "atol": 1e-12,
+            "method": "gauss-legendre-4",
+            "tol": 1e-10,
+            "steps": 600,
+            "passes": 2,
             "period": 2.0 * np.pi / 1e6,
             "whole_periods": 3,
         }
         short = compare_effective(h, np.zeros((6, 6)), psi0, 1e-6, n_samples=11)
         assert short.integrator["period"] is None
         assert short.integrator["whole_periods"] == 0
+
+
+def _harmonic_case():
+    """cos(3 t) sigma_x + sigma_z, period 2 pi / 3, and a state."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = Harmonic([3.0, -3.0, 0.0], [0.5 * sigma_x, 0.5 * sigma_x, np.diag([1.0, -1.0])])
+    return h, qmath.normalized([1.0, 0.5 - 0.5j])
+
+
+class TestGaussLegendre:
+    def test_static_hamiltonian_matches_expm(self):
+        rng = np.random.default_rng(8)
+        h = random_hermitian(rng, 4)
+        psi0 = qmath.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+        times = np.linspace(0.0, 3.0, 7)
+        states = schroedinger_evolve(h, psi0, times, tol=1e-13)
+        exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in times])
+        assert np.max(np.abs(states - exact)) <= 1e-12
+
+    def test_one_period_map_is_unitary(self):
+        h, _ = _harmonic_case()
+        points = np.linspace(0.0, h.period, 5)
+        props = frames._propagators(h, 0.4, points, np.full(4, 25))
+        defects = props @ props.conj().transpose(0, 2, 1) - np.eye(2)
+        assert np.max(np.abs(defects)) <= 1e-12
+
+    def test_halving_the_step_gains_order_8(self):
+        h, psi0 = _harmonic_case()
+        points = np.array([0.0, h.period])
+        exact = reference_states(h, psi0, points)[-1]
+        errors = [
+            np.max(np.abs(frames._propagators(h, 0.0, points, np.array([k]))[-1] @ psi0 - exact))
+            for k in (4, 8)
+        ]
+        assert errors[1] > 1e-11  # above the reference's own error
+        assert errors[0] / errors[1] >= 200.0
+
+    def test_exhausted_refinements_raise(self, monkeypatch):
+        # no estimate reaches a tolerance below rounding: the first pass and
+        # twelve doublings run, then the last estimate is reported
+        h, psi0 = _harmonic_case()
+        passes = []
+        propagators = frames._propagators
+
+        def counting(h, t0, points, substeps):
+            passes.append(int(np.sum(substeps)))
+            return propagators(h, t0, points, substeps)
+
+        monkeypatch.setattr(frames, "_propagators", counting)
+        with pytest.raises(IntegrationDivergenceError) as err:
+            schroedinger_evolve(h, psi0, np.linspace(0.0, 0.5, 3), tol=1e-300)
+        assert passes == [passes[0] * 2**k for k in range(13)]
+        assert err.value.target == 1e-300
+        assert err.value.achieved < 1e-12
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # the package integrates nothing with scipy.integrate, so importing it
+    # (setup time and resident memory) must not load that module
+    code = (
+        "import sys; import reslab, reslab.cli, reslab.scenarios; "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    src = str(Path(reslab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
