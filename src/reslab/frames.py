@@ -124,8 +124,8 @@ def _gauss_legendre(stages: int):
 #: the 4-stage Gauss-Legendre tableau of :func:`schroedinger_evolve`'s steps
 _GL_A, _GL_B, _GL_C = _gauss_legendre(4)
 
-#: the order of those steps, which sets the Richardson estimate
-_GL_ORDER = 8
+#: the order of those steps, ``2 stages``, which sets the Richardson estimate
+_GL_ORDER = 2 * _GL_C.size
 
 #: first step count: ``_STEP_SCALE`` steps per radian that the fastest harmonic
 #: plus the summed component norms can turn the state through.  Of 0.3 to 1.0,
@@ -176,10 +176,11 @@ def schroedinger_evolve(
     times,
     *,
     tol: float = 1e-10,
-    return_info: bool = False,
-):
+) -> tuple[np.ndarray, dict]:
     """Integrate ``i dpsi/dt = H(t) psi`` on a time grid; ``psi0`` is the state
-    at ``times[0]``, and the result has shape ``(len(times), dim)``.
+    at ``times[0]``.  Returns ``(states, info)``: the states have shape
+    ``(len(times), dim)``, and ``info`` is the integrator's record (see
+    :class:`EffectiveComparison`).
 
     ``hamiltonian`` is a static matrix or a :class:`Harmonic`.  The
     propagator ``U(t)`` from ``times[0]`` is integrated over one span ``S``:
@@ -194,8 +195,7 @@ def schroedinger_evolve(
     ``max(1, ceil(_STEP_SCALE |dt| (max|nu_k| + sum_k ||A_k||_2)))`` equal
     steps; every count is doubled until the Richardson estimate
     ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is at most
-    ``tol``.  With ``return_info`` the result is ``(states, info)``, ``info``
-    the integrator's record (see :class:`EffectiveComparison`).
+    ``tol``.
 
     Raises
     ------
@@ -229,8 +229,6 @@ def schroedinger_evolve(
         fine = states(substeps)
         achieved = float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
         if achieved <= tol:
-            if not return_info:
-                return fine
             return fine, {
                 "method": "gauss-legendre-4",
                 "tol": tol,
@@ -284,7 +282,7 @@ def compare_effective(
     _check_operator(frame, "frame")
     times = np.linspace(0.0, horizon, n_samples)
     psi0 = qmath.normalized(psi0)
-    full_states, integrator = schroedinger_evolve(full, psi0, times, return_info=True)
+    full_states, integrator = schroedinger_evolve(full, psi0, times)
 
     h_eff = qmath.as_operator(effective)
     w, v = np.linalg.eigh(0.5 * (h_eff + qmath.dag(h_eff)))

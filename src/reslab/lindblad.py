@@ -113,7 +113,10 @@ class Harmonic:
     """Time-dependent operator ``O(t) = sum_k exp(-i nu_k t) A_k`` with static
     ``A_k``.  Frequencies closer than ``FREQUENCY_RTOL`` times the largest
     ``|nu_k|`` are merged, so the stored ones are distinct and ascending.
-    When they are commensurate, ``O`` repeats with :attr:`period`."""
+    When they are commensurate, ``O`` repeats with :attr:`period`.
+
+    Arrays that need no sorting or merging are stored without a copy, so
+    they must not be changed after the harmonic is built."""
 
     frequencies: np.ndarray
     matrices: np.ndarray
@@ -289,16 +292,8 @@ class MasterEquation:
         parts += [term.superoperator() for term in self.terms if term.rate != 0.0]
         if self.extra_generator is not None:
             parts.append(Harmonic([0.0], [self.extra_generator]))
-        # the parts are laid out in ascending frequency, each released once
-        # placed, so the harmonic neither copies the stack to sort it nor keeps
-        # the parts beside it
         nus = np.concatenate([p.frequencies for p in parts])
-        order = np.argsort(nus, kind="stable")
-        ends = np.cumsum([p.frequencies.size for p in parts])
-        stack = np.empty((nus.size, d * d, d * d), dtype=complex)
-        for slots in np.split(np.argsort(order), ends[:-1]):
-            stack[slots] = parts.pop(0).matrices
-        return Harmonic(nus[order], stack)
+        return Harmonic(nus, np.concatenate([p.matrices for p in parts]))
 
     @functools.cached_property
     def _real_liouvillian(self) -> _RealGenerator:

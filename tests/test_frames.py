@@ -320,7 +320,7 @@ class TestSchroedingerEvolve:
     def test_matches_reference(self, case):
         build, bound = EVOLVE_CASES[case]
         h, psi0, times = build()
-        states = schroedinger_evolve(h, psi0, times)
+        states, _ = schroedinger_evolve(h, psi0, times)
         assert np.max(np.abs(states - reference_states(h, psi0, times))) <= bound
 
     def test_effective_check_memory_is_criterion_5_at_chi_0(self):
@@ -365,9 +365,9 @@ class TestSchroedingerEvolve:
         h = Harmonic([3.0, -3.0, 0.0], [0.5 * sigma_x, 0.5 * sigma_x, np.diag([1.0, -1.0])])
         psi0 = qmath.normalized([1.0, 0.5 - 0.5j])
         times = np.linspace(0.3, 0.3 + 2.5 * h.period, 26)
-        forward = schroedinger_evolve(h, psi0, times)
+        forward, _ = schroedinger_evolve(h, psi0, times)
         assert np.max(np.abs(forward - reference_states(h, psi0, times))) < 1e-9
-        backward = schroedinger_evolve(h, forward[-1], times[::-1])
+        backward, _ = schroedinger_evolve(h, forward[-1], times[::-1])
         assert np.max(np.abs(backward[::-1] - forward)) < 1e-9
 
     def test_rejects_an_empty_span(self):
@@ -405,7 +405,7 @@ class TestGaussLegendre:
         h = random_hermitian(rng, 4)
         psi0 = qmath.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
         times = np.linspace(0.0, 3.0, 7)
-        states = schroedinger_evolve(h, psi0, times, tol=1e-13)
+        states, _ = schroedinger_evolve(h, psi0, times, tol=1e-13)
         exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in times])
         assert np.max(np.abs(states - exact)) <= 1e-12
 

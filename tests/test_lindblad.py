@@ -428,7 +428,7 @@ class TestUnitaryHarmonicEvolve:
         for psi0 in ([1.0, 0.0], [1.0, 1.0j], [0.3, -0.8]):
             psi0 = qmath.normalized(psi0)
             traj = evolve(MasterEquation(dim=2, hamiltonian=h), qmath.projector(psi0), times)
-            for s, psi in zip(traj.states, schroedinger_evolve(h, psi0, times)):
+            for s, psi in zip(traj.states, schroedinger_evolve(h, psi0, times)[0]):
                 assert abs(np.trace(s @ s) - 1.0) < 1e-10
                 assert np.max(np.abs(s - qmath.projector(psi))) < 1e-8
 
@@ -443,7 +443,7 @@ class TestUnitaryHarmonicEvolve:
         first = evolve(MasterEquation(dim=2, hamiltonian=h), rho0, [0.0, T / 2]).final
         second = evolve(MasterEquation(dim=2, hamiltonian=shifted(h, T / 2)), first, [0.0, T / 2])
         assert np.max(np.abs(whole - second.final)) < 1e-8
-        psi = schroedinger_evolve(h, qmath.normalized([1.0, 0.5 - 0.5j]), [0.0, T])[-1]
+        psi = schroedinger_evolve(h, qmath.normalized([1.0, 0.5 - 0.5j]), [0.0, T])[0][-1]
         assert np.max(np.abs(whole - qmath.projector(psi))) < 1e-8
 
 

@@ -153,7 +153,7 @@ class TestPhaseRecord:
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 2001)
         h = model.drive_interaction_hamiltonian(p)
-        states = list(schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times))
+        states = list(schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)[0])
         rec = phase_record(states, times, h)
         total_overlap = principal_phase(float(np.angle(np.vdot(states[0], states[-1]))))
         diff = abs(total_overlap - principal_phase(rec.total))
@@ -164,7 +164,7 @@ class TestPhaseRecord:
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 501)
         h = model.drive_interaction_hamiltonian(p)
-        gen = schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)
+        gen, _ = schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)
         for i in range(0, len(times), 100):
             ray = model.protected_state_nonadiabatic(p, times[i])
             assert abs(abs(np.vdot(gen[i], ray)) - 1.0) < 1e-8
