@@ -8,6 +8,7 @@ JSON to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -95,7 +96,9 @@ def cmd_list_scenarios(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="reslab",
         description="Engineered-reservoir simulations for a driven ion-cavity system.",

@@ -195,7 +195,10 @@ def schroedinger_evolve(
     ``max(1, ceil(_STEP_SCALE |dt| (max|nu_k| + sum_k ||A_k||_2)))`` equal
     steps; every count is doubled until the Richardson estimate
     ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is at most
-    ``tol``.
+    ``tol``.  The record's ``achieved`` is that estimate, not a bound on the
+    error, and it can understate a long integration's error: over 12 periods
+    at about 3e5 steps per span it reported 6.8e-13 where the error was
+    1.4e-11.
 
     Raises
     ------
@@ -247,10 +250,11 @@ class EffectiveComparison:
     """Fidelity record of a full-model versus effective-model evolution.
     ``integrator`` is :func:`schroedinger_evolve`'s record of the full-model
     integration: its ``method``, the ``tol`` and the ``achieved`` Richardson
-    estimate it accepted, the accepted pass's ``steps`` over one span, the
-    number of ``passes``, the ``period`` it advanced by (None when the full
-    Hamiltonian has none shorter than the horizon) and the ``whole_periods``
-    it advanced."""
+    estimate it accepted (an estimate of the error, not a bound: see
+    :func:`schroedinger_evolve`), the accepted pass's ``steps`` over one
+    span, the number of ``passes``, the ``period`` it advanced by (None when
+    the full Hamiltonian has none shorter than the horizon) and the
+    ``whole_periods`` it advanced."""
 
     time_grid: np.ndarray
     fidelity_series: np.ndarray

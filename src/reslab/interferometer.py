@@ -96,15 +96,14 @@ def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     traj = evolve(me, qmath.projector(psi0), times)
 
-    rho = np.array(traj.states)
-    rho_aa, pop_up, pop_down = (rho[:, i, i].real for i in range(3))
+    rho_aa, pop_up, pop_down = (traj.states[:, i, i].real for i in range(3))
     conservation = float(np.max(np.abs(rho_aa + pop_up + pop_down - 1.0)))
 
     # reference ray mapped back into the frame of the simulation: (R(t) W)^dag ref(t)
     w = model.dressed_basis_matrix(p, "nonadiabatic")
     rw = model.nonadiabatic_frame(p).rotation.map(lambda u: u @ w)(times)
     refs = np.einsum("nji,nj->ni", rw.conj(), model.protected_state_dressed_gauge(p, times))
-    coherence = np.einsum("ni,ni->n", refs.conj(), rho[:, 1:, 0])
+    coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 
     phase = -np.unwrap(np.angle(coherence))
     slope = float(np.polyfit(times, phase, 1)[0])

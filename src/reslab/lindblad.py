@@ -324,12 +324,12 @@ class MasterEquation:
 
 @dataclass
 class Trajectory:
-    """Time-indexed density matrices, with integrator refinement stats:
-    ``achieved`` is the last ``|fine - coarse|`` of the final state, accepted
-    against ``tol``."""
+    """Density matrices at ``times``, one ``(N, d, d)`` array, with integrator
+    refinement stats: ``achieved`` is the last ``|fine - coarse|`` of the final
+    state, accepted against ``tol``."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     substeps: np.ndarray | None = None
     refinements: int = 0
     achieved: float = 0.0
@@ -418,34 +418,37 @@ def _magnus_exponents(L, t: float, h: float, steps: np.ndarray) -> np.ndarray:
     return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
 
 
-def _integrate(me: MasterEquation, rho0, times, substeps) -> list:
-    """States at ``times``, each interval ``i`` taken in ``substeps[i]`` Magnus steps."""
+def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
+    """States at ``times`` as an ``(N, d, d)`` stack, each interval ``i`` taken
+    in ``substeps[i]`` Magnus steps."""
     L = me.liouvillian
-    states = [np.array(rho0, dtype=complex)]
+    out = np.empty((times.size, me.dim**2), dtype=complex)  # one vec(rho) per row
+    out[0] = vec(rho0)
     if not np.any(L.frequencies):
-        v = vec(rho0)
+        dts = np.diff(times)
+        # interval lengths equal up to rounding (a linspace grid) share one map
+        keys = zip(np.rint(dts / times[-1] * 1e12).tolist(), substeps.tolist())
         cache: dict = {}
-        for dt, k in zip(np.diff(times), substeps):
-            # interval lengths equal up to rounding (a linspace grid) share one map
-            key = (round(dt / times[-1] * 1e12), k)
-            M = cache.get(key)
+        for i, (key, k) in enumerate(keys):
+            M = cache.get((key, k))
             if M is None:
-                M = np.linalg.matrix_power(scipy.linalg.expm(dt / k * L.matrices[0]), k)
-                cache[key] = M
-            v = M @ v
-            states.append(unvec(v, me.dim))
-        return states
-    R = me._real_liouvillian
-    # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
-    x = (R.basis @ vec(rho0)).real
-    xs = []
-    for t, dt, k in zip(times, np.diff(times), substeps):
-        h = dt / k
-        for j in range(0, k, _MAX_BLOCK):
-            steps = np.arange(j, min(j + _MAX_BLOCK, k))
-            x = _exp_action(_magnus_exponents(R, t, h, steps), x)
-        xs.append(x)
-    return states + [unvec(v, me.dim) for v in np.array(xs) @ R.basis.conj()]
+                M = np.linalg.matrix_power(scipy.linalg.expm(dts[i] / k * L.matrices[0]), k)
+                cache[key, k] = M
+            np.matmul(M, out[i], out=out[i + 1])
+    else:
+        R = me._real_liouvillian
+        # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
+        x = (R.basis @ out[0]).real
+        xs = []
+        for t, dt, k in zip(times, np.diff(times), substeps):
+            h = dt / k
+            for j in range(0, k, _MAX_BLOCK):
+                steps = np.arange(j, min(j + _MAX_BLOCK, k))
+                x = _exp_action(_magnus_exponents(R, t, h, steps), x)
+            xs.append(x)
+        out[1:] = np.array(xs) @ R.basis.conj()
+    # a row vec(rho) read in C order is rho transposed
+    return out.reshape(-1, me.dim, me.dim).transpose(0, 2, 1)
 
 
 def evolve(
@@ -487,7 +490,7 @@ def evolve(
     if defects["trace_deviation"] > 1e-9 or defects["hermiticity_defect"] > 1e-10:
         raise ValueError(f"rho0 is not a valid density matrix: {defects}")
     if times.size == 1:
-        return Trajectory(times, [rho0.copy()], tol=tol)
+        return Trajectory(times, rho0[None].copy(), tol=tol)
 
     fastest = float(np.max(np.abs(me.liouvillian.frequencies)))
     substeps = np.maximum(1, np.ceil(fastest * np.diff(times) / 2.0).astype(int))
@@ -498,7 +501,7 @@ def evolve(
         substeps = substeps * 2
         fine = _integrate(me, rho0, times, substeps)
         achieved = float(np.linalg.norm(fine[-1] - coarse[-1]))
-        drift = max(abs(np.trace(s) - np.trace(rho0)) for s in fine)
+        drift = float(np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))))
         if achieved <= tol and drift <= trace_tol:
             return Trajectory(
                 times, fine, substeps, refinements=refinement + 1, achieved=achieved, tol=tol

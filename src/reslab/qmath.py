@@ -55,8 +55,8 @@ def as_ket(psi) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.conj(a).T
+    """Hermitian adjoint; of each matrix of a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def projector(psi) -> np.ndarray:
@@ -98,22 +98,26 @@ def fock_annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
 
 
-def fidelity(rho, psi, *, atol: float = 1e-10) -> float:
-    """Overlap ``<psi|rho|psi>`` between a state and a pure target.
+def fidelity(rho, psi, *, atol: float = 1e-10):
+    """Overlap ``<psi|rho|psi>`` between a state and a pure target; a stack of
+    states ``(N, d, d)`` gives an ``(N,)`` array.
 
-    ``psi`` must be normalized; the result is real within ``atol`` and is
-    returned as a float.
+    ``psi`` must be normalized; every overlap must be real within ``atol``.
+    A single state gives a float.
     """
-    r = as_operator(rho)
+    r = np.asarray(rho, dtype=complex)
     v = as_ket(psi)
-    if r.shape[0] != v.size:
-        raise DimensionMismatchError(f"state dim {v.size} != operator dim {r.shape[0]}")
+    if r.ndim not in (2, 3) or r.shape[-2:] != (v.size, v.size):
+        raise DimensionMismatchError(f"state dim {v.size} does not match operator shape {r.shape}")
     if abs(np.linalg.norm(v) - 1.0) > atol:
         raise ValueError("target ket is not normalized")
-    val = complex(v.conj() @ r @ v)
-    if abs(val.imag) > atol * max(1.0, abs(val.real)):
-        raise ValueError(f"fidelity has a non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
+    # (1, d) @ (d, 1) per state: a stacked (N, d) @ (d,) would round differently
+    val = ((v.conj() @ r)[..., None, :] @ v[:, None])[..., 0, 0]
+    bad = np.abs(val.imag) > atol * np.maximum(1.0, np.abs(val.real))
+    if np.any(bad):
+        imag = np.extract(bad, val.imag)[0]
+        raise ValueError(f"fidelity has a non-negligible imaginary part {imag:.3e}")
+    return float(val.real) if r.ndim == 2 else val.real
 
 
 def bloch_vector(rho, basis, *, atol: float = 1e-8) -> np.ndarray:
@@ -135,10 +139,15 @@ def bloch_vector(rho, basis, *, atol: float = 1e-8) -> np.ndarray:
     return np.stack([2.0 * r01.real, -2.0 * r01.imag, (r00 - r11).real], axis=-1)
 
 
-def trace_distance(a, b) -> float:
-    """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian matrices."""
-    d = as_operator(a) - as_operator(b)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + dag(d))))))
+def trace_distance(a, b):
+    """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian matrices, or
+    between two equal-shape stacks of them, matrix by matrix."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"operator shapes {a.shape} and {b.shape}")
+    d = a - b
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + dag(d)))), axis=-1)
+    return float(dist) if d.ndim == 2 else dist
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -147,21 +156,22 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     Parameters
     ----------
     rho : array_like
-        Density matrix on the product space ``dims[0] * dims[1]``.
+        Density matrix on the product space ``dims[0] * dims[1]``, or a stack
+        ``(N, d, d)`` of them.
     dims : (int, int)
         Subsystem dimensions, ordered as in the tensor product.
     keep : int
         Index (0 or 1) of the subsystem to keep.
     """
-    r = as_operator(rho)
+    r = np.asarray(rho, dtype=complex)
     d0, d1 = dims
-    if r.shape[0] != d0 * d1:
-        raise DimensionMismatchError(f"dims {dims} do not factor dimension {r.shape[0]}")
-    t = r.reshape(d0, d1, d0, d1)
+    if r.ndim not in (2, 3) or r.shape[-2:] != (d0 * d1, d0 * d1):
+        raise DimensionMismatchError(f"dims {dims} do not factor operator shape {r.shape}")
+    t = r.reshape(*r.shape[:-2], d0, d1, d0, d1)
     if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
+        return np.trace(t, axis1=-3, axis2=-1)
     if keep == 1:
-        return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-4, axis2=-2)
     raise ValueError("keep must be 0 or 1")
 
 

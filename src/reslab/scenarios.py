@@ -372,17 +372,9 @@ def _run_nonadiabatic(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         "include_gamma": include_gamma,
     }
     header = ["t", "rho_uu", "rho_dd", "re_rho_ud", "im_rho_ud", "fidelity_up"]
-    rows = [
-        [
-            t,
-            float(np.real(s[0, 0])),
-            float(np.real(s[1, 1])),
-            float(np.real(s[0, 1])),
-            float(np.imag(s[0, 1])),
-            qmath.fidelity(s, up),
-        ]
-        for t, s in zip(times, traj.states)
-    ]
+    s = traj.states
+    columns = [s[:, 0, 0].real, s[:, 1, 1].real, s[:, 0, 1].real, s[:, 0, 1].imag]
+    rows = np.column_stack([times, *columns, qmath.fidelity(s, up)]).tolist()
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -414,18 +406,9 @@ def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         },
     }
     header = ["t", "rho_pp", "rho_mm", "fidelity_plus", "bloch_x", "bloch_y", "bloch_z"]
-    rows = [
-        [
-            t,
-            float(np.real(s[0, 0])),
-            float(np.real(s[1, 1])),
-            qmath.fidelity(s, plus),
-            b[1],
-            b[2],
-            b[3],
-        ]
-        for t, s, b in zip(times, traj.states, bloch)
-    ]
+    s = traj.states
+    columns = [s[:, 0, 0].real, s[:, 1, 1].real, qmath.fidelity(s, plus), bloch[:, 1:]]
+    rows = np.column_stack([times, *columns]).tolist()
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -449,18 +432,8 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         "include_tl_decay": cfg.include_tl_decay,
     }
     header = ["t", "rho_aa", "pop_up", "pop_down", "abs_coherence", "phase", "reference_pea"]
-    rows = [
-        [t, a, u, d, float(np.abs(c)), ph, ref]
-        for t, a, u, d, c, ph, ref in zip(
-            res.times,
-            res.rho_aa,
-            res.population_up,
-            res.population_down,
-            res.coherence,
-            res.phase,
-            res.reference_series,
-        )
-    ]
+    columns = [res.rho_aa, res.population_up, res.population_down, np.abs(res.coherence)]
+    rows = np.column_stack([res.times, *columns, res.phase, res.reference_series]).tolist()
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(res.trajectory))
 
 
@@ -491,7 +464,7 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     if branch == "memory":
         derived["chi"] = sc.options.get("chi", 0.0)
     header = ["t", "fidelity"]
-    rows = [[t, f] for t, f in zip(comp.time_grid, comp.fidelity_series)]
+    rows = np.column_stack([comp.time_grid, comp.fidelity_series]).tolist()
     return _result(sc, p, derived, header, rows, integrator=comp.integrator)
 
 
@@ -511,12 +484,8 @@ def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult
         np.diag([0.0, 1.0 + 0j]),
         times,
     )
-    dists = np.array(
-        [
-            qmath.trace_distance(qmath.partial_trace(sf, (2, n_f), 0), sr)
-            for sf, sr in zip(full.states, reduced.states)
-        ]
-    )
+    full_tl = qmath.partial_trace(full.states, (2, n_f), 0)
+    dists = qmath.trace_distance(full_tl, reduced.states)
     transient = 5.0 / p.Gamma
     after = times >= transient
     derived = {
@@ -529,15 +498,8 @@ def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult
         "max_trace_distance": float(np.max(dists)),
     }
     header = ["t", "trace_distance", "rho_uu_full", "rho_uu_reduced"]
-    rows = [
-        [
-            t,
-            d,
-            float(np.real(qmath.partial_trace(sf, (2, n_f), 0)[0, 0])),
-            float(np.real(sr[0, 0])),
-        ]
-        for t, d, sf, sr in zip(times, dists, full.states, reduced.states)
-    ]
+    uu = [full_tl[:, 0, 0].real, reduced.states[:, 0, 0].real]
+    rows = np.column_stack([times, dists, *uu]).tolist()
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(full))
 
 

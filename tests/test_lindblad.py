@@ -315,6 +315,48 @@ class TestEvolve:
             exact = expm(times[i] * L) @ vec(rho0)
             assert np.max(np.abs(vec(traj.states[i]) - exact)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0.0, 1.3, 41), np.array([0.0, 0.2, 0.4, 0.6, 1.1, 1.6, 2.1])],
+        ids=["linspace", "two-interval-lengths"],
+    )
+    def test_static_states_are_one_stack(self, times, monkeypatch):
+        built = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        rng = np.random.default_rng(13)
+        me = random_master_equation(rng, 3)
+        rho0 = random_density(rng, 3)
+        traj = evolve(me, rho0, times)
+        assert isinstance(traj.states, np.ndarray) and traj.states.shape == (times.size, 3, 3)
+        # one map per distinct interval length and pass (coarse and fine)
+        assert len(built) == 2 * len(set(np.round(np.diff(times), 12)))
+        # the intervals applied one after another, each by its own exponential
+        L = me.liouvillian.matrices[0]
+        v = rho0.flatten(order="F")
+        expected = [rho0]
+        for dt, k in zip(np.diff(times), traj.substeps):
+            v = np.linalg.matrix_power(expm(dt / k * L), k) @ v
+            expected.append(v.reshape(3, 3, order="F"))
+        assert np.max(np.abs(traj.states - np.array(expected))) < 1e-13
+        assert np.array_equal(traj.states[0], rho0) and np.array_equal(traj.final, traj.states[-1])
+
+    def test_harmonic_states_are_one_stack(self):
+        me = random_harmonic_master_equation(np.random.default_rng(14), 2, 2.3, 1.1, 0.4)
+        rho0 = random_density(np.random.default_rng(15), 2)
+        traj = evolve(me, rho0, np.linspace(0.0, 1.0, 5))
+        assert isinstance(traj.states, np.ndarray) and traj.states.shape == (5, 2, 2)
+        assert np.array_equal(traj.states[0], rho0)
+
+    def test_trace_breaking_generator_fails_the_drift_check(self):
+        # a converged trajectory whose trace decays as exp(-0.1 t) is still rejected
+        me = MasterEquation(dim=2, extra_generator=-0.1 * np.eye(4))
+        with pytest.raises(IntegrationDivergenceError) as raised:
+            evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11))
+        assert raised.value.achieved <= 1e-8  # the states converged; the trace did not hold
+        drift_free = MasterEquation(dim=2, extra_generator=np.zeros((4, 4)))
+        assert evolve(drift_free, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11)).refinements == 1
+
     def test_magnus_step_is_fourth_order(self):
         me = random_harmonic_master_equation(np.random.default_rng(10), 3, 1.7, 2.9, 0.8)
         rho0 = random_density(np.random.default_rng(11), 3)

@@ -134,6 +134,89 @@ class TestBloch:
         assert np.max(np.abs(stacked - singles)) < 1e-15
 
 
+def fidelity_of_one(rho, psi):
+    # the single-matrix formulas the stacked helpers must reproduce bit for bit
+    return float(complex(psi.conj() @ rho @ psi).real)
+
+
+def trace_distance_of_one(a, b):
+    d = a - b
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T)))))
+
+
+def partial_trace_of_one(rho, dims, keep):
+    t = rho.reshape(dims[0], dims[1], dims[0], dims[1])
+    return np.trace(t, axis1=1, axis2=3) if keep == 0 else np.trace(t, axis1=0, axis2=2)
+
+
+class TestStacks:
+    """``fidelity``, ``trace_distance`` and ``partial_trace`` on ``(N, d, d)``
+    stacks, in C order and in the per-matrix column order ``evolve`` returns."""
+
+    @staticmethod
+    def stack(rng, dim, n=9, column_order=False):
+        rhos = np.array([random_density(rng, dim) for _ in range(n)])
+        if column_order:  # each matrix in column order, as evolve returns them
+            return np.ascontiguousarray(rhos.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return rhos
+
+    @pytest.mark.parametrize("column_order", [False, True])
+    def test_match_per_matrix_formulas(self, column_order):
+        rng = np.random.default_rng(21)
+        for dim in (2, 3):
+            rhos, others = (self.stack(rng, dim, column_order=column_order) for _ in range(2))
+            psi = random_ket(rng, dim)
+            assert qmath.fidelity(rhos, psi).tolist() == [fidelity_of_one(r, psi) for r in rhos]
+            assert qmath.trace_distance(rhos, others).tolist() == [
+                trace_distance_of_one(a, b) for a, b in zip(rhos, others)
+            ]
+        joint = self.stack(rng, 6, column_order=column_order)
+        for keep in (0, 1):
+            stacked = qmath.partial_trace(joint, (2, 3), keep)
+            singles = np.array([partial_trace_of_one(r, (2, 3), keep) for r in joint])
+            assert stacked.shape == singles.shape and np.array_equal(stacked, singles)
+
+    def test_single_matrix_gives_a_float(self):
+        rng = np.random.default_rng(22)
+        rho, other, psi = random_density(rng, 3), random_density(rng, 3), random_ket(rng, 3)
+        assert type(qmath.fidelity(rho, psi)) is float
+        assert qmath.fidelity(rho, psi) == fidelity_of_one(rho, psi)
+        assert type(qmath.trace_distance(rho, other)) is float
+        assert qmath.trace_distance(rho, other) == trace_distance_of_one(rho, other)
+
+    def test_rejects_unnormalized_target(self):
+        rhos = self.stack(np.random.default_rng(23), 2)
+        with pytest.raises(ValueError, match="normalized"):
+            qmath.fidelity(rhos, [1.0, 1.0])
+
+    @pytest.mark.parametrize("index", [0, 4, 8])
+    def test_rejects_an_imaginary_part_on_any_one_state(self, index):
+        rhos = self.stack(np.random.default_rng(24), 2)
+        psi = qmath.basis_ket(2, 0)
+        assert np.all(np.isfinite(qmath.fidelity(rhos, psi)))
+        rhos[index, 0, 0] += 1e-6j
+        with pytest.raises(ValueError, match="imaginary part 1.000e-06"):
+            qmath.fidelity(rhos, psi)
+
+    def test_rejects_shape_mismatches(self):
+        rng = np.random.default_rng(25)
+        rhos = self.stack(rng, 3)
+        with pytest.raises(DimensionMismatchError):
+            qmath.fidelity(rhos, qmath.basis_ket(2, 0))
+        with pytest.raises(DimensionMismatchError):
+            qmath.fidelity(rhos[:, :, :2], qmath.basis_ket(3, 0))
+        with pytest.raises(DimensionMismatchError):
+            qmath.trace_distance(rhos, rhos[:-1])
+        with pytest.raises(DimensionMismatchError):
+            qmath.trace_distance(rhos, self.stack(rng, 2))
+        with pytest.raises(DimensionMismatchError):
+            qmath.trace_distance(rhos, rhos[0])
+        with pytest.raises(DimensionMismatchError):
+            qmath.partial_trace(rhos, (2, 2), 0)
+        with pytest.raises(DimensionMismatchError):
+            qmath.partial_trace(rhos[:, :, :2], (3, 1), 0)
+
+
 class TestStateUtilities:
     def test_partial_trace(self):
         rng = np.random.default_rng(9)

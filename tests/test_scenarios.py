@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reslab import cli, model, scenarios
+from reslab import cli, model, qmath, scenarios
 from reslab.errors import ConfigError
 from reslab.scenarios import (
     SCENARIOS,
@@ -288,6 +288,67 @@ class TestRunScenario:
         assert sizes == [2, 2]
 
 
+class TestSeriesRows:
+    """At their defaults, the scenarios' rows equal the per-sample formulas
+    they were built by before the states became one stack."""
+
+    @staticmethod
+    def run_recording(monkeypatch, name):
+        trajectories = []
+        evolve = scenarios.evolve
+
+        def recording(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(scenarios, "evolve", recording)
+        return run_scenario(Scenario(name=name)), trajectories
+
+    def test_nonadiabatic(self, monkeypatch):
+        result, (traj,) = self.run_recording(monkeypatch, "nonadiabatic")
+        up = qmath.basis_ket(2, 0)
+        expected = [
+            [
+                t,
+                float(np.real(s[0, 0])),
+                float(np.real(s[1, 1])),
+                float(np.real(s[0, 1])),
+                float(np.imag(s[0, 1])),
+                qmath.fidelity(s, up),
+            ]
+            for t, s in zip(traj.times, traj.states)
+        ]
+        assert len(expected) == 401 and result.series_rows == expected
+
+    def test_memory(self, monkeypatch):
+        result, (traj,) = self.run_recording(monkeypatch, "memory")
+        p = resolve_params(Scenario(name="memory"))
+        times = traj.times
+        bloch = scenarios.export_bloch_path(
+            model.protected_state_memory(p, times), times, (model.ket_e(), model.ket_g())
+        )
+        plus = qmath.basis_ket(2, 0)
+        expected = [
+            [t, float(np.real(s[0, 0])), float(np.real(s[1, 1])), qmath.fidelity(s, plus), b[1], b[2], b[3]]
+            for t, s, b in zip(times, traj.states, bloch)
+        ]
+        assert len(expected) == 401 and result.series_rows == expected
+
+    def test_elimination_check(self, monkeypatch):
+        result, (full, reduced) = self.run_recording(monkeypatch, "elimination-check")
+        n_f = resolve_params(Scenario(name="elimination-check")).n_max + 1
+        expected = [
+            [
+                t,
+                qmath.trace_distance(qmath.partial_trace(sf, (2, n_f), 0), sr),
+                float(np.real(qmath.partial_trace(sf, (2, n_f), 0)[0, 0])),
+                float(np.real(sr[0, 0])),
+            ]
+            for t, sf, sr in zip(full.times, full.states, reduced.states)
+        ]
+        assert len(expected) == 201 and result.series_rows == expected
+
+
 class TestCli:
     def write(self, tmp_path, doc):
         f = tmp_path / "config.json"
@@ -442,6 +503,27 @@ class TestCli:
         assert payload["error"]["type"] == "RegimeError"
         assert payload["error"]["message"].count("constraints") == 1
         assert not (tmp_path / "runs").exists()
+
+    def test_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+        # main parses with one parser per process; every call starts from its defaults
+        assert cli.build_parser() is cli.build_parser()
+        cfg = self.write(tmp_path, {"name": "nonadiabatic", "grid": {"n_samples": 50}})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["validate", cfg]) == 0
+        validated = capsys.readouterr().out
+        assert json.loads(validated)["valid"]
+        assert cli.main(["run", cfg, "--out", "verbose-runs", "--verbose"]) == 0
+        derived, ran = capsys.readouterr().out.strip().splitlines()
+        verbose_dir = Path(json.loads(ran)["out_dir"])
+        assert verbose_dir.parts[:2] == ("verbose-runs", "nonadiabatic")
+        summary = json.loads((verbose_dir / "summary.json").read_text())
+        assert json.loads(derived) == summary["derived"]
+        assert cli.main(["run", cfg]) == 0
+        (ran,) = capsys.readouterr().out.strip().splitlines()  # no --verbose carried over
+        assert json.loads(ran)["scenario"] == "nonadiabatic"
+        assert Path(json.loads(ran)["out_dir"]).parts[:2] == ("runs", "nonadiabatic")
+        assert cli.main(["validate", cfg]) == 0
+        assert capsys.readouterr().out == validated
 
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
