@@ -13,13 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    IntegrationDivergenceError,
-    RegimeError,
-    SimulationError,
-    SteadyStateError,
-)
+from .errors import ConfigError, RegimeError, SimulationError
 from . import model
 from .scenarios import SCENARIOS, _branch_for, _points, parse_config, resolve_params, run_scenario
 
@@ -55,8 +49,6 @@ def _classify(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, RegimeError):
         return EXIT_REGIME
-    if isinstance(exc, (IntegrationDivergenceError, SteadyStateError)):
-        return EXIT_NUMERICAL
     if isinstance(exc, SimulationError):
         return EXIT_NUMERICAL
     raise exc

@@ -24,6 +24,8 @@ unitary 4-stage Gauss-Legendre collocation maps, one small linear solve
 per step for this linear equation, formed in batches from one evaluation
 of ``H`` on all their stage times; halving every step until the Richardson
 estimate of the error meets the tolerance makes the accuracy explicit.
+The halving is :func:`lindblad._refine`, the loop that
+:func:`~reslab.lindblad.evolve` uses too.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .errors import IntegrationDivergenceError
 from .lindblad import _MAX_BLOCK, Harmonic, LindbladTerm, _as_harmonic, _check_operator
+from .lindblad import _refine, _time_grid
 
 __all__ = [
     "FrameTransform",
@@ -133,9 +135,6 @@ _GL_ORDER = 2 * _GL_C.size
 #: them accepted at the first doubling; smaller values need a third pass
 _STEP_SCALE = 0.75
 
-#: most doublings of the step counts before the integration gives up
-_MAX_REFINEMENTS = 12
-
 
 def _step_maps(h: Harmonic, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The Gauss-Legendre one-step maps of ``Y' = -i H(t) Y`` from ``Y = I``
@@ -193,18 +192,18 @@ def schroedinger_evolve(
     Integration, 2nd ed. (2006), II.1 and IV.2), kept at the points
     ``t mod S``.  The interval ``dt`` between two of them starts at
     ``max(1, ceil(_STEP_SCALE |dt| (max|nu_k| + sum_k ||A_k||_2)))`` equal
-    steps; every count is doubled until the Richardson estimate
-    ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is at most
-    ``tol``.  The record's ``achieved`` is that estimate, not a bound on the
-    error, and it can understate a long integration's error: over 12 periods
-    at about 3e5 steps per span it reported 6.8e-13 where the error was
-    1.4e-11.
+    steps; :func:`lindblad._refine` doubles every count until the Richardson
+    estimate ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is
+    at most ``tol``.  The record's ``achieved`` is that estimate, not a bound
+    on the error, and it can understate a long integration's error: over 12
+    periods at about 3e5 steps per span it reported 6.8e-13 where the error
+    was 1.4e-11.
 
     Raises
     ------
     IntegrationDivergenceError
-        If ``_MAX_REFINEMENTS`` doublings do not reach ``tol``; carries the
-        last estimate.
+        If ``lindblad._MAX_REFINEMENTS`` doublings do not reach ``tol``;
+        carries the last estimate.
     """
     _check_operator(hamiltonian, "hamiltonian")
     h = _as_harmonic(hamiltonian)
@@ -218,31 +217,26 @@ def schroedinger_evolve(
     rate = np.max(np.abs(h.frequencies)) + np.sum(np.linalg.norm(h.matrices, 2, axis=(1, 2)))
     substeps = np.maximum(1, np.ceil(_STEP_SCALE * np.abs(np.diff(points)) * rate)).astype(int)
 
-    def states(counts):
+    def run(counts):
         props = _propagators(h, t0, points, counts)
         kets = [psi0]  # U(S)^n psi0
         for _ in range(np.max(whole)):
             kets.append(props[where[-1]] @ kets[-1])
         return np.einsum("nij,nj->ni", props[where[:-1]], np.asarray(kets)[whole])
 
-    coarse = states(substeps)
-    achieved = math.inf
-    for refinement in range(_MAX_REFINEMENTS):
-        substeps = substeps * 2
-        fine = states(substeps)
-        achieved = float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
-        if achieved <= tol:
-            return fine, {
-                "method": "gauss-legendre-4",
-                "tol": tol,
-                "achieved": achieved,
-                "steps": int(np.sum(substeps)),
-                "passes": refinement + 2,
-                "period": abs(span) if np.max(whole) > 0 else None,
-                "whole_periods": int(np.max(whole)),
-            }
-        coarse = fine
-    raise IntegrationDivergenceError(achieved, tol)
+    def richardson(fine, coarse):
+        return float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
+
+    states, substeps, passes, achieved = _refine(run, substeps, richardson, tol)
+    return states, {
+        "method": "gauss-legendre-4",
+        "tol": tol,
+        "achieved": achieved,
+        "steps": int(np.sum(substeps)),
+        "passes": passes,
+        "period": abs(span) if np.max(whole) > 0 else None,
+        "whole_periods": int(np.max(whole)),
+    }
 
 
 @dataclass(frozen=True)
@@ -252,8 +246,9 @@ class EffectiveComparison:
     integration: its ``method``, the ``tol`` and the ``achieved`` Richardson
     estimate it accepted (an estimate of the error, not a bound: see
     :func:`schroedinger_evolve`), the accepted pass's ``steps`` over one
-    span, the number of ``passes``, the ``period`` it advanced by (None when
-    the full Hamiltonian has none shorter than the horizon) and the
+    span, the number of ``passes`` (:func:`lindblad._refine`'s first pass and
+    its doublings), the ``period`` it advanced by (None when the full
+    Hamiltonian has none shorter than the time grid) and the
     ``whole_periods`` it advanced."""
 
     time_grid: np.ndarray
@@ -266,16 +261,11 @@ class EffectiveComparison:
 
 
 def compare_effective(
-    full,
-    effective,
-    psi0,
-    horizon: float,
-    *,
-    n_samples: int = 201,
-    frame: Harmonic | None = None,
+    full, effective, psi0, times, *, frame: Harmonic | None = None
 ) -> EffectiveComparison:
     """Evolve ``psi0`` under a full (possibly time-dependent) Hamiltonian and
-    under a static effective one and record ``|<psi_full|psi_eff>|^2``.
+    under a static effective one and record ``|<psi_full|psi_eff>|^2`` on the
+    grid ``times``, which must start at 0 and increase strictly.
 
     ``psi0`` is given in full-frame coordinates.  ``frame`` is the unitary
     ``R(t)`` (a :class:`Harmonic` or a static matrix) that maps
@@ -284,7 +274,7 @@ def compare_effective(
     ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``.
     """
     _check_operator(frame, "frame")
-    times = np.linspace(0.0, horizon, n_samples)
+    times = _time_grid(times)
     psi0 = qmath.normalized(psi0)
     full_states, integrator = schroedinger_evolve(full, psi0, times)
 

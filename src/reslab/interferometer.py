@@ -12,11 +12,15 @@ The closed-form population-inversion reference
 that rate; both quantities and their factor-two relation are reported
 without asserting a particular pulse sequence that would map one onto
 the other.
+
+The caller passes the time grid, which :func:`~reslab.lindblad.evolve`
+checks; the ``interferometer`` scenario's default spans three half-cycles,
+``3 pi / omega1``, in 601 samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +28,10 @@ from . import model, qmath
 from .lindblad import LindbladTerm, MasterEquation, Trajectory, evolve
 
 __all__ = [
-    "ThreeLevelConfig",
     "InterferometerResult",
     "run_interferometer",
     "population_inversion_reference",
 ]
-
-
-@dataclass(frozen=True)
-class ThreeLevelConfig:
-    """Interferometer run configuration.
-
-    ``include_tl_decay`` adds the spontaneous-emission channel of the
-    two-level system (off by default: within one cycle its contribution
-    is small, and that smallness is checked by the tests rather than
-    assumed).
-    """
-
-    params: model.ModelParams = field(default_factory=model.ModelParams)
-    include_tl_decay: bool = False
-    t_end: float | None = None
-    n_samples: int = 601
 
 
 @dataclass
@@ -69,24 +56,27 @@ def population_inversion_reference(omega1: float, omega2: float, t) -> np.ndarra
     return np.cos((2.0 * omega1 + omega2) * np.asarray(t, dtype=float)) / 2.0
 
 
-def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
-    """Integrate the three-level master equation and extract the phase.
+def run_interferometer(
+    p: model.ModelParams, times, *, include_tl_decay: bool = False
+) -> InterferometerResult:
+    """Integrate the three-level master equation over ``times`` and extract
+    the phase.
 
     The initial state is the equal superposition of the reference level
     and the protected state.  The engineered reservoir enters as the
     static jump ``|up><down|`` (zero on the auxiliary level); the
     extracted phase is ``-arg <ref(t)|rho(t)|a>`` unwrapped, with the
     reference being the protected trajectory in the drive-dressed gauge.
+    ``include_tl_decay`` adds the spontaneous-emission channel of the
+    two-level system (off by default: within one cycle its contribution
+    is small, and that smallness is checked by the tests rather than
+    assumed).
     """
-    p = cfg.params
-    t_end = cfg.t_end if cfg.t_end is not None else 3.0 * np.pi / p.omega1
-    times = np.linspace(0.0, t_end, cfg.n_samples)
-
     jump = np.zeros((3, 3), dtype=complex)
     jump[1, 2] = 1.0  # |up><down|, auxiliary row and column identically zero
     terms = [LindbladTerm(rate=model.engineered_rate(p, "nonadiabatic"), operator=jump, factor=0.5)]
 
-    if cfg.include_tl_decay:
+    if include_tl_decay:
         decay = model.dressed_decay_jump(p, "nonadiabatic")
         # auxiliary row and column identically zero
         decay = decay.map(lambda o: np.pad(o, ((1, 0), (1, 0))))
@@ -95,6 +85,7 @@ def run_interferometer(cfg: ThreeLevelConfig) -> InterferometerResult:
     me = MasterEquation(dim=3, hamiltonian=None, terms=tuple(terms))
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     traj = evolve(me, qmath.projector(psi0), times)
+    times = traj.times
 
     rho_aa, pop_up, pop_down = (traj.states[:, i, i].real for i in range(3))
     conservation = float(np.max(np.abs(rho_aa + pop_up + pop_down - 1.0)))

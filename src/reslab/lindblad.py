@@ -32,11 +32,13 @@ fourth-order Magnus exponent
 The static part of ``L`` is thereby handled exactly, so the step is set
 only by the oscillating harmonics: the first count spans at most about
 2 rad of the fastest one, and it is doubled until halving the step moves
-the final state by at most ``tol``.  The steps run in the real coordinates
-``x = B vec(rho)`` of an orthonormal Hermitian operator basis (the
-coherence vector), where a Hermiticity-preserving ``L`` is a real matrix
-``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``, built once per
-master equation; the states map back by ``B^dag`` at the output times.
+the final state by at most ``tol`` (the step-doubling loop :func:`_refine`,
+which :func:`frames.schroedinger_evolve` shares).  The steps run in the
+real coordinates ``x = B vec(rho)`` of an orthonormal Hermitian operator
+basis (the coherence vector), where a Hermiticity-preserving ``L`` is a
+real matrix ``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``,
+built once per master equation; the states map back by ``B^dag`` at the
+output times.
 ``R`` is evaluated once on all the Gauss nodes of an interval, and the
 interval's exponents are formed together.  Each ``expm(Omega)`` is applied
 to the state, never formed: a truncated Taylor series in Horner form, one
@@ -451,24 +453,51 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
     return out.reshape(-1, me.dim, me.dim).transpose(0, 2, 1)
 
 
-def evolve(
-    me: MasterEquation,
-    rho0: np.ndarray,
-    t_grid,
-    *,
-    tol: float = 1e-8,
-    trace_tol: float = 1e-9,
-    max_refinements: int = 12,
-) -> Trajectory:
+#: most doublings of the step counts before an integration gives up
+_MAX_REFINEMENTS = 12
+
+
+def _refine(run, counts, estimate, tol, accept=lambda states: True):
+    """The step-doubling policy of both integrators: ``run(counts)`` once,
+    then again with every count doubled until ``estimate(fine, coarse)`` is
+    at most ``tol`` and ``accept(fine)`` holds.  Returns ``(states, counts,
+    passes, estimate)`` of the accepted pass; after ``_MAX_REFINEMENTS``
+    doublings, raises :class:`IntegrationDivergenceError` with the last
+    estimate."""
+    coarse = run(counts)
+    achieved = math.inf
+    for passes in range(2, _MAX_REFINEMENTS + 2):
+        counts = counts * 2
+        fine = run(counts)
+        achieved = estimate(fine, coarse)
+        if achieved <= tol and accept(fine):
+            return fine, counts, passes, achieved
+        coarse = fine
+    raise IntegrationDivergenceError(achieved, tol)
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as floats, checked to start at 0 and increase strictly."""
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("the time grid must be a non-empty 1-d array of times")
+    if abs(times[0]) > 0.0:
+        raise ValueError(f"the time grid must start at 0, got {times[0]}")
+    if times.size > 1 and np.any(np.diff(times) <= 0.0):
+        raise ValueError("the time grid must be strictly increasing")
+    return times
+
+
+def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -> Trajectory:
     """Integrate the master equation over ``t_grid`` by fourth-order Magnus
     steps, each applied to the state by a Taylor series exact to rounding
     (a static generator keeps its exact ``expm`` interval maps).
 
     Each interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))``
     substeps, ``nu_k`` the Liouvillian's frequencies, so one substep spans
-    at most about 2 rad of the fastest harmonic.  The count is doubled
-    until halving the step changes the final state by at most ``tol``
-    (Frobenius) and the trace drift stays below ``trace_tol``.
+    at most about 2 rad of the fastest harmonic.  :func:`_refine` doubles
+    the counts until halving the step changes the final state by at most
+    ``tol`` (Frobenius) and the trace drifts by at most 1e-9.
 
     Raises
     ------
@@ -476,13 +505,7 @@ def evolve(
         If the refinement loop fails to converge; carries the achieved
         final-state difference.
     """
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("t_grid must be a non-empty 1-d array of times")
-    if abs(times[0]) > 0.0:
-        raise ValueError(f"t_grid must start at 0, got {times[0]}")
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
+    times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (me.dim, me.dim):
         raise DimensionMismatchError(f"rho0 shape {rho0.shape} != dim {me.dim}")
@@ -494,20 +517,14 @@ def evolve(
 
     fastest = float(np.max(np.abs(me.liouvillian.frequencies)))
     substeps = np.maximum(1, np.ceil(fastest * np.diff(times) / 2.0).astype(int))
-
-    coarse = _integrate(me, rho0, times, substeps)
-    achieved = math.inf
-    for refinement in range(max_refinements):
-        substeps = substeps * 2
-        fine = _integrate(me, rho0, times, substeps)
-        achieved = float(np.linalg.norm(fine[-1] - coarse[-1]))
-        drift = float(np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))))
-        if achieved <= tol and drift <= trace_tol:
-            return Trajectory(
-                times, fine, substeps, refinements=refinement + 1, achieved=achieved, tol=tol
-            )
-        coarse = fine
-    raise IntegrationDivergenceError(achieved, tol)
+    states, substeps, passes, achieved = _refine(
+        lambda counts: _integrate(me, rho0, times, counts),
+        substeps,
+        lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
+        tol,
+        lambda fine: np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))) <= 1e-9,
+    )
+    return Trajectory(times, states, substeps, refinements=passes - 1, achieved=achieved, tol=tol)
 
 
 def _trace_functional(dim: int) -> np.ndarray:
@@ -516,20 +533,14 @@ def _trace_functional(dim: int) -> np.ndarray:
     return tau
 
 
-def steady_state(
-    me: MasterEquation,
-    *,
-    eig_tol: float = 1e-10,
-    residual_tol: float = 1e-9,
-    return_info: bool = False,
-):
-    """Trace-one null vector of the Liouvillian.
+def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
+    """Trace-one null vector of the Liouvillian, as ``(rho, info)``.
 
     The Liouvillian is normalized by its largest entry before the
-    eigendecomposition, so ``eig_tol`` and ``residual_tol`` are relative
-    to the rate scale of the problem.  A multi-dimensional null space is
-    flagged as degenerate and resolved by projecting the maximally mixed
-    state onto it.
+    eigendecomposition, so the null-eigenvalue bound 1e-10 and the residual
+    bound 1e-9 are relative to the rate scale of the problem.  A
+    multi-dimensional null space is flagged as degenerate and resolved by
+    projecting the maximally mixed state onto it.
 
     Raises
     ------
@@ -544,7 +555,7 @@ def steady_state(
     scale = max(1.0, float(np.max(np.abs(L))))
     Ls = L / scale
     w, v = scipy.linalg.eig(Ls)
-    null_mask = np.abs(w) <= eig_tol
+    null_mask = np.abs(w) <= 1e-10
     null_dim = int(np.count_nonzero(null_mask))
     if null_dim == 0:
         raise SteadyStateError(
@@ -575,10 +586,10 @@ def steady_state(
             rho = polished / np.real(tr)
 
     res = float(np.linalg.norm(Ls @ vec(rho)))
-    if res > residual_tol:
+    if res > 1e-9:
         raise SteadyStateError(
-            f"steady-state residual {res:.3e} exceeds {residual_tol:.1e} "
+            f"steady-state residual {res:.3e} exceeds 1.0e-09 "
             "(relative to the rate scale)"
         )
     info = SteadyStateInfo(null_dimension=null_dim, degenerate=null_dim > 1, residual=res)
-    return (rho, info) if return_info else rho
+    return rho, info

@@ -168,11 +168,11 @@ class RegimeReport:
         return f"RegimeReport({self.branch}, failed={failed}, ratios={self.ratios})"
 
 
-def check_regime(p: ModelParams, branch: str, *, rtol: float = 1e-9) -> RegimeReport:
+def check_regime(p: ModelParams, branch: str) -> RegimeReport:
     """Check the resonance constraints of the requested branch.
 
     Residuals are absolute (rad/s); a constraint passes when its residual
-    is below ``rtol`` times the drive scale of the branch.  The memory
+    is at most 1e-9 times the drive scale of the branch.  The memory
     branch has no second drive, so ``delta2`` sets no scale there.
     """
     scale = max(p.omega1, p.omega2, abs(p.delta_a), p.g, 1.0)
@@ -191,7 +191,7 @@ def check_regime(p: ModelParams, branch: str, *, rtol: float = 1e-9) -> RegimeRe
         }
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    rated = {k: (res <= rtol * scale, res) for k, res in checks.items()}
+    rated = {k: (res <= 1e-9 * scale, res) for k, res in checks.items()}
 
     def _ratio(a, b):
         return float(a / b) if b != 0 else float("inf")

@@ -55,7 +55,7 @@ def principal_phase(x: float) -> float:
     return -float((-x) % (2.0 * np.pi))
 
 
-def geometric_phase(states, *, principal: bool = True, min_overlap: float = 1e-6) -> float:
+def geometric_phase(states, *, principal: bool = True) -> float:
     """Discrete Pancharatnam geometric phase of a pure-state trajectory.
 
     Parameters
@@ -72,7 +72,7 @@ def geometric_phase(states, *, principal: bool = True, min_overlap: float = 1e-6
     Raises
     ------
     IllConditionedPathError
-        If any consecutive overlap magnitude falls below ``min_overlap``.
+        If any consecutive overlap magnitude falls below 1e-6.
     """
     kets = np.asarray(states, dtype=complex)
     if len(kets) < 2:
@@ -81,9 +81,9 @@ def geometric_phase(states, *, principal: bool = True, min_overlap: float = 1e-6
     # <psi_{k+1} | psi_k> along the path, the closure <psi_0 | psi_N> last
     overlaps = np.einsum("ni,ni->n", np.roll(kets, -1, axis=0).conj(), kets)
     smallest = float(np.min(np.abs(overlaps)))
-    if smallest < min_overlap:
+    if smallest < 1e-6:
         raise IllConditionedPathError(
-            f"consecutive overlap magnitude {smallest:.2e} below {min_overlap:.1e}"
+            f"consecutive overlap magnitude {smallest:.2e} below 1.0e-06"
         )
     acc = float(np.sum(np.angle(overlaps)))
     return principal_phase(acc) if principal else acc

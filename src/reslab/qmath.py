@@ -98,40 +98,42 @@ def fock_annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
 
 
-def fidelity(rho, psi, *, atol: float = 1e-10):
+def fidelity(rho, psi):
     """Overlap ``<psi|rho|psi>`` between a state and a pure target; a stack of
     states ``(N, d, d)`` gives an ``(N,)`` array.
 
-    ``psi`` must be normalized; every overlap must be real within ``atol``.
+    ``psi`` must be normalized to 1e-10, and every overlap must be real to
+    1e-10 relative to ``max(1, |Re|)``.
     A single state gives a float.
     """
     r = np.asarray(rho, dtype=complex)
     v = as_ket(psi)
     if r.ndim not in (2, 3) or r.shape[-2:] != (v.size, v.size):
         raise DimensionMismatchError(f"state dim {v.size} does not match operator shape {r.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > atol:
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("target ket is not normalized")
     # (1, d) @ (d, 1) per state: a stacked (N, d) @ (d,) would round differently
     val = ((v.conj() @ r)[..., None, :] @ v[:, None])[..., 0, 0]
-    bad = np.abs(val.imag) > atol * np.maximum(1.0, np.abs(val.real))
+    bad = np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val.real))
     if np.any(bad):
         imag = np.extract(bad, val.imag)[0]
         raise ValueError(f"fidelity has a non-negligible imaginary part {imag:.3e}")
     return float(val.real) if r.ndim == 2 else val.real
 
 
-def bloch_vector(rho, basis, *, atol: float = 1e-8) -> np.ndarray:
+def bloch_vector(rho, basis) -> np.ndarray:
     """Bloch components ``(x, y, z)`` of a qubit state in an orthonormal basis
     pair; a stack of states ``(N, d, d)`` gives ``(N, 3)``.
 
     With ``rho_01 = <b0|rho|b1>`` the components are ``x = 2 Re rho_01``,
-    ``y = -2 Im rho_01`` and ``z = rho_00 - rho_11``.
+    ``y = -2 Im rho_01`` and ``z = rho_00 - rho_11``.  The basis kets are
+    normalized here and must be orthogonal to 1e-8.
     """
     r = np.asarray(rho, dtype=complex)
     b0, b1 = (normalized(b) for b in basis)
     if r.ndim < 2 or r.shape[-2:] != (b0.size, b0.size) or b0.size != b1.size:
         raise DimensionMismatchError("basis kets do not match the operator dimension")
-    if abs(np.vdot(b0, b1)) > atol:
+    if abs(np.vdot(b0, b1)) > 1e-8:
         raise ValueError("basis pair is not orthonormal")
     r01, r00, r11 = (
         np.einsum("i,...ij,j->...", a.conj(), r, b) for a, b in ((b0, b1), (b0, b0), (b1, b1))

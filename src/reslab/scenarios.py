@@ -31,7 +31,7 @@ import numpy as np
 from . import model, qmath
 from .errors import ConfigError
 from .frames import compare_effective
-from .interferometer import ThreeLevelConfig, run_interferometer
+from .interferometer import run_interferometer
 from .lindblad import Trajectory, evolve, steady_state
 from .phases import export_bloch_path, phase_record
 
@@ -352,7 +352,7 @@ def _run_nonadiabatic(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     eps_rate_eqs = (
         (9.0 * p.gamma / 8.0) / (rate + 1.5 * p.gamma) if p.gamma > 0 else 0.0
     )
-    rho_ss = steady_state(me)
+    rho_ss, _ = steady_state(me)
     evolved = "rate-equations" if include_gamma else "reduced, no gamma channel"
     derived = {
         "rate_eng": rate,
@@ -413,14 +413,10 @@ def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
 
 
 def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
-    times = _grid(sc, 3.0 * np.pi / p.omega1, 601)
-    cfg = ThreeLevelConfig(
-        params=p,
-        include_tl_decay=sc.options.get("include_tl_decay", False),
-        t_end=float(times[-1]),
-        n_samples=len(times),
+    include_tl_decay = sc.options.get("include_tl_decay", False)
+    res = run_interferometer(
+        p, _grid(sc, 3.0 * np.pi / p.omega1, 601), include_tl_decay=include_tl_decay
     )
-    res = run_interferometer(cfg)
     derived = {
         "phase_slope": res.phase_slope,
         "expected_slope": res.expected_slope,
@@ -429,7 +425,7 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         "frequency_over_slope": res.reference_frequency / res.phase_slope,
         "conservation_defect": res.conservation_defect,
         "coherence_decay_fraction": res.coherence_decay_fraction,
-        "include_tl_decay": cfg.include_tl_decay,
+        "include_tl_decay": include_tl_decay,
     }
     header = ["t", "rho_aa", "pop_up", "pop_down", "abs_coherence", "phase", "reference_pea"]
     columns = [res.rho_aa, res.population_up, res.population_down, np.abs(res.coherence)]
@@ -450,9 +446,8 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
 
     frame = model.effective_check_frame(p, branch)
     psi0 = np.kron(psi0_tl, qmath.basis_ket(p.n_max + 1, 0))
-    horizon = sc.grid.t_end if sc.grid.t_end is not None else 2.0 / max(p.g, 1e-300)
-    n = sc.grid.n_samples if sc.grid.n_samples is not None else 201
-    comp = compare_effective(full, h_eff, psi0, horizon, n_samples=n, frame=frame)
+    times = _grid(sc, 2.0 / max(p.g, 1e-300), 201)
+    comp = compare_effective(full, h_eff, psi0, times, frame=frame)
 
     report = model.check_regime(p, branch)
     derived = {

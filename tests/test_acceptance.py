@@ -9,7 +9,7 @@ import pytest
 
 from reslab import model, qmath
 from reslab.frames import compare_effective, transformed_dissipator_average
-from reslab.interferometer import ThreeLevelConfig, run_interferometer
+from reslab.interferometer import run_interferometer
 from reslab.lindblad import LindbladTerm, MasterEquation, evolve, steady_state
 from reslab.phases import dynamic_phase, geometric_phase
 
@@ -72,7 +72,7 @@ def test_criterion_2_derived_rate_regression():
 
 def test_criterion_3_pure_fixed_point():
     p = regime_params()
-    rho_ss = steady_state(model.reduced_master_equation(p, "nonadiabatic"))
+    rho_ss, _ = steady_state(model.reduced_master_equation(p, "nonadiabatic"))
     dist = qmath.trace_distance(rho_ss, np.diag([1.0, 0.0]))
 
     rate = model.engineered_rate(p)
@@ -129,8 +129,7 @@ def _nonadiabatic_comparison(p):
         model.build_h1(p),
         model.build_h2_effective(p),
         psi0,
-        2.0 / p.g,
-        n_samples=101,
+        np.linspace(0.0, 2.0 / p.g, 101),
         frame=model.effective_check_frame(p, "nonadiabatic"),
     )
 
@@ -143,8 +142,7 @@ def _memory_comparison(chi):
         model.build_h1_memory(p),
         model.build_h2_memory(p),
         psi0,
-        2.0 / p.g,
-        n_samples=101,
+        np.linspace(0.0, 2.0 / p.g, 101),
         frame=model.effective_check_frame(p, "memory"),
     )
 
@@ -180,7 +178,7 @@ def test_criterion_7_interferometer():
         g=0.1, omega1=1.0, omega2=0.05, phi1=0.0, phi2=0.0,
         delta1=0.0, delta2=-2.0, delta_a=-0.05, Gamma=2.0, gamma=0.0, n_max=1,
     )
-    res = run_interferometer(ThreeLevelConfig(params=p, n_samples=801))
+    res = run_interferometer(p, np.linspace(0.0, 3.0 * np.pi / p.omega1, 801))
     slope_err = abs(res.phase_slope / res.expected_slope - 1.0)
     ok = slope_err <= 1e-3
     ok &= res.conservation_defect <= 1e-9
@@ -198,7 +196,7 @@ def test_criterion_8_consistency_audit():
     # steady state of the closed rate equations at ratio 10
     p = model.ModelParams(g=np.sqrt(10.0), Gamma=1.0, gamma=1.0)
     me = model.reduced_master_equation(p, "nonadiabatic", include_gamma=True)
-    rho = steady_state(me)
+    rho, _ = steady_state(me)
     rate_eq_ok = abs(np.real(rho[0, 0]) - 10.375 / 11.5) <= 1e-9
 
     # averaging oracle: dressed spontaneous-emission coefficients
@@ -239,7 +237,7 @@ def test_criterion_8_consistency_audit():
         ),
         extra_generator=frag,
     )
-    eps_oracle = float(np.real(steady_state(me_oracle)[1, 1]))
+    eps_oracle = float(np.real(steady_state(me_oracle)[0][1, 1]))
     eps_formula = model.epsilon_closed_form(ratio, "nonadiabatic")
     agrees_with_formula = abs(eps_oracle - eps_formula) <= 1e-9
     print(
@@ -300,9 +298,7 @@ def test_criterion_9_invariant_suite():
         delta1=0.0, delta2=-2.0, delta_a=-0.05, Gamma=2.0,
         gamma=model.engineered_rate(model.ModelParams(g=0.1, Gamma=2.0)) / 100.0, n_max=1,
     )
-    res = run_interferometer(
-        ThreeLevelConfig(params=p_int, include_tl_decay=True, t_end=np.pi, n_samples=101)
-    )
+    res = run_interferometer(p_int, np.linspace(0.0, np.pi, 101), include_tl_decay=True)
     track(res.trajectory.states)
 
     bounds_ok = worst_trace <= 1e-9 and worst_herm <= 1e-9 and worst_eig >= -1e-7

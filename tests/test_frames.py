@@ -175,7 +175,7 @@ class TestCompareEffective:
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 3)
         psi0 = qmath.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        comp = compare_effective(h, h, psi0, 2.0, n_samples=21)
+        comp = compare_effective(h, h, psi0, np.linspace(0.0, 2.0, 21))
         assert comp.worst_fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_resonant_regime_floor(self):
@@ -191,6 +191,19 @@ class TestCompareEffective:
         bad = run_h1_h2_comparison(bad_p, enforce=False).worst_fidelity
         assert bad < good
         assert bad < 0.9
+
+    def test_rejects_grids_not_starting_at_zero_or_not_increasing(self):
+        # the effective side is exp(-i H_eff t) from t = 0, so another start
+        # would be compared against the wrong states
+        from reslab.interferometer import run_interferometer
+
+        h = np.diag([1.0, -1.0 + 0j])
+        p = model.ModelParams(g=0.1, omega1=1.0, omega2=0.05, Gamma=2.0)
+        for times in ([0.5, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(ValueError):
+                compare_effective(h, h, [1.0, 0.0], times)
+            with pytest.raises(ValueError):
+                run_interferometer(p, times)
 
 
 def regime_params():
@@ -217,7 +230,8 @@ def run_h1_h2_comparison(p, enforce=True):
     )
     frame = model.effective_check_frame(p, "nonadiabatic")
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
-    return compare_effective(model.build_h1(p), h2, psi0, 2.0, n_samples=101, frame=frame)
+    times = np.linspace(0.0, 2.0, 101)
+    return compare_effective(model.build_h1(p), h2, psi0, times, frame=frame)
 
 
 def memory_params(chi, lam=200.0):
@@ -376,7 +390,7 @@ class TestSchroedingerEvolve:
 
     def test_comparison_reports_the_period_map(self):
         h, psi0, times = effective_check_case("nonadiabatic")
-        comp = compare_effective(h, np.zeros((6, 6)), psi0, times[-1], n_samples=11)
+        comp = compare_effective(h, np.zeros((6, 6)), psi0, np.linspace(0.0, times[-1], 11))
         achieved = comp.integrator.pop("achieved")
         assert 0.0 < achieved <= 1e-10
         assert comp.integrator == {
@@ -387,7 +401,7 @@ class TestSchroedingerEvolve:
             "period": 2.0 * np.pi / 1e6,
             "whole_periods": 3,
         }
-        short = compare_effective(h, np.zeros((6, 6)), psi0, 1e-6, n_samples=11)
+        short = compare_effective(h, np.zeros((6, 6)), psi0, np.linspace(0.0, 1e-6, 11))
         assert short.integrator["period"] is None
         assert short.integrator["whole_periods"] == 0
 

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from reslab import model
-from reslab.interferometer import (
-    ThreeLevelConfig,
-    population_inversion_reference,
-    run_interferometer,
-)
+from reslab.interferometer import population_inversion_reference, run_interferometer
 
 
 def interferometer_params(gamma=0.0):
@@ -24,6 +20,11 @@ def interferometer_params(gamma=0.0):
         gamma=gamma,
         n_max=1,
     )
+
+
+def three_half_cycles(p, n_samples):
+    """The interferometer scenario's default grid: 3 pi / omega1 in ``n_samples``."""
+    return np.linspace(0.0, 3.0 * np.pi / p.omega1, n_samples)
 
 
 class TestReferenceSignal:
@@ -45,47 +46,49 @@ class TestReferenceSignal:
 
 class TestRunInterferometer:
     def test_extracted_phase_slope(self):
-        res = run_interferometer(ThreeLevelConfig(params=interferometer_params(), n_samples=801))
+        p = interferometer_params()
+        res = run_interferometer(p, three_half_cycles(p, 801))
         assert res.expected_slope == pytest.approx(1.025)
         assert abs(res.phase_slope / res.expected_slope - 1.0) < 1e-3
 
     def test_reference_population_invariance(self):
-        res = run_interferometer(ThreeLevelConfig(params=interferometer_params(), n_samples=401))
+        p = interferometer_params()
+        res = run_interferometer(p, three_half_cycles(p, 401))
         assert np.max(np.abs(res.rho_aa - 0.5)) < 1e-9
 
     def test_coherence_magnitude_constant(self):
-        res = run_interferometer(ThreeLevelConfig(params=interferometer_params(), n_samples=401))
+        p = interferometer_params()
+        res = run_interferometer(p, three_half_cycles(p, 401))
         assert np.max(np.abs(np.abs(res.coherence) - 0.5)) < 1e-9
 
     def test_probability_conservation(self):
-        res = run_interferometer(ThreeLevelConfig(params=interferometer_params(), n_samples=401))
+        p = interferometer_params()
+        res = run_interferometer(p, three_half_cycles(p, 401))
         assert res.conservation_defect < 1e-9
 
     def test_factor_two_between_reference_and_slope(self):
         p = interferometer_params()
-        res = run_interferometer(ThreeLevelConfig(params=p, n_samples=201))
+        res = run_interferometer(p, three_half_cycles(p, 201))
         assert res.reference_frequency == 2.0 * res.expected_slope
         assert res.reference_frequency / res.phase_slope == pytest.approx(2.0, rel=1e-3)
 
     def test_coherence_matches_closed_form(self):
         p = interferometer_params()
-        res = run_interferometer(ThreeLevelConfig(params=p, n_samples=401))
+        res = run_interferometer(p, three_half_cycles(p, 401))
         expected = 0.5 * np.exp(-1j * (p.omega1 + 0.5 * p.omega2) * res.times)
         assert np.max(np.abs(res.coherence - expected)) < 1e-6
 
     def test_decay_contribution_is_small_over_one_cycle(self):
         # engineered-to-spontaneous ratio 100, as for the reference rates
         p = interferometer_params(gamma=model.engineered_rate(p=interferometer_params()) / 100.0)
-        cfg = ThreeLevelConfig(
-            params=p, include_tl_decay=True, t_end=np.pi / p.omega1, n_samples=201
+        res = run_interferometer(
+            p, np.linspace(0.0, np.pi / p.omega1, 201), include_tl_decay=True
         )
-        res = run_interferometer(cfg)
         assert 0.0 <= res.coherence_decay_fraction < 0.05
         assert res.conservation_defect < 1e-9
 
     def test_auxiliary_level_is_dark(self):
         p = interferometer_params(gamma=0.01)
-        cfg = ThreeLevelConfig(params=p, include_tl_decay=True, n_samples=201)
-        res = run_interferometer(cfg)
+        res = run_interferometer(p, three_half_cycles(p, 201), include_tl_decay=True)
         # population can flow between up and down but never into |a>
         assert np.max(np.abs(res.rho_aa - res.rho_aa[0])) < 1e-9

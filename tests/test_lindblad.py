@@ -429,8 +429,32 @@ class TestEvolve:
         cos_drive = Harmonic([3.0, -3.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X])  # cos(3t) sigma_x
         me = MasterEquation(dim=2, hamiltonian=cos_drive, terms=decay_qubit(1.0).terms)
         with pytest.raises(IntegrationDivergenceError) as err:
-            evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0], tol=1e-30, max_refinements=2)
+            evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0], tol=1e-30)
         assert np.isfinite(err.value.achieved) and err.value.achieved > 1e-30
+
+    def test_both_integrators_share_the_refinement_cap(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "_MAX_REFINEMENTS", 2)
+        passes = {"evolve": 0, "schroedinger": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                passes[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lindblad, "_integrate", counted(lindblad._integrate, "evolve"))
+        monkeypatch.setattr(
+            reslab.frames, "_propagators", counted(reslab.frames._propagators, "schroedinger")
+        )
+        cos_drive = Harmonic([3.0, -3.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X])
+        me = MasterEquation(dim=2, hamiltonian=cos_drive, terms=decay_qubit(1.0).terms)
+        with pytest.raises(IntegrationDivergenceError):
+            evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0], tol=1e-30)
+        with pytest.raises(IntegrationDivergenceError):
+            schroedinger_evolve(cos_drive, [1.0, 0.0], [0.0, 1.0], tol=1e-30)
+        # the first pass and two doublings
+        assert passes == {"evolve": 3, "schroedinger": 3}
 
     def test_trajectory_state_invariants(self):
         rng = np.random.default_rng(4)
@@ -508,18 +532,18 @@ class TestFullModelReference:
 
 class TestSteadyState:
     def test_decay_only(self):
-        rho = steady_state(decay_qubit(0.8))
+        rho, _ = steady_state(decay_qubit(0.8))
         assert qmath.trace_distance(rho, np.diag([0.0, 1.0])) < 1e-12
 
     def test_residual_contract(self):
         me = decay_qubit(2.0)
-        rho, info = steady_state(me, return_info=True)
+        rho, info = steady_state(me)
         assert info.residual <= 1e-9
         assert np.linalg.norm(apply_generator(me, rho)) < 1e-9
 
     def test_degenerate_null_space(self):
         me = MasterEquation(dim=2, hamiltonian=np.diag([1.0, -1.0 + 0j]))
-        rho, info = steady_state(me, return_info=True)
+        rho, info = steady_state(me)
         assert info.degenerate and info.null_dimension == 2
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
 
@@ -527,9 +551,9 @@ class TestSteadyState:
         # a harmonic whose frequencies merge to zero is static; a periodic one is not
         h0, h1 = np.diag([1.0, -1.0 + 0j]), 0.3 * SIGMA_X
         terms = decay_qubit(0.8).terms
-        static = steady_state(MasterEquation(dim=2, hamiltonian=h0 + h1, terms=terms))
+        static, _ = steady_state(MasterEquation(dim=2, hamiltonian=h0 + h1, terms=terms))
         merged = MasterEquation(dim=2, hamiltonian=Harmonic([0.0, 0.0], [h0, h1]), terms=terms)
-        assert np.max(np.abs(steady_state(merged) - static)) < 1e-14
+        assert np.max(np.abs(steady_state(merged)[0] - static)) < 1e-14
         periodic = MasterEquation(dim=2, hamiltonian=Harmonic([0.0, 1.0, -1.0], [h0, h1, h1]))
         with pytest.raises(ValueError):
             steady_state(periodic)
@@ -541,7 +565,7 @@ class TestSteadyState:
         me = decay_qubit(gamma)
         rho0 = qmath.projector(qmath.normalized([1.0, 1.0j]))
         traj = evolve(me, rho0, np.linspace(0.0, 40.0 / gamma, 11))
-        assert qmath.trace_distance(traj.final, steady_state(me)) < 1e-5
+        assert qmath.trace_distance(traj.final, steady_state(me)[0]) < 1e-5
 
 
 class TestResidual:
@@ -660,7 +684,7 @@ class TestLindbladTermValidation:
         with pytest.raises(TypeError):
             schroedinger_evolve(sampler, kets[0], times)
         with pytest.raises(TypeError):
-            compare_effective(SIGMA_Z, SIGMA_Z, kets[0], 1.0, frame=lambda t: np.eye(2))
+            compare_effective(SIGMA_Z, SIGMA_Z, kets[0], times, frame=lambda t: np.eye(2))
 
     def test_dissipator_factor_scaling(self):
         d_half, d_full = (

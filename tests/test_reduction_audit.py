@@ -44,7 +44,7 @@ class TestMemoryBranchOracle:
             terms=(LindbladTerm(rate=ratio * gamma, operator=jump, factor=0.5),),
             extra_generator=frag,
         )
-        rho = steady_state(me)
+        rho, _ = steady_state(me)
         eps_oracle = float(np.real(rho[1, 1]))
         eps_formula = model.epsilon_closed_form(ratio, "memory")
         # the averaged generator has no cross-frequency interference terms,

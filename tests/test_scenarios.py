@@ -533,7 +533,9 @@ class TestCli:
 
     def test_exit_code_classification(self):
         from reslab.errors import (
+            DimensionMismatchError,
             IntegrationDivergenceError,
+            NotHermitianError,
             RegimeError,
             SteadyStateError,
         )
@@ -541,6 +543,8 @@ class TestCli:
         assert cli._classify(ConfigError("bad")) == 2
         assert cli._classify(IntegrationDivergenceError(1.0, 1e-8)) == 3
         assert cli._classify(SteadyStateError("no null vector")) == 3
+        assert cli._classify(NotHermitianError(1e-3)) == 3
+        assert cli._classify(DimensionMismatchError("shape")) == 3
         assert cli._classify(RegimeError(report="r")) == 4
         with pytest.raises(KeyError):
             cli._classify(KeyError("unrelated errors propagate"))
