@@ -22,9 +22,12 @@ probed.  A static operator is the zero-frequency harmonic.  So is the
 generator: each master equation assembles ``L(t) = sum_k exp(-i nu_k t) L_k``
 once (:attr:`MasterEquation.liouvillian`), and everything else reads it.
 
-Integration is exponential.  Each output interval is cut into ``k`` equal
-substeps, and each substep ``[t, t + h]`` applies ``expm(Omega)`` with the
-fourth-order Magnus exponent
+Integration is exponential.  A static Liouvillian's interval map
+``M = expm(dt L)`` is exact, built once per interval length (lengths equal
+up to rounding count as one); a run of ``n`` equal intervals takes one pass
+in blocks by the powers ``[M, ..., M^b]``, ``b = ceil(sqrt n)``.  A
+time-dependent one cuts each output interval into ``k`` equal substeps,
+each ``[t, t + h]`` applying ``expm(Omega)`` with the fourth-order Magnus exponent
 
     Omega = h/2 (A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1],
     A_i = L(t + c_i h),  c = 1/2 -+ sqrt(3)/6 (the Gauss-Legendre nodes).
@@ -47,11 +50,7 @@ follow from ``||Omega||_1`` and the double-precision bounds of Al-Mohy &
 Higham, so it is exact to rounding.  Every ``A_i`` annihilates the trace
 functional and maps Hermitian matrices to Hermitian ones, and so does
 their commutator and every Taylor term, so each step keeps trace and
-Hermiticity; a real ``x`` is Hermitian by construction.  For a
-static Liouvillian the commutator vanishes and ``Omega = h L``: the
-interval map ``expm(dt/k L)^k`` is exact, formed by ``scipy.linalg.expm``
-and built once per ``(dt, k)``, interval lengths that differ only by
-rounding counting as one.
+Hermiticity; a real ``x`` is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -327,8 +326,9 @@ class MasterEquation:
 @dataclass
 class Trajectory:
     """Density matrices at ``times``, one ``(N, d, d)`` array, with integrator
-    refinement stats: ``achieved`` is the last ``|fine - coarse|`` of the final
-    state, accepted against ``tol``."""
+    stats: ``method`` is ``"expm"`` (exact, nothing refined) or ``"magnus-4"``,
+    whose ``achieved`` is the last ``|fine - coarse|`` of the final state,
+    accepted against ``tol``."""
 
     times: np.ndarray
     states: np.ndarray
@@ -336,6 +336,7 @@ class Trajectory:
     refinements: int = 0
     achieved: float = 0.0
     tol: float = 0.0
+    method: str = "expm"
 
     @property
     def final(self) -> np.ndarray:
@@ -422,21 +423,24 @@ def _magnus_exponents(L, t: float, h: float, steps: np.ndarray) -> np.ndarray:
 
 def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
     """States at ``times`` as an ``(N, d, d)`` stack, each interval ``i`` taken
-    in ``substeps[i]`` Magnus steps."""
+    in ``substeps[i]`` Magnus steps, or by exact maps for a static generator."""
     L = me.liouvillian
     out = np.empty((times.size, me.dim**2), dtype=complex)  # one vec(rho) per row
     out[0] = vec(rho0)
     if not np.any(L.frequencies):
         dts = np.diff(times)
         # interval lengths equal up to rounding (a linspace grid) share one map
-        keys = zip(np.rint(dts / times[-1] * 1e12).tolist(), substeps.tolist())
-        cache: dict = {}
-        for i, (key, k) in enumerate(keys):
-            M = cache.get((key, k))
-            if M is None:
-                M = np.linalg.matrix_power(scipy.linalg.expm(dts[i] / k * L.matrices[0]), k)
-                cache[key, k] = M
-            np.matmul(M, out[i], out=out[i + 1])
+        keys = np.rint(dts / times[-1] * 1e12)
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        maps = [scipy.linalg.expm(dts[i] * L.matrices[0]) for i in first]
+        starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
+        for start, stop in zip(starts, [*starts[1:], dts.size]):
+            powers = [maps[which[start]]]  # M, ..., M^b with b = ceil(sqrt(run length))
+            while len(powers) ** 2 < stop - start:
+                powers.append(powers[0] @ powers[-1])
+            b, powers = len(powers), np.concatenate(powers)
+            for k in range(start, stop, b):
+                out[k + 1 : min(k + b, stop) + 1] = (powers @ out[k]).reshape(b, -1)[: stop - k]
     else:
         R = me._real_liouvillian
         # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
@@ -489,21 +493,21 @@ def _time_grid(t_grid) -> np.ndarray:
 
 
 def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -> Trajectory:
-    """Integrate the master equation over ``t_grid`` by fourth-order Magnus
-    steps, each applied to the state by a Taylor series exact to rounding
-    (a static generator keeps its exact ``expm`` interval maps).
+    """Integrate the master equation over ``t_grid``: a static generator by
+    exact ``expm`` maps in one pass (``tol`` is only recorded), a time-dependent
+    one by fourth-order Magnus steps, applied by a Taylor series exact to rounding.
 
-    Each interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))``
-    substeps, ``nu_k`` the Liouvillian's frequencies, so one substep spans
-    at most about 2 rad of the fastest harmonic.  :func:`_refine` doubles
-    the counts until halving the step changes the final state by at most
-    ``tol`` (Frobenius) and the trace drifts by at most 1e-9.
+    A Magnus interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))``
+    substeps, about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
+    :func:`_refine` doubles the counts until halving the step changes the
+    final state by at most ``tol`` (Frobenius) and the trace drifts by at
+    most 1e-9, which a static generator's one pass must also meet.
 
     Raises
     ------
     IntegrationDivergenceError
-        If the refinement loop fails to converge; carries the achieved
-        final-state difference.
+        If the refinement fails to converge or the trace drifts; carries the
+        achieved final-state difference, 0 for a static generator.
     """
     times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -512,10 +516,15 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     defects = qmath.density_matrix_defects(rho0)
     if defects["trace_deviation"] > 1e-9 or defects["hermiticity_defect"] > 1e-10:
         raise ValueError(f"rho0 is not a valid density matrix: {defects}")
-    if times.size == 1:
-        return Trajectory(times, rho0[None].copy(), tol=tol)
-
     fastest = float(np.max(np.abs(me.liouvillian.frequencies)))
+    method = "magnus-4" if fastest else "expm"
+    if times.size == 1:
+        return Trajectory(times, rho0[None].copy(), tol=tol, method=method)
+    if not fastest:  # exact maps: one pass, nothing to refine
+        states = _integrate(me, rho0, times, None)
+        if np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))) > 1e-9:
+            raise IntegrationDivergenceError(0.0, tol, "the trace drifted by more than 1e-9")
+        return Trajectory(times, states, np.ones(times.size - 1, dtype=int), tol=tol)
     substeps = np.maximum(1, np.ceil(fastest * np.diff(times) / 2.0).astype(int))
     states, substeps, passes, achieved = _refine(
         lambda counts: _integrate(me, rho0, times, counts),
@@ -524,13 +533,7 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
         tol,
         lambda fine: np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))) <= 1e-9,
     )
-    return Trajectory(times, states, substeps, refinements=passes - 1, achieved=achieved, tol=tol)
-
-
-def _trace_functional(dim: int) -> np.ndarray:
-    tau = np.zeros(dim * dim, dtype=complex)
-    tau[:: dim + 1] = 1.0
-    return tau
+    return Trajectory(times, states, substeps, passes - 1, achieved, tol, method)
 
 
 def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
@@ -562,10 +565,7 @@ def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
             f"no null eigenvalue found (smallest |eig| = {np.min(np.abs(w)):.3e})"
         )
     q, _ = np.linalg.qr(v[:, null_mask])
-    if null_dim == 1:
-        cand = q[:, 0]
-    else:
-        cand = q @ (qmath.dag(q) @ vec(np.eye(d) / d))
+    cand = q[:, 0] if null_dim == 1 else q @ (qmath.dag(q) @ vec(np.eye(d) / d))
     rho = unvec(cand, d)
     rho = 0.5 * (rho + qmath.dag(rho))
     tr = np.trace(rho)
@@ -575,7 +575,7 @@ def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
 
     if null_dim == 1:
         # polish with a bordered least-squares solve (L x = 0, tr x = 1)
-        A = np.vstack([Ls, _trace_functional(d)[None, :]])
+        A = np.vstack([Ls, vec(np.eye(d))[None, :]])  # the trace functional
         b = np.zeros(d * d + 1, dtype=complex)
         b[-1] = 1.0
         x, *_ = np.linalg.lstsq(A, b, rcond=None)

@@ -326,6 +326,7 @@ def _params_dict(p: model.ModelParams) -> dict:
 
 def _integrator_stats(traj: Trajectory) -> dict:
     return {
+        "method": traj.method,
         "refinements": traj.refinements,
         "max_substeps_per_interval": int(np.max(traj.substeps)) if traj.substeps is not None else 0,
         "achieved_residual": traj.achieved,

@@ -299,7 +299,7 @@ class TestEvolve:
 
     def test_uniform_grid_builds_one_map(self, monkeypatch):
         # linspace spacings differ in their last bits; they still share one
-        # exponential per pass (coarse and fine), and the states stay exact
+        # exponential, built in the one pass, and the states stay exact
         built = []
         expm = scipy.linalg.expm
         monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
@@ -309,7 +309,7 @@ class TestEvolve:
         times = np.linspace(0.0, 1.3, 401)
         assert len(set(np.diff(times))) > 1
         traj = evolve(me, rho0, times)
-        assert len(built) == 2
+        assert len(built) == 1
         L = liouvillian_matrix(me)
         for i in (1, 200, 400):
             exact = expm(times[i] * L) @ vec(rho0)
@@ -329,17 +329,46 @@ class TestEvolve:
         rho0 = random_density(rng, 3)
         traj = evolve(me, rho0, times)
         assert isinstance(traj.states, np.ndarray) and traj.states.shape == (times.size, 3, 3)
-        # one map per distinct interval length and pass (coarse and fine)
-        assert len(built) == 2 * len(set(np.round(np.diff(times), 12)))
+        # one map per distinct interval length, and one step per interval
+        assert len(built) == len(set(np.round(np.diff(times), 12)))
+        assert np.array_equal(traj.substeps, np.ones(times.size - 1))
         # the intervals applied one after another, each by its own exponential
         L = me.liouvillian.matrices[0]
         v = rho0.flatten(order="F")
         expected = [rho0]
-        for dt, k in zip(np.diff(times), traj.substeps):
-            v = np.linalg.matrix_power(expm(dt / k * L), k) @ v
+        for dt in np.diff(times):
+            v = expm(dt * L) @ v
             expected.append(v.reshape(3, 3, order="F"))
         assert np.max(np.abs(traj.states - np.array(expected))) < 1e-13
         assert np.array_equal(traj.states[0], rho0) and np.array_equal(traj.final, traj.states[-1])
+
+    @pytest.mark.parametrize(
+        "times, lengths",
+        [
+            (np.linspace(0.0, 20.0, 40001), 1),
+            # runs of 2^-10, 2^-6, 2^-10 and 0.5: exact binary lengths, three distinct
+            (np.cumsum(np.repeat([0, 2**-10, 2**-6, 2**-10, 0.5], [1, 3000, 200, 1000, 10])), 3),
+        ],
+        ids=["linspace-40001", "runs"],
+    )
+    def test_static_long_grids_match_the_closed_form(self, times, lengths, monkeypatch):
+        # a qubit precessing at omega and decaying at population rate gamma:
+        # rho_ee(t) = rho_ee(0) e^{-gamma t}, rho_eg(t) = rho_eg(0) e^{-(i omega + gamma/2) t}
+        omega, gamma, ee, eg = 5.0, 0.3, 0.7, 0.3 - 0.2j
+        me = MasterEquation(2, 0.5 * omega * SIGMA_Z, decay_qubit(gamma).terms)
+        rho0 = np.array([[ee, eg], [np.conj(eg), 1.0 - ee]])
+        built, passes = [], []
+        expm, integrate = scipy.linalg.expm, lindblad._integrate
+        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        monkeypatch.setattr(lindblad, "_integrate", lambda *a: passes.append(1) or integrate(*a))
+        traj = evolve(me, rho0, times)
+        assert len(passes) == 1 and traj.refinements == 0 and len(built) == lengths
+        assert traj.method == "expm" and np.array_equal(traj.substeps, np.ones(times.size - 1))
+        decay = ee * np.exp(-gamma * times)
+        coherence = eg * np.exp(-(1j * omega + gamma / 2.0) * times)
+        closed = np.stack([decay, coherence, coherence.conj(), 1.0 - decay], -1).reshape(-1, 2, 2)
+        # measured: 3.6e-14 (linspace) and 3.9e-14 (runs)
+        assert np.max(np.abs(traj.states - closed)) <= 1e-13
 
     def test_harmonic_states_are_one_stack(self):
         me = random_harmonic_master_equation(np.random.default_rng(14), 2, 2.3, 1.1, 0.4)
@@ -353,9 +382,9 @@ class TestEvolve:
         me = MasterEquation(dim=2, extra_generator=-0.1 * np.eye(4))
         with pytest.raises(IntegrationDivergenceError) as raised:
             evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11))
-        assert raised.value.achieved <= 1e-8  # the states converged; the trace did not hold
+        assert raised.value.achieved <= 1e-8  # the states are exact; the trace did not hold
         drift_free = MasterEquation(dim=2, extra_generator=np.zeros((4, 4)))
-        assert evolve(drift_free, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11)).refinements == 1
+        assert evolve(drift_free, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11)).refinements == 0
 
     def test_magnus_step_is_fourth_order(self):
         me = random_harmonic_master_equation(np.random.default_rng(10), 3, 1.7, 2.9, 0.8)
@@ -409,7 +438,7 @@ class TestEvolve:
         )
         times = np.linspace(0.0, 1.0, 5)
         traj = evolve(me, random_density(rng, 3), times)
-        assert traj.refinements >= 1
+        assert traj.refinements >= 1 and traj.method == "magnus-4"
         assert built == []
         assert evaluated == [True] * (len(times) - 1) * (traj.refinements + 1)
 
