@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("--out", default="runs", help="output directory (default: runs)")
     run_p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-    run_p.add_argument("--verbose", action="store_true", help="print derived quantities")
+    run_p.add_argument("--verbose", action="store_true", help="print derived quantities to stderr")
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="parse a config and check regime constraints")

@@ -22,6 +22,7 @@ import concurrent.futures
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -625,7 +626,7 @@ def run_scenario(
         result = _run_point(sc)
     result.summary["wall_time_s"] = time.perf_counter() - start
     if verbose:
-        print(json.dumps(result.summary["derived"], sort_keys=True, default=str))
+        print(json.dumps(result.summary["derived"], sort_keys=True, default=str), file=sys.stderr)
     if out_dir is not None:
         result.out_dir = write_outputs(Path(out_dir), sc.name, result)
     return result

@@ -460,13 +460,25 @@ class TestGaussLegendre:
         assert err.value.achieved < 1e-12
 
 
-def test_package_import_leaves_out_scipy_integrate():
-    # the package integrates nothing with scipy.integrate, so importing it
-    # (setup time and resident memory) must not load that module
+def package_import_loads(module):
+    """Whether ``import reslab, reslab.cli, reslab.scenarios`` in a fresh
+    interpreter loads ``module`` (or fails)."""
     code = (
         "import sys; import reslab, reslab.cli, reslab.scenarios; "
-        "sys.exit('scipy.integrate' in sys.modules)"
+        f"sys.exit({module!r} in sys.modules)"
     )
     src = str(Path(reslab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode != 0
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # the package integrates nothing with scipy.integrate, so importing it
+    # (setup time and resident memory) must not load that module
+    assert not package_import_loads("scipy.integrate")
+
+
+def test_package_import_leaves_out_scipy():
+    # every exponential and eigendecomposition runs on numpy, so importing the
+    # package (setup time and resident memory) must not load scipy at all
+    assert not package_import_loads("scipy")

@@ -301,8 +301,8 @@ class TestEvolve:
         # linspace spacings differ in their last bits; they still share one
         # exponential, built in the one pass, and the states stay exact
         built = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        expm, interval_map = scipy.linalg.expm, lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: built.append(1) or interval_map(a))
         rng = np.random.default_rng(12)
         me = random_master_equation(rng, 3)
         rho0 = random_density(rng, 3)
@@ -322,8 +322,8 @@ class TestEvolve:
     )
     def test_static_states_are_one_stack(self, times, monkeypatch):
         built = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        expm, interval_map = scipy.linalg.expm, lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: built.append(1) or interval_map(a))
         rng = np.random.default_rng(13)
         me = random_master_equation(rng, 3)
         rho0 = random_density(rng, 3)
@@ -348,8 +348,18 @@ class TestEvolve:
             (np.linspace(0.0, 20.0, 40001), 1),
             # runs of 2^-10, 2^-6, 2^-10 and 0.5: exact binary lengths, three distinct
             (np.cumsum(np.repeat([0, 2**-10, 2**-6, 2**-10, 0.5], [1, 3000, 200, 1000, 10])), 3),
+            # shifted linspaces: three classes of lengths that differ in their last bits
+            (
+                np.concatenate([
+                    np.linspace(0, 5, 1001)[:-1],
+                    5.0 + np.linspace(0, 1, 5001)[:-1],
+                    6.0 + np.linspace(0, 0.2, 1001)[:-1],
+                    6.2 + np.linspace(0, 3, 316),
+                ]),
+                3,
+            ),
         ],
-        ids=["linspace-40001", "runs"],
+        ids=["linspace-40001", "runs", "shifted-linspaces"],
     )
     def test_static_long_grids_match_the_closed_form(self, times, lengths, monkeypatch):
         # a qubit precessing at omega and decaying at population rate gamma:
@@ -358,8 +368,8 @@ class TestEvolve:
         me = MasterEquation(2, 0.5 * omega * SIGMA_Z, decay_qubit(gamma).terms)
         rho0 = np.array([[ee, eg], [np.conj(eg), 1.0 - ee]])
         built, passes = [], []
-        expm, integrate = scipy.linalg.expm, lindblad._integrate
-        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        interval_map, integrate = lindblad._expm, lindblad._integrate
+        monkeypatch.setattr(lindblad, "_expm", lambda a: built.append(1) or interval_map(a))
         monkeypatch.setattr(lindblad, "_integrate", lambda *a: passes.append(1) or integrate(*a))
         traj = evolve(me, rho0, times)
         assert len(passes) == 1 and traj.refinements == 0 and len(built) == lengths
@@ -367,7 +377,8 @@ class TestEvolve:
         decay = ee * np.exp(-gamma * times)
         coherence = eg * np.exp(-(1j * omega + gamma / 2.0) * times)
         closed = np.stack([decay, coherence, coherence.conj(), 1.0 - decay], -1).reshape(-1, 2, 2)
-        # measured: 3.6e-14 (linspace) and 3.9e-14 (runs)
+        # measured: 3.6e-14 (linspace), 3.9e-14 (runs) and 2.9e-14 (shifted
+        # linspaces; 1.8e-12 when each class took its first interval's length)
         assert np.max(np.abs(traj.states - closed)) <= 1e-13
 
     def test_harmonic_states_are_one_stack(self):
@@ -422,6 +433,19 @@ class TestEvolve:
             error = np.linalg.norm(lindblad._exp_action(stack, v) - exact)
             assert error <= 1e-13 * np.linalg.norm(exact)
 
+    @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_interval_map_matches_expm(self, norm, real):
+        # a Liouvillian-shaped exponent scaled to the given 1-norm, complex or in
+        # real coordinates; norms above 4 are scaled down and squared
+        me = random_harmonic_master_equation(np.random.default_rng(16), 3, 1.7, 2.9, 0.8)
+        a = (me._real_liouvillian if real else me.liouvillian)(0.6)
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        exact = scipy.linalg.expm(a)
+        error = np.linalg.norm(lindblad._expm(a) - exact)
+        # measured: at most 8.2e-16 up to norm 50, 1.1e-14 at 300 and 1000
+        assert error <= (1e-14 if norm <= 50.0 else 1e-13) * np.linalg.norm(exact)
+
     def test_time_dependent_steps_form_no_exponential(self, monkeypatch):
         # each pass evaluates the real form of L once per interval and applies
         # every step to the state
@@ -429,8 +453,8 @@ class TestEvolve:
         me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
         R = me._real_liouvillian
         built, evaluated = [], []
-        expm, evaluate = scipy.linalg.expm, lindblad._RealGenerator.__call__
-        monkeypatch.setattr(lindblad.scipy.linalg, "expm", lambda a: built.append(1) or expm(a))
+        interval_map, evaluate = lindblad._expm, lindblad._RealGenerator.__call__
+        monkeypatch.setattr(lindblad, "_expm", lambda a: built.append(1) or interval_map(a))
         monkeypatch.setattr(
             lindblad._RealGenerator,
             "__call__",

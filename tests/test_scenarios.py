@@ -513,13 +513,16 @@ class TestCli:
         validated = capsys.readouterr().out
         assert json.loads(validated)["valid"]
         assert cli.main(["run", cfg, "--out", "verbose-runs", "--verbose"]) == 0
-        derived, ran = capsys.readouterr().out.strip().splitlines()
+        captured = capsys.readouterr()  # stdout carries one JSON line, derived goes to stderr
+        (ran,), derived = captured.out.strip().splitlines(), captured.err
         verbose_dir = Path(json.loads(ran)["out_dir"])
         assert verbose_dir.parts[:2] == ("verbose-runs", "nonadiabatic")
         summary = json.loads((verbose_dir / "summary.json").read_text())
         assert json.loads(derived) == summary["derived"]
         assert cli.main(["run", cfg]) == 0
-        (ran,) = capsys.readouterr().out.strip().splitlines()  # no --verbose carried over
+        captured = capsys.readouterr()  # no --verbose carried over
+        (ran,) = captured.out.strip().splitlines()
+        assert captured.err == ""
         assert json.loads(ran)["scenario"] == "nonadiabatic"
         assert Path(json.loads(ran)["out_dir"]).parts[:2] == ("runs", "nonadiabatic")
         assert cli.main(["validate", cfg]) == 0
