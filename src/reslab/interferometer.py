@@ -91,8 +91,9 @@ def run_interferometer(
     conservation = float(np.max(np.abs(rho_aa + pop_up + pop_down - 1.0)))
 
     # reference ray mapped back into the frame of the simulation: (R(t) W)^dag ref(t)
-    w = model.dressed_basis_matrix(p, "nonadiabatic")
-    rw = model.nonadiabatic_frame(p).rotation.map(lambda u: u @ w)(times)
+    nonadiabatic = model.branch_of(p, "nonadiabatic")
+    w = nonadiabatic.basis
+    rw = nonadiabatic.frame.rotation.map(lambda u: u @ w)(times)
     refs = np.einsum("nji,nj->ni", rw.conj(), model.protected_state_dressed_gauge(p, times))
     coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 

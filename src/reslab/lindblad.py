@@ -432,8 +432,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     added last (so that short steps, applied many times, stay exact to
     rounding).  That takes about ``2 sqrt(m)`` matrix products and holds
     ``q + 1`` powers, where the series term by term takes ``m`` products and
-    ``m + 1`` matrices."""
+    ``m + 1`` matrices.  A step whose norm is not finite raises
+    :class:`IntegrationDivergenceError`."""
     norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if not math.isfinite(norm):
+        raise IntegrationDivergenceError(norm, math.inf, f"a step's exponent has 1-norm {norm}")
     j = max(0, int(np.frexp(norm)[1]) - 2)
     a = a / 2.0**j
     m = int(_TAYLOR_DEGREES[np.searchsorted(_TAYLOR_THETA, norm / 2.0**j)])

@@ -20,6 +20,8 @@ numerical eigensolvers so that global phases are pinned once.
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +34,13 @@ from .lindblad import Harmonic, LindbladTerm, MasterEquation
 __all__ = [
     "ModelParams",
     "DerivedMemoryParams",
+    "BRANCHES",
+    "Branch",
+    "branch_of",
     "RegimeReport",
     "check_regime",
     "require_regime",
-    "apply_nonadiabatic_constraints",
-    "apply_memory_constraints",
+    "apply_constraints",
     "ket_e",
     "ket_g",
     "plus_ket",
@@ -49,14 +53,11 @@ __all__ = [
     "drive_generator_1",
     "drive_generator_2",
     "memory_generator",
-    "nonadiabatic_frame",
-    "memory_frame",
+    "branch_frame",
     "effective_check_frame",
-    "dressed_basis_matrix",
     "build_h1",
     "build_h1_memory",
-    "build_h2_effective",
-    "build_h2_memory",
+    "build_h2",
     "dressed_decay_jump",
     "engineered_rate",
     "epsilon_closed_form",
@@ -116,28 +117,15 @@ class ModelParams:
         return dataclasses.replace(self, **changes)
 
 
-def apply_nonadiabatic_constraints(p: ModelParams) -> ModelParams:
-    """Pin the resonance conditions of the nonadiabatic branch."""
-    return p.replace(delta1=0.0, delta2=-2.0 * p.omega1, delta_a=-p.omega2)
-
-
-def apply_memory_constraints(p: ModelParams) -> ModelParams:
-    """Pin the single-drive memory branch: omega2 = 0, delta_a = -2 lambda."""
-    q = p.replace(omega2=0.0)
-    lam = DerivedMemoryParams.from_params(q).lam
-    return q.replace(delta_a=-2.0 * lam)
-
-
 @dataclass(frozen=True)
 class DerivedMemoryParams:
     """Quantities derived from the detuned single drive: splitting ``lam``,
-    asymmetry ``chi = delta1/lam`` in [-2, 2], reduced coupling
-    ``g_tilde = g (1 - chi/2)`` and engineered rate ``g_tilde^2 / Gamma``."""
+    asymmetry ``chi = delta1/lam`` in [-2, 2] and reduced coupling
+    ``g_tilde = g (1 - chi/2)``."""
 
     lam: float
     chi: float
     g_tilde: float
-    rate: float
 
     @staticmethod
     def from_params(p: ModelParams) -> "DerivedMemoryParams":
@@ -145,10 +133,84 @@ class DerivedMemoryParams:
         if lam == 0.0:
             raise ValueError("omega1 and delta1 cannot both vanish")
         chi = p.delta1 / lam
-        g_tilde = p.g * (1.0 - 0.5 * chi)
-        if p.Gamma <= 0:
-            raise ValueError("Gamma must be positive to derive the engineered rate")
-        return DerivedMemoryParams(lam=lam, chi=chi, g_tilde=g_tilde, rate=g_tilde**2 / p.Gamma)
+        return DerivedMemoryParams(lam=lam, chi=chi, g_tilde=p.g * (1.0 - 0.5 * chi))
+
+
+BRANCHES = ("nonadiabatic", "memory")  # the names branch_of resolves
+
+
+@dataclass
+class Branch:
+    """One protected branch resolved for one parameter set: ``pins`` maps each
+    resonance check to the ``(parameter, value)`` it pins, checked against
+    ``1e-9 scale``; ``coupling`` is the engineered coupling and ``slope`` the
+    ``c`` of ``epsilon = [2 + c ratio]^-1``.  The protected and pumped
+    ``kets``, the frame ``generators`` and the full Hamiltonian ``h1``
+    (written in the frame of the first ``h1_rotated`` generators) are built
+    only when called for."""
+
+    pins: dict
+    scale: float
+    coupling: float
+    slope: float
+    h1_rotated: int
+    kets: Callable
+    generators: Callable
+    h1: Callable
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Columns: the protected and the pumped ket in bare coordinates."""
+        return np.column_stack(self.kets())
+
+    @property
+    def frame(self) -> FrameTransform:
+        """``R(t)``, mapping the branch's dressed frame into the interaction picture."""
+        return FrameTransform(self.generators())
+
+
+def branch_of(p: ModelParams, branch: str) -> Branch:
+    """The record of ``branch`` at ``p``.
+
+    Nonadiabatic: delta1 = 0, delta2 = -2 omega1, delta_a = -omega2; coupling
+    g; basis (up, down); frame ``R = U1 U2`` of the two drives, so the
+    protected trajectory is ``R(t)|up>``; full Hamiltonian :func:`build_h1`.
+
+    Memory: omega2 = 0, delta_a = -2 lambda; coupling g_tilde = g (1 - chi/2);
+    basis (T+, T-); frame ``exp(-i delta1 sigma_z t/2) exp(-i K t)`` with K the
+    detuned drive generator, so the protected trajectory is ``R(t)|T+>``;
+    full Hamiltonian :func:`build_h1_memory`, in which the detuned drive is
+    already static.  There is no second drive, so ``delta2`` sets no scale.
+    """
+    scale = max(p.omega1, p.omega2, abs(p.delta_a), p.g, 1.0)
+    if branch == "nonadiabatic":
+        return Branch(
+            pins={
+                "delta1_zero": ("delta1", 0.0),
+                "delta2_minus_two_omega1": ("delta2", -2.0 * p.omega1),
+                "delta_a_minus_omega2": ("delta_a", -p.omega2),
+            },
+            scale=max(scale, abs(p.delta2) / 2.0), coupling=p.g, slope=8.0 / 3.0, h1_rotated=0,
+            kets=lambda: (up_ket(p.phi1, p.phi), down_ket(p.phi1, p.phi)),
+            generators=lambda: (drive_generator_1(p), drive_generator_2(p)),
+            h1=lambda: build_h1(p),
+        )
+    if branch == "memory":
+        d = DerivedMemoryParams.from_params(p)
+        return Branch(
+            pins={"omega2_zero": ("omega2", 0.0),
+                  "delta_a_minus_two_lambda": ("delta_a", -2.0 * d.lam)},
+            scale=scale, coupling=d.g_tilde, slope=1.0, h1_rotated=1,
+            kets=lambda: (tilde_plus_ket(d.chi, p.phi1), tilde_minus_ket(d.chi, p.phi1)),
+            generators=lambda: (0.5 * p.delta1 * SIGMA_Z, memory_generator(p)),
+            h1=lambda: build_h1_memory(p),
+        )
+    raise ValueError(f"unknown branch {branch!r}")
+
+
+def apply_constraints(p: ModelParams, branch: str) -> ModelParams:
+    """Pin the resonance conditions of ``branch``."""
+    return p.replace(**dict(branch_of(p, branch).pins.values()))
 
 
 @dataclass(frozen=True)
@@ -172,26 +234,11 @@ def check_regime(p: ModelParams, branch: str) -> RegimeReport:
     """Check the resonance constraints of the requested branch.
 
     Residuals are absolute (rad/s); a constraint passes when its residual
-    is at most 1e-9 times the drive scale of the branch.  The memory
-    branch has no second drive, so ``delta2`` sets no scale there.
+    is at most 1e-9 times the drive scale of the branch (:func:`branch_of`).
     """
-    scale = max(p.omega1, p.omega2, abs(p.delta_a), p.g, 1.0)
-    if branch == "nonadiabatic":
-        scale = max(scale, abs(p.delta2) / 2.0)
-        checks = {
-            "delta1_zero": abs(p.delta1),
-            "delta2_minus_two_omega1": abs(p.delta2 + 2.0 * p.omega1),
-            "delta_a_minus_omega2": abs(p.delta_a + p.omega2),
-        }
-    elif branch == "memory":
-        lam = DerivedMemoryParams.from_params(p).lam
-        checks = {
-            "omega2_zero": abs(p.omega2),
-            "delta_a_minus_two_lambda": abs(p.delta_a + 2.0 * lam),
-        }
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    rated = {k: (res <= 1e-9 * scale, res) for k, res in checks.items()}
+    b = branch_of(p, branch)
+    checks = {k: abs(getattr(p, name) - value) for k, (name, value) in b.pins.items()}
+    rated = {k: (res <= 1e-9 * b.scale, res) for k, res in checks.items()}
 
     def _ratio(a, b):
         return float(a / b) if b != 0 else float("inf")
@@ -260,19 +307,6 @@ def sigma(bra_into, ket_from) -> np.ndarray:
     return np.outer(qmath.as_ket(bra_into), np.conj(qmath.as_ket(ket_from)))
 
 
-def dressed_basis_matrix(p: ModelParams, branch: str) -> np.ndarray:
-    """Columns are the protected-branch basis kets in bare coordinates:
-    (up, down) for the nonadiabatic branch, (T+, T-) for the memory one."""
-    if branch == "nonadiabatic":
-        cols = (up_ket(p.phi1, p.phi), down_ket(p.phi1, p.phi))
-    elif branch == "memory":
-        chi = DerivedMemoryParams.from_params(p).chi
-        cols = (tilde_plus_ket(chi, p.phi1), tilde_minus_ket(chi, p.phi1))
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return np.column_stack(cols)
-
-
 # --- frames ----------------------------------------------------------------
 
 
@@ -294,30 +328,19 @@ def memory_generator(p: ModelParams) -> np.ndarray:
     return 0.5 * p.delta1 * SIGMA_Z + drive_generator_1(p)
 
 
-def nonadiabatic_frame(p: ModelParams) -> FrameTransform:
-    """R(t) = U1(t) U2(t), generated by the two drives; maps doubly dressed
-    frame states into the interaction picture.  The protected trajectory is
-    R(t)|up>."""
-    return FrameTransform((drive_generator_1(p), drive_generator_2(p)))
-
-
-def memory_frame(p: ModelParams) -> FrameTransform:
-    """R(t) = exp(-i delta1 sigma_z t / 2) exp(-i K t) with K the detuned
-    drive generator; maps the memory dressed frame into the interaction
-    picture.  The protected trajectory is R(t)|T+>."""
-    return FrameTransform((0.5 * p.delta1 * SIGMA_Z, memory_generator(p)))
+def branch_frame(p: ModelParams, branch: str) -> FrameTransform:
+    """The frame ``R(t)`` of the branch (:func:`branch_of`)."""
+    return branch_of(p, branch).frame
 
 
 def effective_check_frame(p: ModelParams, branch: str) -> Harmonic:
     """``R(t) (x) 1 . W``: maps states of the effective model (protected basis
-    ``W`` x Fock) into the frame of :func:`build_h1` (nonadiabatic branch,
-    ``R = U1 U2``) or :func:`build_h1_memory` (memory branch, where the
-    detuned drive is already static and ``R`` is its ``exp(-i K t)`` alone)."""
-    if branch == "nonadiabatic":
-        r = nonadiabatic_frame(p)
-    else:
-        r = FrameTransform((memory_generator(p),))
-    w = dressed_basis_matrix(p, branch)
+    ``W`` x Fock) into the frame of the branch's full Hamiltonian, with ``R``
+    the branch frame less the factors that Hamiltonian is already in (the
+    memory branch's ``exp(-i K t)`` alone)."""
+    b = branch_of(p, branch)
+    r = FrameTransform(b.generators()[b.h1_rotated :])
+    w = b.basis
     return r.rotation.map(lambda u: np.kron(u @ w, np.eye(p.n_max + 1)))
 
 
@@ -357,61 +380,46 @@ def build_h1_memory(p: ModelParams) -> Harmonic:
     )
 
 
-def _raising_block(coupling: float, phi1: float, n_max: int) -> np.ndarray:
-    # (coupling) e^{i phi1} a^dag |0><1| + h.c. in a two-level (protected,
-    # pumped) basis tensor Fock
-    a = qmath.fock_annihilation(n_max)
-    upper = coupling * np.exp(1j * phi1) * np.kron(
+def build_h2(p: ModelParams, branch: str) -> np.ndarray:
+    """Engineered coupling ``(c/2)(e^{i phi1} a^dag |P><M| + h.c.)`` with the
+    branch's coupling ``c``, in its (protected P, pumped M) x Fock basis.
+
+    Requires the branch's resonance constraints; violations raise
+    :class:`RegimeError` carrying the report.
+    """
+    require_regime(p, branch)
+    coupling, a = 0.5 * branch_of(p, branch).coupling, qmath.fock_annihilation(p.n_max)
+    upper = coupling * np.exp(1j * p.phi1) * np.kron(
         sigma(qmath.basis_ket(2, 0), qmath.basis_ket(2, 1)), qmath.dag(a)
     )
     return upper + qmath.dag(upper)
-
-
-def build_h2_effective(p: ModelParams) -> np.ndarray:
-    """Engineered coupling ``(g/2)(e^{i phi1} a^dag |up><down| + h.c.)``,
-    written in the (up, down) x Fock product basis.
-
-    Requires the nonadiabatic resonance constraints; violations raise
-    :class:`RegimeError` carrying the report.
-    """
-    require_regime(p, "nonadiabatic")
-    return _raising_block(0.5 * p.g, p.phi1, p.n_max)
-
-
-def build_h2_memory(p: ModelParams) -> np.ndarray:
-    """Engineered memory coupling ``(g_tilde/2)(e^{i phi1} a^dag |T+><T-|
-    + h.c.)`` in the (T+, T-) x Fock basis, with g_tilde = g (1 - chi/2)."""
-    require_regime(p, "memory")
-    gt = DerivedMemoryParams.from_params(p).g_tilde
-    return _raising_block(0.5 * gt, p.phi1, p.n_max)
 
 
 # --- engineered reservoir, closed forms -------------------------------------
 
 
 def engineered_rate(p: ModelParams, branch: str = "nonadiabatic") -> float:
-    """Effective pump rate of the engineered reservoir: g^2/Gamma for the
-    nonadiabatic branch, g_tilde^2/Gamma for the memory branch."""
+    """Effective pump rate of the engineered reservoir, ``coupling^2 / Gamma``
+    with the branch's coupling (``g``, or ``g_tilde`` on the memory branch);
+    ``inf`` where the square overflows."""
     if p.Gamma <= 0:
         raise ValueError("Gamma must be positive")
-    if branch == "nonadiabatic":
-        return p.g**2 / p.Gamma
-    if branch == "memory":
-        return DerivedMemoryParams.from_params(p).rate
-    raise ValueError(f"unknown branch {branch!r}")
+    coupling = branch_of(p, branch).coupling
+    try:
+        return coupling**2 / p.Gamma
+    except OverflowError:
+        return math.inf
 
 
 def epsilon_closed_form(ratio: float, branch: str = "nonadiabatic") -> float:
     """Residual population of the pumped state at the engineered fixed point,
     as a function of the rate ratio (engineered rate / gamma):
-    ``[2 + (8/3) ratio]^-1`` (nonadiabatic) or ``[2 + ratio]^-1`` (memory)."""
+    ``[2 + c ratio]^-1`` with the branch's slope ``c``, 8/3 (nonadiabatic)
+    or 1 (memory)."""
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
-    if branch == "nonadiabatic":
-        return 1.0 / (2.0 + (8.0 / 3.0) * ratio)
-    if branch == "memory":
-        return 1.0 / (2.0 + ratio)
-    raise ValueError(f"unknown branch {branch!r}")
+    # the slope depends on the branch alone; any parameter set resolves it
+    return 1.0 / (2.0 + branch_of(ModelParams(), branch).slope * ratio)
 
 
 def dressed_decay_generator(gamma: float) -> np.ndarray:
@@ -559,10 +567,10 @@ def dressed_decay_jump(p: ModelParams, branch: str) -> Harmonic:
     """Spontaneous-emission jump ``|g><e|`` seen in the rotating dressed
     frame of the branch, in protected-basis coordinates:
     ``w^dag R(t)^dag |g><e| R(t) w`` with ``R`` the branch frame and ``w``
-    the dressed basis matrix."""
-    w = dressed_basis_matrix(p, branch)
-    r = nonadiabatic_frame(p) if branch == "nonadiabatic" else memory_frame(p)
-    return r.to_frame(sigma(ket_g(), ket_e())).map(lambda a: qmath.dag(w) @ a @ w)
+    the branch's basis."""
+    b = branch_of(p, branch)
+    w = b.basis
+    return b.frame.to_frame(sigma(ket_g(), ket_e())).map(lambda a: qmath.dag(w) @ a @ w)
 
 
 def full_system_master_equation(
@@ -582,35 +590,16 @@ def full_system_master_equation(
     ``frame="bare"``: the full interaction-picture Hamiltonian (harmonic)
     with static jump operators.
     """
-    a = qmath.fock_annihilation(p.n_max)
-    eye_f = np.eye(p.n_max + 1)
-    dim = 2 * (p.n_max + 1)
-    cavity = LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), a), factor=0.5)
-
+    a, eye_f = qmath.fock_annihilation(p.n_max), np.eye(p.n_max + 1)
+    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), a), factor=0.5)]
     if frame == "bare":
-        if branch == "nonadiabatic":
-            hamiltonian = build_h1(p)
-        elif branch == "memory":
-            hamiltonian = build_h1_memory(p)
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
-        terms = [cavity]
+        hamiltonian, jump = branch_of(p, branch).h1(), np.kron(sigma(ket_g(), ket_e()), eye_f)
+    elif frame == "dressed-effective":
+        hamiltonian, jump = build_h2(p, branch), None
         if include_gamma:
-            terms.append(
-                LindbladTerm(
-                    rate=p.gamma,
-                    operator=np.kron(sigma(ket_g(), ket_e()), eye_f),
-                    factor=0.5,
-                )
-            )
-        return MasterEquation(dim=dim, hamiltonian=hamiltonian, terms=tuple(terms))
-
-    if frame != "dressed-effective":
+            jump = dressed_decay_jump(p, branch).map(lambda o: np.kron(o, eye_f))
+    else:
         raise ValueError(f"unknown frame {frame!r}")
-
-    h2 = build_h2_effective(p) if branch == "nonadiabatic" else build_h2_memory(p)
-    terms = [cavity]
     if include_gamma:
-        jump = dressed_decay_jump(p, branch).map(lambda o: np.kron(o, eye_f))
         terms.append(LindbladTerm(rate=p.gamma, operator=jump, factor=0.5))
-    return MasterEquation(dim=dim, hamiltonian=h2, terms=tuple(terms))
+    return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

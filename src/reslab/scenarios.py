@@ -74,7 +74,7 @@ _PARAM_KEYS = (
     "n_max",
 )
 _RATE_KEYS = ("g", "omega1", "omega2", "delta_a", "delta1", "delta2", "Gamma", "gamma")
-_NONNEGATIVE_KEYS = ("g", "omega1", "omega2", "Gamma", "gamma")
+_MINIMUM = {"g": 0, "omega1": 0, "omega2": 0, "Gamma": 0, "gamma": 0, "n_max": 1}
 
 _OPTION_KEYS = {
     "nonadiabatic": {"include_gamma": bool},
@@ -140,6 +140,14 @@ def _check_number(value, path, *, integer=False):
     return int(value) if integer else float(value)
 
 
+def _check_param(key, value, path):
+    """A value of parameter ``key``, from ``params`` or a sweep axis, checked."""
+    val = _check_number(value, path, integer=(key == "n_max"))
+    if key in _MINIMUM:
+        _require(val >= _MINIMUM[key], f"{key} must be >= {_MINIMUM[key]}, got {val}", path)
+    return val
+
+
 def parse_config(text: str) -> Scenario:
     """Parse and validate a JSON scenario document."""
     try:
@@ -159,12 +167,7 @@ def parse_config(text: str) -> Scenario:
     params = {}
     for key, value in (raw.get("params") or {}).items():
         _require(key in _PARAM_KEYS, f"unknown parameter {key!r}", ("params", key))
-        val = _check_number(value, ("params", key), integer=(key == "n_max"))
-        if key in _NONNEGATIVE_KEYS:
-            _require(val >= 0, f"{key} must be >= 0, got {val}", ("params", key))
-        if key == "n_max":
-            _require(val >= 1, f"n_max must be >= 1, got {val}", ("params", key))
-        params[key] = val
+        params[key] = _check_param(key, value, ("params", key))
 
     grid_raw = raw.get("grid") or {}
     _require(isinstance(grid_raw, dict), "grid must be an object", ("grid",))
@@ -206,10 +209,11 @@ def parse_config(text: str) -> Scenario:
 
     if kind == "effective-check":
         branch = options.get("branch", "nonadiabatic")
-        branches = ("nonadiabatic", "memory")
-        _require(branch in branches, f"unknown branch {branch!r}", ("options", "branch"))
+        _require(branch in model.BRANCHES, f"unknown branch {branch!r}", ("options", "branch"))
         chi = options.get("chi", 0.0)
         _require(-2.0 < chi < 2.0, f"chi must lie in (-2, 2), got {chi}", ("options", "chi"))
+        memory_only = branch == "memory" or "chi" not in options
+        _require(memory_only, "option chi applies to the memory branch only", ("options", "chi"))
 
     sweep_axis = None
     if name == "sweep":
@@ -227,12 +231,7 @@ def parse_config(text: str) -> Scenario:
             "sweep values must be a non-empty list",
             ("sweep_axis", 1),
         )
-        checked = []
-        for i, v in enumerate(values):
-            val = _check_number(v, ("sweep_axis", 1, i), integer=(axis_name == "n_max"))
-            if axis_name in _NONNEGATIVE_KEYS:
-                _require(val >= 0, f"{axis_name} must be >= 0", ("sweep_axis", 1, i))
-            checked.append(val)
+        checked = (_check_param(axis_name, v, ("sweep_axis", 1, i)) for i, v in enumerate(values))
         sweep_axis = (axis_name, tuple(checked))
     else:
         _require("sweep_axis" not in raw, "sweep_axis is only valid for sweeps", ("sweep_axis",))
@@ -267,8 +266,9 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     ``params.delta1`` there is a :class:`ConfigError`) and delta2 = 0.
 
     Parameters the scenario divides by must be positive; a zero raises
-    :class:`ConfigError`.  A sweep is checked at every point and resolves
-    to its first point.
+    :class:`ConfigError`, and so does an engineered rate that is not finite,
+    or that underflows to zero where the scenario needs ``g > 0``.  A sweep
+    is checked at every point and resolves to its first point.
     """
     if sc.name == "sweep":
         return [resolve_params(point) for point in _points(sc)][0]
@@ -289,15 +289,17 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     if branch == "memory":
         both_zero = vals["omega1"] == 0 and vals["delta1"] == 0
         _require(not both_zero, "omega1 and delta1 cannot both vanish", ("params", "omega1"))
-        pinned = model.apply_memory_constraints(model.ModelParams(**vals))
-    else:
-        pinned = model.apply_nonadiabatic_constraints(model.ModelParams(**vals))
-    for key in ("omega2", "delta_a", "delta1", "delta2"):
-        if key not in sc.params:
-            vals[key] = getattr(pinned, key)
+    pins = model.branch_of(model.ModelParams(**vals), branch).pins.values()
+    vals.update({key: value for key, value in pins if key not in sc.params})
     for key in _RATE_KEYS:
         vals[key] *= sc.unit_scale
-    return model.ModelParams(**vals)
+    p = model.ModelParams(**vals)
+    if p.Gamma > 0:  # g^2 / Gamma overflows through a large g or a small Gamma
+        rate = model.engineered_rate(p, branch)
+        ok = math.isfinite(rate) and (rate > 0 or "g" not in positive)
+        key = "Gamma" if math.isinf(rate) and p.Gamma < 1.0 else "g"
+        _require(ok, f"engineered rate {rate} is out of range for {sc.name}", ("params", key))
+    return p
 
 
 def _points(sc: Scenario) -> list:
@@ -308,11 +310,8 @@ def _points(sc: Scenario) -> list:
 
 
 def _branch_for(sc: Scenario) -> str:
-    if sc.name == "memory":
-        return "memory"
-    if sc.name == "effective-check":
-        return sc.options.get("branch", "nonadiabatic")
-    return "nonadiabatic"
+    # parse_config gives a branch option to effective-check alone
+    return "memory" if sc.name == "memory" else sc.options.get("branch", "nonadiabatic")
 
 
 def _grid(sc: Scenario, default_t_end: float, default_n: int) -> np.ndarray:
@@ -382,11 +381,12 @@ def _run_nonadiabatic(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
 
 def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     derived_mem = model.DerivedMemoryParams.from_params(p)
-    ratio = derived_mem.rate / p.gamma if p.gamma > 0 else float("inf")
+    rate = model.engineered_rate(p, "memory")
+    ratio = rate / p.gamma if p.gamma > 0 else float("inf")
     eps = model.epsilon_closed_form(ratio, "memory") if math.isfinite(ratio) else 0.0
 
     me = model.reduced_master_equation(p, "memory")
-    times = _grid(sc, 10.0 / max(derived_mem.rate, 1e-300), 401)
+    times = _grid(sc, 10.0 / max(rate, 1e-300), 401)
     rho0 = np.diag([0.0, 1.0 + 0j])
     traj = evolve(me, rho0, times)
     plus = qmath.basis_ket(2, 0)
@@ -397,7 +397,7 @@ def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         "lambda": derived_mem.lam,
         "chi": derived_mem.chi,
         "g_tilde": derived_mem.g_tilde,
-        "rate_eng": derived_mem.rate,
+        "rate_eng": rate,
         "rate_ratio": ratio,
         "epsilon_formula": eps,
         "fidelity_formula": 1.0 - eps,
@@ -437,19 +437,17 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
 
 def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     branch = _branch_for(sc)
+    # the memory check starts in the pumped T-, at the chi of its option
     if branch == "memory":
-        h_eff = model.build_h2_memory(p)
-        full = model.build_h1_memory(p)
         psi0_tl = model.tilde_minus_ket(sc.options.get("chi", 0.0), p.phi1)
     else:
-        h_eff = model.build_h2_effective(p)
-        full = model.build_h1(p)
         psi0_tl = model.up_ket(p.phi1, p.phi)
 
+    full = model.branch_of(p, branch).h1()
     frame = model.effective_check_frame(p, branch)
     psi0 = np.kron(psi0_tl, qmath.basis_ket(p.n_max + 1, 0))
     times = _grid(sc, 2.0 / max(p.g, 1e-300), 201)
-    comp = compare_effective(full, h_eff, psi0, times, frame=frame)
+    comp = compare_effective(full, model.build_h2(p, branch), psi0, times, frame=frame)
 
     report = model.check_regime(p, branch)
     derived = {

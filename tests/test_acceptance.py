@@ -127,7 +127,7 @@ def _nonadiabatic_comparison(p):
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
         model.build_h1(p),
-        model.build_h2_effective(p),
+        model.build_h2(p, "nonadiabatic"),
         psi0,
         np.linspace(0.0, 2.0 / p.g, 101),
         frame=model.effective_check_frame(p, "nonadiabatic"),
@@ -140,7 +140,7 @@ def _memory_comparison(chi):
     psi0 = np.kron(model.tilde_minus_ket(d.chi, p.phi1), qmath.basis_ket(p.n_max + 1, 0))
     return compare_effective(
         model.build_h1_memory(p),
-        model.build_h2_memory(p),
+        model.build_h2(p, "memory"),
         psi0,
         np.linspace(0.0, 2.0 / p.g, 101),
         frame=model.effective_check_frame(p, "memory"),

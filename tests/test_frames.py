@@ -224,9 +224,9 @@ def regime_params():
 
 def run_h1_h2_comparison(p, enforce=True):
     h2 = (
-        model.build_h2_effective(p)
+        model.build_h2(p, "nonadiabatic")
         if enforce
-        else model.build_h2_effective(model.apply_nonadiabatic_constraints(p))
+        else model.build_h2(model.apply_constraints(p, "nonadiabatic"), "nonadiabatic")
     )
     frame = model.effective_check_frame(p, "nonadiabatic")
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))

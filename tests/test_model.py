@@ -59,9 +59,9 @@ class TestModelParams:
 
     def test_constraint_helpers(self):
         p = model.ModelParams(omega1=3.0, omega2=0.5, delta1=1.0, delta2=5.0, delta_a=2.0)
-        q = model.apply_nonadiabatic_constraints(p)
+        q = model.apply_constraints(p, "nonadiabatic")
         assert (q.delta1, q.delta2, q.delta_a) == (0.0, -6.0, -0.5)
-        m = model.apply_memory_constraints(p)
+        m = model.apply_constraints(p, "memory")
         assert m.omega2 == 0.0
         lam = np.hypot(3.0, 0.5)
         assert m.delta_a == pytest.approx(-2.0 * lam)
@@ -163,24 +163,24 @@ class TestBuildH1:
 class TestBuildH2:
     def test_requires_constraints(self):
         with pytest.raises(RegimeError) as err:
-            model.build_h2_effective(dimensionless_params(delta_a=-19.0))
+            model.build_h2(dimensionless_params(delta_a=-19.0), "nonadiabatic")
         assert not err.value.report.ok
         assert "delta_a_minus_omega2" in str(err.value.report)
 
     def test_spectral_norm_single_excitation(self):
         p = dimensionless_params(n_max=1)
-        h2 = model.build_h2_effective(p)
+        h2 = model.build_h2(p, "nonadiabatic")
         assert np.linalg.norm(h2, 2) == pytest.approx(p.g / 2.0, rel=1e-12)
 
     def test_phase_shift_flips_sign(self):
         p0 = dimensionless_params(n_max=1)
         p1 = p0.replace(phi1=p0.phi1 + np.pi)
-        h0, h1 = model.build_h2_effective(p0), model.build_h2_effective(p1)
+        h0, h1 = model.build_h2(p0, "nonadiabatic"), model.build_h2(p1, "nonadiabatic")
         assert np.max(np.abs(h0 + h1)) < 1e-12
 
     def test_matrix_elements(self):
         p = dimensionless_params(phi1=0.8, n_max=1)
-        h2 = model.build_h2_effective(p)
+        h2 = model.build_h2(p, "nonadiabatic")
         # basis (up, down) x (|0>, |1>): index = 2*tl + fock
         up1, down0 = 1, 2
         assert h2[up1, down0] == pytest.approx(0.5 * p.g * np.exp(1j * p.phi1))
@@ -188,14 +188,14 @@ class TestBuildH2:
 
     def test_memory_coupling_endpoints(self):
         # chi = 0: full coupling; chi = 2: vanishes; chi = -2: doubled
-        h0 = model.build_h2_memory(memory_params(0.0).replace(n_max=1))
+        h0 = model.build_h2(memory_params(0.0).replace(n_max=1), "memory")
         assert np.linalg.norm(h0, 2) == pytest.approx(0.5, rel=1e-9)
         p2 = model.ModelParams(
             g=1.0, omega1=0.0, omega2=0.0, delta1=200.0, delta_a=-200.0, Gamma=20.0, n_max=1
         )
-        assert np.max(np.abs(model.build_h2_memory(p2))) < 1e-12
+        assert np.max(np.abs(model.build_h2(p2, "memory"))) < 1e-12
         pm2 = p2.replace(delta1=-200.0)
-        assert np.linalg.norm(model.build_h2_memory(pm2), 2) == pytest.approx(1.0, rel=1e-9)
+        assert np.linalg.norm(model.build_h2(pm2, "memory"), 2) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestEngineeredRate:
@@ -352,7 +352,7 @@ class TestProtectedStates:
 
     def test_null_vector_of_transformed_jump(self):
         p = dimensionless_params(phi1=0.3, phi2=0.7)
-        r = model.nonadiabatic_frame(p)
+        r = model.branch_frame(p, "nonadiabatic")
         jump = model.sigma(model.up_ket(p.phi1, p.phi), model.down_ket(p.phi1, p.phi))
         for t in np.linspace(0.0, 0.05, 7):
             rt = r.rotation(t)
@@ -367,7 +367,7 @@ class TestProtectedStates:
         for chi in (0.0, 1.0, -1.0):
             p = memory_params(chi, phi1=0.4)
             d = model.DerivedMemoryParams.from_params(p)
-            r = model.memory_frame(p)
+            r = model.branch_frame(p, "memory")
             jump = model.sigma(
                 model.tilde_plus_ket(d.chi, p.phi1), model.tilde_minus_ket(d.chi, p.phi1)
             )
@@ -430,7 +430,7 @@ class TestDriveInteractionHamiltonian:
     def test_matches_frame_generator(self):
         # i dR/dt R^dag of the composed frame by a central finite difference
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
-        r = model.nonadiabatic_frame(p)
+        r = model.branch_frame(p, "nonadiabatic")
         h = model.drive_interaction_hamiltonian(p)
         dt = 1e-7
         for t in (0.0, 0.013, 0.4):
@@ -472,11 +472,11 @@ class TestFullSystemMasterEquation:
         for phi1, phi2 in ((0.0, 0.0), (0.4, 1.1), (-2.3, 0.6)):
             if branch == "nonadiabatic":
                 p = dimensionless_params(phi1=phi1, phi2=phi2)
-                r = model.nonadiabatic_frame(p)
+                r = model.branch_frame(p, "nonadiabatic")
             else:
                 p = memory_params(0.8, phi1=phi1)
-                r = model.memory_frame(p)
-            w = model.dressed_basis_matrix(p, branch)
+                r = model.branch_frame(p, "memory")
+            w = model.branch_of(p, branch).basis
             jump = model.dressed_decay_jump(p, branch)
             for t in rng.uniform(0.0, 0.1, 5):
                 rt = r.rotation(t)
@@ -488,7 +488,7 @@ class TestFullSystemMasterEquation:
         me = model.full_system_master_equation(
             p, "nonadiabatic", frame="dressed-effective", include_gamma=True
         )
-        w = model.dressed_basis_matrix(p, "nonadiabatic")
+        w = model.branch_of(p, "nonadiabatic").basis
         s_ge = model.sigma(model.ket_g(), model.ket_e())
         expected = np.kron(qmath.dag(w) @ s_ge @ w, np.eye(p.n_max + 1))
         assert np.max(np.abs(me.terms[1].operator_at(0.0) - expected)) < 1e-12

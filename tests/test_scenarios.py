@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reslab import cli, model, qmath, scenarios
 from reslab.errors import ConfigError
@@ -14,6 +16,10 @@ from reslab.scenarios import (
     resolve_params,
     run_scenario,
 )
+
+_SINGLE = [name for name in SCENARIOS if name != "sweep"]
+_MEMORY_CHECK = ("effective-check", {"branch": "memory"})
+_EDGE_VALUES = [0, 1e-300, 1e-3, 1, 1e6, 1e200]
 
 
 class TestParseConfig:
@@ -420,6 +426,25 @@ class TestCli:
                 {"name": "sweep", "options": {"base": "sweep"}, "sweep_axis": ["g", [1.0]]},
                 ["options", "base"],
             ),
+            ({"name": "sweep", "sweep_axis": ["n_max", [0]]}, ["sweep_axis", 1, 0]),
+            # chi sets the memory branch's drive; the nonadiabatic branch has none
+            ({"name": "effective-check", "options": {"chi": 0.5}}, ["options", "chi"]),
+            (
+                {"name": "effective-check", "options": {"branch": "nonadiabatic", "chi": 0.5}},
+                ["options", "chi"],
+            ),
+            (
+                {"name": "sweep", "options": {"base": "effective-check", "chi": 0.5},
+                 "sweep_axis": ["g", [1e5]]},
+                ["options", "chi"],
+            ),
+            # the engineered rate g^2 / Gamma overflows, or underflows where g > 0 is needed
+            *[({"name": name, "params": {"g": 1e200}}, ["params", "g"]) for name in _SINGLE],
+            *[
+                ({"name": name, "params": {"Gamma": 1e-300}}, ["params", "Gamma"])
+                for name in ("nonadiabatic", "memory", "elimination-check")
+            ],
+            ({"name": "elimination-check", "params": {"g": 1e-300}}, ["params", "g"]),
         ],
     )
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, path):
@@ -430,6 +455,48 @@ class TestCli:
         assert payload["exit_code"] == 2
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["path"] == path
+
+    def test_non_finite_step_is_numerical_failure(self, tmp_path, capsys):
+        # the rate (1e-190) is in range, but the run's time scale overflows its exponent
+        cfg = self.write(tmp_path, {"name": "elimination-check", "params": {"Gamma": 1e200}})
+        assert cli.main(["validate", cfg]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 3
+        assert payload["error"]["type"] == "IntegrationDivergenceError"
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        base=st.sampled_from([(name, {}) for name in _SINGLE] + [_MEMORY_CHECK]),
+        params=st.lists(
+            st.tuples(st.sampled_from(scenarios._PARAM_KEYS), st.sampled_from(_EDGE_VALUES)),
+            min_size=1,
+            max_size=2,
+        ),
+        sweep=st.booleans(),
+    )
+    def test_validate_keeps_the_exit_code_contract(self, tmp_path, capsys, base, params, sweep):
+        # any config that parses ends in 0, 2, 3 or 4, with error JSON on failure
+        name, options = base
+        doc = {"name": name, "options": options, "params": dict(params)}
+        if sweep:
+            axis, value = params[0]
+            doc = {**doc, "name": "sweep", "options": {**options, "base": name}}
+            doc["params"] = {k: v for k, v in params[1:] if k != axis}
+            doc["sweep_axis"] = [axis, [value]]
+        code = cli.main(["validate", self.write(tmp_path, doc)])
+        assert code in (0, 2, 3, 4)
+        last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        if code == 0:
+            assert last["valid"]
+        else:
+            assert last["exit_code"] == code and set(last["error"]) >= {"type", "message"}
 
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["run", "/nonexistent/config.json"]) == 2
