@@ -56,7 +56,7 @@ def _classify(exc: Exception) -> int:
 
 def cmd_run(args) -> int:
     sc = _load_scenario(args.config)
-    result = run_scenario(sc, out_dir=args.out, workers=args.workers, verbose=args.verbose)
+    result = run_scenario(sc, out_dir=args.out, verbose=args.verbose)
     print(json.dumps({"scenario": sc.name, "out_dir": str(result.out_dir)}, sort_keys=True))
     return EXIT_OK
 
@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario config and write outputs")
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("--out", default="runs", help="output directory (default: runs)")
-    run_p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     run_p.add_argument("--verbose", action="store_true", help="print derived quantities to stderr")
     run_p.set_defaults(func=cmd_run)
 

@@ -42,10 +42,6 @@ class RegimeError(SimulationError):
         self.report = report
         super().__init__(message or f"regime constraints violated: {report}")
 
-    def __reduce__(self):
-        # a sweep point's error crosses the process pool with its message intact
-        return type(self), (self.report, str(self))
-
 
 class IllConditionedPathError(SimulationError):
     """Consecutive states along a trajectory are nearly orthogonal."""

@@ -30,14 +30,13 @@ The halving is :func:`lindblad._refine`, the loop that
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmath
 from .lindblad import _MAX_BLOCK, Harmonic, LindbladTerm, _as_harmonic, _check_operator
-from .lindblad import _refine, _time_grid
+from .lindblad import _counts, _refine, _time_grid
 
 __all__ = [
     "FrameTransform",
@@ -98,18 +97,18 @@ def _split(h: Harmonic, offsets: np.ndarray):
     """The span ``S`` the propagator is integrated over, and each offset as
     ``n S + r`` with whole spans ``n >= 0`` and ``r`` in ``(0, S]`` (``r = 0``
     at the start).  ``S`` is ``h``'s period when that is shorter than the
-    last offset, else the last offset; it carries that offset's sign."""
+    last offset, else the last offset."""
     horizon = offsets[-1]
     if horizon == 0.0:
         raise ValueError("the time grid spans no time")
     period = h.period
-    span = math.copysign(period, horizon) if period and period < abs(horizon) else horizon
+    span = period if period and period < horizon else horizon
     whole, rest = np.divmod(offsets, span)
     # a span's end belongs to that span, so without a shorter period n = 0
     ends = (rest == 0.0) & (whole > 0)
     whole[ends] -= 1
     rest[ends] = span
-    return span, whole.astype(int), rest
+    return span, _counts(whole), rest
 
 
 def _gauss_legendre(stages: int):
@@ -150,13 +149,13 @@ def _step_maps(h: Harmonic, starts: np.ndarray, widths: np.ndarray) -> np.ndarra
     return np.eye(d) + widths[:, None, None] * np.tensordot(slopes, _GL_B, axes=(1, 0))
 
 
-def _propagators(h: Harmonic, t0: float, points: np.ndarray, substeps: np.ndarray) -> np.ndarray:
-    """``U(t0 + p)`` from ``U(t0) = I`` at each point ``p``, ``points[0] = 0``,
-    the interval before point ``i + 1`` taken in ``substeps[i]`` equal steps."""
+def _propagators(h: Harmonic, points: np.ndarray, substeps: np.ndarray) -> np.ndarray:
+    """``U(p)`` from ``U(0) = I`` at each point ``p``, ``points[0] = 0``, the
+    interval before point ``i + 1`` taken in ``substeps[i]`` equal steps."""
     widths = np.repeat(np.diff(points) / substeps, substeps)
     first = np.cumsum(substeps) - substeps  # each interval's first step
     within = np.arange(widths.size) - np.repeat(first, substeps)
-    starts = t0 + np.repeat(points[:-1], substeps) + within * widths
+    starts = np.repeat(points[:-1], substeps) + within * widths
     last = set((first + substeps - 1).tolist())
     u = np.eye(h.matrices.shape[-1], dtype=complex)
     props = [u]
@@ -176,13 +175,13 @@ def schroedinger_evolve(
     *,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, dict]:
-    """Integrate ``i dpsi/dt = H(t) psi`` on a time grid; ``psi0`` is the state
-    at ``times[0]``.  Returns ``(states, info)``: the states have shape
-    ``(len(times), dim)``, and ``info`` is the integrator's record (see
-    :class:`EffectiveComparison`).
+    """Integrate ``i dpsi/dt = H(t) psi`` on the grid ``times``, which must
+    start at 0 and increase strictly; ``psi0`` is the state at 0.  Returns
+    ``(states, info)``: the states have shape ``(len(times), dim)``, and
+    ``info`` is the integrator's record (see :class:`EffectiveComparison`).
 
     ``hamiltonian`` is a static matrix or a :class:`Harmonic`.  The
-    propagator ``U(t)`` from ``times[0]`` is integrated over one span ``S``:
+    propagator ``U(t)`` from 0 is integrated over one span ``S``:
     ``H``'s period when that is shorter than the grid, else the whole grid.
     Each state is ``psi(t) = U(t mod S) U(S)^n psi0`` with
     ``n = floor(t / S)``, the whole spans applied to the state one at a time.
@@ -191,7 +190,7 @@ def schroedinger_evolve(
     unitary for Hermitian ``H``; Hairer, Lubich & Wanner, Geometric Numerical
     Integration, 2nd ed. (2006), II.1 and IV.2), kept at the points
     ``t mod S``.  The interval ``dt`` between two of them starts at
-    ``max(1, ceil(_STEP_SCALE |dt| (max|nu_k| + sum_k ||A_k||_2)))`` equal
+    ``max(1, ceil(_STEP_SCALE dt (max|nu_k| + sum_k ||A_k||_2)))`` equal
     steps; :func:`lindblad._refine` doubles every count until the Richardson
     estimate ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is
     at most ``tol``.  The record's ``achieved`` is that estimate, not a bound
@@ -202,23 +201,21 @@ def schroedinger_evolve(
     Raises
     ------
     IntegrationDivergenceError
-        If ``lindblad._MAX_REFINEMENTS`` doublings do not reach ``tol``;
-        carries the last estimate.
+        If ``lindblad._MAX_REFINEMENTS`` doublings do not reach ``tol``
+        (carrying the last estimate), or if a count of whole spans or of
+        first steps is too large to be an integer.
     """
     _check_operator(hamiltonian, "hamiltonian")
     h = _as_harmonic(hamiltonian)
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     psi0 = qmath.as_ket(psi0)
-    t0 = float(times[0])
-    span, whole, rest = _split(h, times - t0)
-    # the points t mod S run from 0 towards S, whichever sign S has
-    grid, where = np.unique(np.abs(np.append(rest, span)), return_inverse=True)
-    points = math.copysign(1.0, span) * grid
+    span, whole, rest = _split(h, times)
+    points, where = np.unique(np.append(rest, span), return_inverse=True)  # 0, ..., S
     rate = np.max(np.abs(h.frequencies)) + np.sum(np.linalg.norm(h.matrices, 2, axis=(1, 2)))
-    substeps = np.maximum(1, np.ceil(_STEP_SCALE * np.abs(np.diff(points)) * rate)).astype(int)
+    substeps = _counts(np.maximum(1.0, np.ceil(_STEP_SCALE * np.diff(points) * rate)))
 
     def run(counts):
-        props = _propagators(h, t0, points, counts)
+        props = _propagators(h, points, counts)
         kets = [psi0]  # U(S)^n psi0
         for _ in range(np.max(whole)):
             kets.append(props[where[-1]] @ kets[-1])
@@ -234,7 +231,7 @@ def schroedinger_evolve(
         "achieved": achieved,
         "steps": int(np.sum(substeps)),
         "passes": passes,
-        "period": abs(span) if np.max(whole) > 0 else None,
+        "period": span if np.max(whole) > 0 else None,
         "whole_periods": int(np.max(whole)),
     }
 

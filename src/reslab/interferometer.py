@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, qmath
+from .errors import SimulationError
 from .lindblad import LindbladTerm, MasterEquation, Trajectory, evolve
 
 __all__ = [
@@ -71,16 +72,22 @@ def run_interferometer(
     two-level system (off by default: within one cycle its contribution
     is small, and that smallness is checked by the tests rather than
     assumed).
+
+    Raises
+    ------
+    SimulationError
+        If the linear fit of the phase fails or has slope 0 (at extreme drive
+        frequencies the grid's time scale overflows or underflows the fit).
     """
     jump = np.zeros((3, 3), dtype=complex)
     jump[1, 2] = 1.0  # |up><down|, auxiliary row and column identically zero
-    terms = [LindbladTerm(rate=model.engineered_rate(p, "nonadiabatic"), operator=jump, factor=0.5)]
+    terms = [LindbladTerm(rate=model.engineered_rate(p, "nonadiabatic"), operator=jump)]
 
     if include_tl_decay:
         decay = model.dressed_decay_jump(p, "nonadiabatic")
         # auxiliary row and column identically zero
         decay = decay.map(lambda o: np.pad(o, ((1, 0), (1, 0))))
-        terms.append(LindbladTerm(rate=p.gamma, operator=decay, factor=0.5))
+        terms.append(LindbladTerm(rate=p.gamma, operator=decay))
 
     me = MasterEquation(dim=3, hamiltonian=None, terms=tuple(terms))
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -98,7 +105,12 @@ def run_interferometer(
     coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 
     phase = -np.unwrap(np.angle(coherence))
-    slope = float(np.polyfit(times, phase, 1)[0])
+    try:
+        slope = float(np.polyfit(times, phase, 1)[0])
+    except np.linalg.LinAlgError as exc:
+        raise SimulationError(f"the linear fit of the phase failed: {exc}") from exc
+    if slope == 0.0:
+        raise SimulationError("the linear fit of the phase has slope 0")
     abs_c = np.abs(coherence)
     return InterferometerResult(
         times=times,

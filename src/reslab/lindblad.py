@@ -5,15 +5,6 @@ Vectorization convention (fixed package-wide): column stacking,
 (B.T kron A) vec(rho)``.  With this convention the closed-system
 Liouvillian is ``L = -i (I kron H - H.T kron I)``.
 
-Each dissipative term contributes
-
-    rate * factor * (2 O rho O^dag - O^dag O rho - rho O^dag O)
-
-where ``factor`` encodes the bracket convention: ``0.5`` makes ``rate``
-the population transfer rate of the pumped transition, ``1.0`` doubles
-it.  Both conventions appear in the literature for the same bracket, so
-the factor is explicit per term rather than baked into the engine.
-
 Operators are static matrices or :class:`Harmonic` sums
 ``O(t) = sum_k exp(-i nu_k t) A_k``, the one time-dependent form: every
 rotating-frame Hamiltonian and jump operator of the model is such a
@@ -208,21 +199,21 @@ class _RealGenerator:
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One rated jump channel; ``operator`` is a static matrix or, for
+    """One rated jump channel, contributing
+
+        rate * (O rho O^dag - (O^dag O rho + rho O^dag O) / 2)
+
+    to ``drho/dt``, so that ``rate`` is the population transfer rate of the
+    pumped transition.  ``operator`` is a static matrix or, for
     frame-transformed channels, a :class:`Harmonic`."""
 
     rate: float
     operator: object
-    factor: float = 0.5
 
     def __post_init__(self):
         _check_operator(self.operator, "jump operator")
         if self.rate < 0:
             raise ValueError(f"negative rate {self.rate}")
-        if self.factor not in (0.5, 1.0):
-            # other prefactors are representable through the rate; restricting
-            # the factor keeps the two bracket conventions explicit
-            raise ValueError(f"factor must be 0.5 or 1.0, got {self.factor}")
 
     def operator_at(self, t: float) -> np.ndarray:
         return _as_harmonic(self.operator)(t)
@@ -239,7 +230,7 @@ class LindbladTerm:
         d = op.matrices.shape[-1]
         out = np.zeros((groups.frequencies.size, d * d, d * d), dtype=complex)
         for (k, l), slot in np.ndenumerate(slots):
-            out[slot] += _pair_dissipator(op.matrices[k], op.matrices[l], self.rate * self.factor)
+            out[slot] += _pair_dissipator(op.matrices[k], op.matrices[l], 0.5 * self.rate)
         return Harmonic(groups.frequencies, out)
 
 
@@ -527,6 +518,19 @@ def _refine(run, counts, estimate, tol, accept=lambda states: True):
     raise IntegrationDivergenceError(achieved, tol)
 
 
+def _counts(x) -> np.ndarray:
+    """The float counts ``x``, of steps or of whole periods, as ints.  A count
+    that is not finite, or not below ``2**63``, has no int: it raises
+    :class:`IntegrationDivergenceError` before the cast."""
+    x = np.asarray(x, dtype=float)
+    out_of_range = ~(np.abs(x) < 2.0**63)  # NaN included
+    if np.any(out_of_range):
+        count = float(x[out_of_range][0])
+        message = f"a count of {count:.6g} steps or periods is not a finite number below 2**63"
+        raise IntegrationDivergenceError(count, 2.0**63, message)
+    return x.astype(int)
+
+
 def _time_grid(t_grid) -> np.ndarray:
     """``t_grid`` as floats, checked to start at 0 and increase strictly."""
     times = np.asarray(t_grid, dtype=float)
@@ -553,8 +557,9 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     Raises
     ------
     IntegrationDivergenceError
-        If the refinement fails to converge or the trace drifts; carries the
-        achieved final-state difference, 0 for a static generator.
+        If the refinement fails to converge or the trace drifts, carrying the
+        achieved final-state difference (0 for a static generator), or if a
+        first substep count is too large to be an integer.
     """
     times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -572,7 +577,7 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
         if np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))) > 1e-9:
             raise IntegrationDivergenceError(0.0, tol, "the trace drifted by more than 1e-9")
         return Trajectory(times, states, np.ones(times.size - 1, dtype=int), tol=tol)
-    substeps = np.maximum(1, np.ceil(fastest * np.diff(times) / 2.0).astype(int))
+    substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(times) / 2.0)))
     states, substeps, passes, achieved = _refine(
         lambda counts: _integrate(me, rho0, times, counts),
         substeps,

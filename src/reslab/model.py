@@ -40,7 +40,6 @@ __all__ = [
     "RegimeReport",
     "check_regime",
     "require_regime",
-    "apply_constraints",
     "ket_e",
     "ket_g",
     "plus_ket",
@@ -53,7 +52,6 @@ __all__ = [
     "drive_generator_1",
     "drive_generator_2",
     "memory_generator",
-    "branch_frame",
     "effective_check_frame",
     "build_h1",
     "build_h1_memory",
@@ -208,11 +206,6 @@ def branch_of(p: ModelParams, branch: str) -> Branch:
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def apply_constraints(p: ModelParams, branch: str) -> ModelParams:
-    """Pin the resonance conditions of ``branch``."""
-    return p.replace(**dict(branch_of(p, branch).pins.values()))
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Constraint residuals (rad/s) and hierarchy ratios for one branch."""
@@ -326,11 +319,6 @@ def memory_generator(p: ModelParams) -> np.ndarray:
     """delta1 sigma_z / 2 + omega1 (e^{i phi1}|e><g| + h.c.); eigenkets |T+->,
     eigenvalues +-lambda."""
     return 0.5 * p.delta1 * SIGMA_Z + drive_generator_1(p)
-
-
-def branch_frame(p: ModelParams, branch: str) -> FrameTransform:
-    """The frame ``R(t)`` of the branch (:func:`branch_of`)."""
-    return branch_of(p, branch).frame
 
 
 def effective_check_frame(p: ModelParams, branch: str) -> Harmonic:
@@ -458,8 +446,9 @@ def reduced_master_equation(
     lossy cavity mode, written in the protected basis of the branch.
 
     The jump operator |protected><pumped| carries the engineered rate as a
-    population transfer rate (factor 1/2 convention), which is what the
-    eliminated two-part model and the dressed rate equations both give.
+    population transfer rate (:class:`~reslab.lindblad.LindbladTerm`), which
+    is what the eliminated two-part model and the dressed rate equations
+    both give.
     With ``include_gamma`` the dressed spontaneous-emission rate equations
     are added as an extra generator (nonadiabatic branch only; no closed
     rate system is defined for the memory branch).
@@ -474,7 +463,7 @@ def reduced_master_equation(
     return MasterEquation(
         dim=2,
         hamiltonian=None,
-        terms=(LindbladTerm(rate=rate, operator=jump, factor=0.5),),
+        terms=(LindbladTerm(rate=rate, operator=jump),),
         extra_generator=extra,
     )
 
@@ -583,7 +572,7 @@ def full_system_master_equation(
     """Master equation of the two-level system plus lossy cavity mode.
 
     ``frame="dressed-effective"``: static engineered Hamiltonian (H2 form)
-    in the protected basis, cavity decay at rate Gamma (factor 1/2), and
+    in the protected basis, cavity decay at population rate Gamma, and
     optionally the spontaneous-emission channel conjugated into the
     rotating dressed frame (the harmonic :func:`dressed_decay_jump`).
 
@@ -591,7 +580,7 @@ def full_system_master_equation(
     with static jump operators.
     """
     a, eye_f = qmath.fock_annihilation(p.n_max), np.eye(p.n_max + 1)
-    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), a), factor=0.5)]
+    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), a))]
     if frame == "bare":
         hamiltonian, jump = branch_of(p, branch).h1(), np.kron(sigma(ket_g(), ket_e()), eye_f)
     elif frame == "dressed-effective":
@@ -601,5 +590,5 @@ def full_system_master_equation(
     else:
         raise ValueError(f"unknown frame {frame!r}")
     if include_gamma:
-        terms.append(LindbladTerm(rate=p.gamma, operator=jump, factor=0.5))
+        terms.append(LindbladTerm(rate=p.gamma, operator=jump))
     return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

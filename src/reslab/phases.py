@@ -15,8 +15,8 @@ which equals ``i * closed-loop integral of <psi|d psi>`` in the continuum
 limit; the closure term makes the value independent of per-sample phase
 conventions.  The sum of per-step principal arguments is the
 continuity-unwrapped value (each step must stay well inside (-pi, pi),
-which dense grids guarantee); the default report folds it into the
-principal range (-2 pi, 0].
+which dense grids guarantee); the report folds it into the principal
+range (-2 pi, 0], the gauge-invariant representative.
 """
 
 from __future__ import annotations
@@ -55,19 +55,15 @@ def principal_phase(x: float) -> float:
     return -float((-x) % (2.0 * np.pi))
 
 
-def geometric_phase(states, *, principal: bool = True) -> float:
-    """Discrete Pancharatnam geometric phase of a pure-state trajectory.
+def geometric_phase(states) -> float:
+    """Discrete Pancharatnam geometric phase of a pure-state trajectory,
+    folded into (-2 pi, 0].
 
     Parameters
     ----------
     states : sequence of kets
         Normalized states along the path; the closure term to the first
         state is always included.
-    principal : bool
-        Fold the result into (-2 pi, 0] (gauge-invariant representative).
-        With ``principal=False`` the raw accumulation is returned, which
-        tracks winding across multiple cycles but is sensitive to the
-        gauge of the supplied kets.
 
     Raises
     ------
@@ -85,8 +81,7 @@ def geometric_phase(states, *, principal: bool = True) -> float:
         raise IllConditionedPathError(
             f"consecutive overlap magnitude {smallest:.2e} below 1.0e-06"
         )
-    acc = float(np.sum(np.angle(overlaps)))
-    return principal_phase(acc) if principal else acc
+    return principal_phase(float(np.sum(np.angle(overlaps))))
 
 
 def dynamic_phase(states, times, hamiltonian) -> float:

@@ -18,7 +18,6 @@ wall-clock time is reported in the summary under the volatile key
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
@@ -552,19 +551,9 @@ def _run_point(sc: Scenario) -> ScenarioResult:
     return _RUNNERS[sc.name](sc, p)
 
 
-def _run_child(sc: Scenario) -> dict:
-    return _run_point(sc).summary
-
-
-def _run_sweep(sc: Scenario, workers: int) -> ScenarioResult:
+def _run_sweep(sc: Scenario) -> ScenarioResult:
     axis_name, values = sc.sweep_axis
-    jobs = _points(sc)
-    if workers > 1:
-        # the pool forks all its workers at the first submit: no more than the points
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            summaries = list(pool.map(_run_child, jobs))
-    else:
-        summaries = [_run_child(job) for job in jobs]
+    summaries = [_run_point(point).summary for point in _points(sc)]
 
     columns = [c for c in _SWEEP_COLUMNS if all(c in s["derived"] for s in summaries)]
     header = [axis_name] + list(columns)
@@ -609,7 +598,6 @@ def run_scenario(
     sc: Scenario,
     out_dir: str | os.PathLike | None = None,
     *,
-    workers: int = 1,
     verbose: bool = False,
 ) -> ScenarioResult:
     """Execute a validated scenario; optionally persist the outputs.
@@ -619,7 +607,7 @@ def run_scenario(
     """
     start = time.perf_counter()
     if sc.name == "sweep":
-        result = _run_sweep(sc, workers)
+        result = _run_sweep(sc)
     else:
         result = _run_point(sc)
     result.summary["wall_time_s"] = time.perf_counter() - start

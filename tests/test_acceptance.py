@@ -206,7 +206,7 @@ def test_criterion_8_consistency_audit():
         delta1=0.0, delta2=-16.0, delta_a=-1.0, Gamma=1e6, gamma=gamma, n_max=1,
     )
     dressed = model.dressed_decay_jump(pav, "nonadiabatic")
-    frag = transformed_dissipator_average(LindbladTerm(rate=gamma, operator=dressed, factor=0.5))
+    frag = transformed_dissipator_average(LindbladTerm(rate=gamma, operator=dressed))
     oracle = {
         "pump": frag[0, 3].real,
         "damping": (frag[0, 3] - frag[0, 0]).real,
@@ -232,7 +232,6 @@ def test_criterion_8_consistency_audit():
             LindbladTerm(
                 rate=ratio * gamma,
                 operator=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-                factor=0.5,
             ),
         ),
         extra_generator=frag,

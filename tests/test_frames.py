@@ -82,13 +82,13 @@ class TestConjugateOperator:
 
 class TestDissipatorAverage:
     def test_static_passthrough(self):
-        term = LindbladTerm(rate=0.7, operator=SIGMA_GE, factor=1.0)
+        term = LindbladTerm(rate=1.4, operator=SIGMA_GE)
         frag = transformed_dissipator_average(term)
         assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.7))) < 1e-12
 
     def test_global_phase_invariance(self):
         omega = 2.0 * np.pi * 3.0
-        term = LindbladTerm(rate=0.9, operator=Harmonic([-omega], [SIGMA_GE]), factor=1.0)
+        term = LindbladTerm(rate=1.8, operator=Harmonic([-omega], [SIGMA_GE]))
         frag = transformed_dissipator_average(term)
         assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.9))) < 1e-12
 
@@ -139,12 +139,10 @@ class TestDissipatorAverage:
                 gamma=0.8, n_max=1,
             )
             period = np.pi / lam
-        term = LindbladTerm(
-            rate=p.gamma, operator=model.dressed_decay_jump(p, branch), factor=0.5
-        )
+        term = LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, branch))
         n = 512
         ts = (np.arange(n) + 0.5) * (period / n)
-        brute = sum(dissipator(term.operator_at(t), term.rate * term.factor) for t in ts) / n
+        brute = sum(dissipator(term.operator_at(t), 0.5 * term.rate) for t in ts) / n
         assert np.max(np.abs(transformed_dissipator_average(term) - brute)) < 1e-12
 
 
@@ -165,9 +163,7 @@ def dressed_decay_params(gamma):
 
 
 def dressed_decay_term(p):
-    return LindbladTerm(
-        rate=p.gamma, operator=model.dressed_decay_jump(p, "nonadiabatic"), factor=0.5
-    )
+    return LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, "nonadiabatic"))
 
 
 class TestCompareEffective:
@@ -203,6 +199,8 @@ class TestCompareEffective:
             with pytest.raises(ValueError):
                 compare_effective(h, h, [1.0, 0.0], times)
             with pytest.raises(ValueError):
+                schroedinger_evolve(h, [1.0, 0.0], times)
+            with pytest.raises(ValueError):
                 run_interferometer(p, times)
 
 
@@ -226,7 +224,9 @@ def run_h1_h2_comparison(p, enforce=True):
     h2 = (
         model.build_h2(p, "nonadiabatic")
         if enforce
-        else model.build_h2(model.apply_constraints(p, "nonadiabatic"), "nonadiabatic")
+        else model.build_h2(
+            p.replace(**dict(model.branch_of(p, "nonadiabatic").pins.values())), "nonadiabatic"
+        )
     )
     frame = model.effective_check_frame(p, "nonadiabatic")
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
@@ -363,30 +363,18 @@ class TestSchroedingerEvolve:
         spans = []
         propagators = frames._propagators
 
-        def recording(h, t0, points, substeps):
+        def recording(h, points, substeps):
             spans.append((points[0], points[-1]))
-            return propagators(h, t0, points, substeps)
+            return propagators(h, points, substeps)
 
         monkeypatch.setattr(frames, "_propagators", recording)
         schroedinger_evolve(*EVOLVE_CASES[case][0]())
         assert len(spans) >= 2  # a coarse and a fine pass
         assert spans == [(0.0, pytest.approx(span, rel=1e-15))] * len(spans)
 
-    def test_shifted_and_reversed_grids(self):
-        # psi0 is the state at times[0], whichever way the grid runs
-        # cos(3 t) sigma_x + sigma_z, period 2 pi / 3
-        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        h = Harmonic([3.0, -3.0, 0.0], [0.5 * sigma_x, 0.5 * sigma_x, np.diag([1.0, -1.0])])
-        psi0 = qmath.normalized([1.0, 0.5 - 0.5j])
-        times = np.linspace(0.3, 0.3 + 2.5 * h.period, 26)
-        forward, _ = schroedinger_evolve(h, psi0, times)
-        assert np.max(np.abs(forward - reference_states(h, psi0, times))) < 1e-9
-        backward, _ = schroedinger_evolve(h, forward[-1], times[::-1])
-        assert np.max(np.abs(backward[::-1] - forward)) < 1e-9
-
     def test_rejects_an_empty_span(self):
-        with pytest.raises(ValueError):
-            schroedinger_evolve(np.eye(2), [1.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="spans no time"):
+            schroedinger_evolve(np.eye(2), [1.0, 0.0], [0.0])
 
     def test_comparison_reports_the_period_map(self):
         h, psi0, times = effective_check_case("nonadiabatic")
@@ -426,7 +414,7 @@ class TestGaussLegendre:
     def test_one_period_map_is_unitary(self):
         h, _ = _harmonic_case()
         points = np.linspace(0.0, h.period, 5)
-        props = frames._propagators(h, 0.4, points, np.full(4, 25))
+        props = frames._propagators(h, points, np.full(4, 25))
         defects = props @ props.conj().transpose(0, 2, 1) - np.eye(2)
         assert np.max(np.abs(defects)) <= 1e-12
 
@@ -435,7 +423,7 @@ class TestGaussLegendre:
         points = np.array([0.0, h.period])
         exact = reference_states(h, psi0, points)[-1]
         errors = [
-            np.max(np.abs(frames._propagators(h, 0.0, points, np.array([k]))[-1] @ psi0 - exact))
+            np.max(np.abs(frames._propagators(h, points, np.array([k]))[-1] @ psi0 - exact))
             for k in (4, 8)
         ]
         assert errors[1] > 1e-11  # above the reference's own error
@@ -448,9 +436,9 @@ class TestGaussLegendre:
         passes = []
         propagators = frames._propagators
 
-        def counting(h, t0, points, substeps):
+        def counting(h, points, substeps):
             passes.append(int(np.sum(substeps)))
-            return propagators(h, t0, points, substeps)
+            return propagators(h, points, substeps)
 
         monkeypatch.setattr(frames, "_propagators", counting)
         with pytest.raises(IntegrationDivergenceError) as err:

@@ -32,8 +32,8 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def decay_qubit(gamma):
-    """Spontaneous decay at population rate gamma (rate gamma/2, factor 1)."""
-    return MasterEquation(dim=2, terms=(LindbladTerm(rate=gamma / 2, operator=SIGMA_GE, factor=1.0),))
+    """Spontaneous decay at population rate gamma."""
+    return MasterEquation(dim=2, terms=(LindbladTerm(rate=gamma, operator=SIGMA_GE),))
 
 
 def random_master_equation(rng, dim):
@@ -42,7 +42,7 @@ def random_master_equation(rng, dim):
     ops = []
     for _ in range(2):
         o = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        ops.append(LindbladTerm(rate=rng.uniform(0.1, 2.0), operator=o, factor=0.5))
+        ops.append(LindbladTerm(rate=rng.uniform(0.1, 2.0), operator=o))
     return MasterEquation(dim=dim, hamiltonian=h, terms=tuple(ops))
 
 
@@ -64,7 +64,7 @@ def random_harmonic_master_equation(rng, dim, nu, jump_nu, rate):
     h = Harmonic([0.0, nu, -nu], [0.5 * (h0 + h0.conj().T), a, a.conj().T])
     components = [0.5 * random_matrix(rng, dim) for _ in range(3)]
     jump = Harmonic([jump_nu, -0.5 * jump_nu, 0.0], components)
-    return MasterEquation(dim=dim, hamiltonian=h, terms=(LindbladTerm(rate, jump, 0.5),))
+    return MasterEquation(dim=dim, hamiltonian=h, terms=(LindbladTerm(rate, jump),))
 
 
 def shifted(h, s):
@@ -73,7 +73,7 @@ def shifted(h, s):
 
 
 def direct_rhs(me, rho, t=0.0):
-    """Reference ``-i[H, rho] + sum rate factor (2 O rho O^dag - {O^dag O, rho})``
+    """Reference ``-i[H, rho] + sum rate/2 (2 O rho O^dag - {O^dag O, rho})``
     from the operators sampled at ``t``, plus the extra generator."""
     out = np.zeros((me.dim, me.dim), dtype=complex)
     h = me.hamiltonian_at(t)
@@ -82,7 +82,7 @@ def direct_rhs(me, rho, t=0.0):
     for term in me.terms:
         o = term.operator_at(t)
         odo = o.conj().T @ o
-        out += (term.rate * term.factor) * (2.0 * (o @ rho @ o.conj().T) - odo @ rho - rho @ odo)
+        out += (0.5 * term.rate) * (2.0 * (o @ rho @ o.conj().T) - odo @ rho - rho @ odo)
     if me.extra_generator is not None:
         out += unvec(me.extra_generator @ vec(rho), me.dim)
     return out
@@ -106,7 +106,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = h + h.conj().T
-        me = MasterEquation(dim=3, hamiltonian=h, terms=(LindbladTerm(0.0, np.eye(3), 1.0),))
+        me = MasterEquation(dim=3, hamiltonian=h, terms=(LindbladTerm(0.0, np.eye(3)),))
         expected = -1j * (np.kron(np.eye(3), h) - np.kron(h.T, np.eye(3)))
         assert np.max(np.abs(liouvillian_matrix(me) - expected)) < 1e-14
 
@@ -152,7 +152,7 @@ class TestLiouvillian:
         equations += [random_harmonic_master_equation(rng, dim, 1.7, 2.9, 0.8) for dim in (2, 3)]
         for branch, p in self.DRESSED_PARAMS.items():
             jump = model.dressed_decay_jump(p, branch)
-            terms = (LindbladTerm(p.gamma, jump, 0.5), LindbladTerm(0.3, SIGMA_GE, 1.0))
+            terms = (LindbladTerm(p.gamma, jump), LindbladTerm(0.6, SIGMA_GE))
             equations.append(MasterEquation(dim=2, hamiltonian=np.diag([0.5, -0.5]), terms=terms))
         for me in equations:
             for _ in range(5):
@@ -203,12 +203,12 @@ class TestRealCoordinates:
             # static H and jump next to a harmonic jump
             jump = Harmonic([2.3, -0.7], [random_matrix(rng, 3), random_matrix(rng, 3)])
             me = random_master_equation(rng, 3)
-            me = MasterEquation(3, me.hamiltonian, (*me.terms, LindbladTerm(0.4, jump, 1.0)))
+            me = MasterEquation(3, me.hamiltonian, (*me.terms, LindbladTerm(0.8, jump)))
         else:
             branch = generator.removeprefix("dressed ")
             p = TestLiouvillian.DRESSED_PARAMS[branch]
             jump = model.dressed_decay_jump(p, branch)
-            terms = (LindbladTerm(p.gamma, jump, 0.5), LindbladTerm(0.3, SIGMA_GE, 1.0))
+            terms = (LindbladTerm(p.gamma, jump), LindbladTerm(0.6, SIGMA_GE))
             me = MasterEquation(dim=2, hamiltonian=np.diag([0.5, -0.5]), terms=terms)
         basis = lindblad._hermitian_basis(me.dim)
         for t in rng.uniform(-3.0, 3.0, size=5):
@@ -254,7 +254,7 @@ class TestEvolve:
         # pump |down> -> |up> at population rate R; rho_uu = 1 - exp(-R t)
         rate = 0.9
         jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        me = MasterEquation(dim=2, terms=(LindbladTerm(rate=rate, operator=jump, factor=0.5),))
+        me = MasterEquation(dim=2, terms=(LindbladTerm(rate=rate, operator=jump),))
         times = np.linspace(0.0, 3.0 / rate, 16)
         traj = evolve(me, np.diag([0.0, 1.0 + 0j]), times)
         uu = np.array([np.real(s[0, 0]) for s in traj.states])
@@ -485,11 +485,22 @@ class TestEvolve:
             evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0], tol=1e-30)
         assert np.isfinite(err.value.achieved) and err.value.achieved > 1e-30
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_non_finite_step_is_a_divergence(self):
         # decay at 1e200 over 1e200: the interval's exponent overflows
         with pytest.raises(IntegrationDivergenceError) as err:
             evolve(decay_qubit(1e200), np.diag([1.0, 0.0 + 0j]), [0.0, 1e200])
         assert not np.isfinite(err.value.achieved)
+
+    def test_uncountable_first_steps_are_a_divergence(self):
+        # a drive at 1e200 rad/s over 1 s: no 64-bit count of first steps, in
+        # either integrator
+        fast = Harmonic([1e200, -1e200], [0.5 * SIGMA_X, 0.5 * SIGMA_X])
+        me = MasterEquation(dim=2, hamiltonian=fast, terms=decay_qubit(1.0).terms)
+        with pytest.raises(IntegrationDivergenceError, match="below 2\\*\\*63"):
+            evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0])
+        with pytest.raises(IntegrationDivergenceError, match="below 2\\*\\*63"):
+            schroedinger_evolve(1e200 * SIGMA_X, [1.0, 0.0], [0.0, 1.0])
 
     def test_both_integrators_share_the_refinement_cap(self, monkeypatch):
         monkeypatch.setattr(lindblad, "_MAX_REFINEMENTS", 2)
@@ -641,7 +652,7 @@ class TestResidual:
         me = MasterEquation(
             dim=2,
             hamiltonian=np.zeros((2, 2)),
-            terms=(LindbladTerm(rate=0.0, operator=SIGMA_GE, factor=1.0),),
+            terms=(LindbladTerm(rate=0.0, operator=SIGMA_GE),),
         )
         assert np.linalg.norm(apply_generator(me, np.eye(2) / 2)) == 0.0
 
@@ -724,10 +735,6 @@ class TestLindbladTermValidation:
         with pytest.raises(ValueError):
             LindbladTerm(rate=-1.0, operator=SIGMA_GE)
 
-    def test_factor_restricted(self):
-        with pytest.raises(ValueError):
-            LindbladTerm(rate=1.0, operator=SIGMA_GE, factor=0.25)
-
     def test_rejects_sampler_closures(self):
         with pytest.raises(TypeError):
             LindbladTerm(rate=1.0, operator=lambda t: SIGMA_GE)
@@ -744,9 +751,3 @@ class TestLindbladTermValidation:
             schroedinger_evolve(sampler, kets[0], times)
         with pytest.raises(TypeError):
             compare_effective(SIGMA_Z, SIGMA_Z, kets[0], times, frame=lambda t: np.eye(2))
-
-    def test_dissipator_factor_scaling(self):
-        d_half, d_full = (
-            LindbladTerm(1.0, SIGMA_GE, factor).superoperator().matrices[0] for factor in (0.5, 1.0)
-        )
-        assert np.max(np.abs(2.0 * d_half - d_full)) < 1e-14

@@ -59,9 +59,9 @@ class TestModelParams:
 
     def test_constraint_helpers(self):
         p = model.ModelParams(omega1=3.0, omega2=0.5, delta1=1.0, delta2=5.0, delta_a=2.0)
-        q = model.apply_constraints(p, "nonadiabatic")
+        q = p.replace(**dict(model.branch_of(p, "nonadiabatic").pins.values()))
         assert (q.delta1, q.delta2, q.delta_a) == (0.0, -6.0, -0.5)
-        m = model.apply_constraints(p, "memory")
+        m = p.replace(**dict(model.branch_of(p, "memory").pins.values()))
         assert m.omega2 == 0.0
         lam = np.hypot(3.0, 0.5)
         assert m.delta_a == pytest.approx(-2.0 * lam)
@@ -352,7 +352,7 @@ class TestProtectedStates:
 
     def test_null_vector_of_transformed_jump(self):
         p = dimensionless_params(phi1=0.3, phi2=0.7)
-        r = model.branch_frame(p, "nonadiabatic")
+        r = model.branch_of(p, "nonadiabatic").frame
         jump = model.sigma(model.up_ket(p.phi1, p.phi), model.down_ket(p.phi1, p.phi))
         for t in np.linspace(0.0, 0.05, 7):
             rt = r.rotation(t)
@@ -367,7 +367,7 @@ class TestProtectedStates:
         for chi in (0.0, 1.0, -1.0):
             p = memory_params(chi, phi1=0.4)
             d = model.DerivedMemoryParams.from_params(p)
-            r = model.branch_frame(p, "memory")
+            r = model.branch_of(p, "memory").frame
             jump = model.sigma(
                 model.tilde_plus_ket(d.chi, p.phi1), model.tilde_minus_ket(d.chi, p.phi1)
             )
@@ -430,7 +430,7 @@ class TestDriveInteractionHamiltonian:
     def test_matches_frame_generator(self):
         # i dR/dt R^dag of the composed frame by a central finite difference
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
-        r = model.branch_frame(p, "nonadiabatic")
+        r = model.branch_of(p, "nonadiabatic").frame
         h = model.drive_interaction_hamiltonian(p)
         dt = 1e-7
         for t in (0.0, 0.013, 0.4):
@@ -472,10 +472,10 @@ class TestFullSystemMasterEquation:
         for phi1, phi2 in ((0.0, 0.0), (0.4, 1.1), (-2.3, 0.6)):
             if branch == "nonadiabatic":
                 p = dimensionless_params(phi1=phi1, phi2=phi2)
-                r = model.branch_frame(p, "nonadiabatic")
+                r = model.branch_of(p, "nonadiabatic").frame
             else:
                 p = memory_params(0.8, phi1=phi1)
-                r = model.branch_frame(p, "memory")
+                r = model.branch_of(p, "memory").frame
             w = model.branch_of(p, branch).basis
             jump = model.dressed_decay_jump(p, branch)
             for t in rng.uniform(0.0, 0.1, 5):

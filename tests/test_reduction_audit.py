@@ -27,7 +27,7 @@ def memory_params(chi, lam=16.0, gamma=1.0):
 
 
 def averaged_memory_decay(p):
-    term = LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, "memory"), factor=0.5)
+    term = LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, "memory"))
     return transformed_dissipator_average(term)
 
 
@@ -41,7 +41,7 @@ class TestMemoryBranchOracle:
         jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         me = MasterEquation(
             dim=2,
-            terms=(LindbladTerm(rate=ratio * gamma, operator=jump, factor=0.5),),
+            terms=(LindbladTerm(rate=ratio * gamma, operator=jump),),
             extra_generator=frag,
         )
         rho, _ = steady_state(me)

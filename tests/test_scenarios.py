@@ -264,35 +264,6 @@ class TestRunScenario:
             assert point == run_scenario(forwarded).summary["derived"]
             assert {key: point[key] for key in shown} == shown
 
-    def test_sweep_parallel_matches_serial(self):
-        sc = parse_config('{"name": "sweep", "sweep_axis": ["gamma", [100.0, 1000.0]]}')
-        serial = run_scenario(sc, workers=1)
-        parallel = run_scenario(sc, workers=2)
-        assert serial.series_rows == parallel.series_rows
-
-    def test_sweep_pool_capped_at_point_count(self, monkeypatch):
-        # a stand-in executor records the pool size and maps in this process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(scenarios.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        sc = parse_config('{"name": "sweep", "sweep_axis": ["gamma", [100.0, 1000.0]]}')
-        run_scenario(sc, workers=8)
-        run_scenario(sc, workers=2)
-        assert sizes == [2, 2]
-
 
 class TestSeriesRows:
     """At their defaults, the scenarios' rows equal the per-sample formulas
@@ -456,15 +427,80 @@ class TestCli:
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["path"] == path
 
-    def test_non_finite_step_is_numerical_failure(self, tmp_path, capsys):
-        # the rate (1e-190) is in range, but the run's time scale overflows its exponent
-        cfg = self.write(tmp_path, {"name": "elimination-check", "params": {"Gamma": 1e200}})
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            # the rate (1e-190) is in range, but the run's time scale overflows its exponent
+            pytest.param(
+                {"name": "elimination-check", "params": {"Gamma": 1e200}},
+                "IntegrationDivergenceError",
+                marks=pytest.mark.filterwarnings(
+                    "ignore:overflow encountered in multiply:RuntimeWarning"
+                ),
+                id="elimination-check-Gamma-1e200",
+            ),
+            # a sweep runs its points in order; the failing one ends the run
+            pytest.param(
+                {
+                    "name": "sweep",
+                    "options": {"base": "elimination-check"},
+                    "sweep_axis": ["Gamma", [1e6, 1e200]],
+                },
+                "IntegrationDivergenceError",
+                marks=pytest.mark.filterwarnings(
+                    "ignore:overflow encountered in multiply:RuntimeWarning"
+                ),
+                id="sweep-elimination-check-Gamma-1e200",
+            ),
+            # the full Hamiltonian's period is about 1e-200 of the 2/g grid: its
+            # count of whole periods is no 64-bit integer
+            pytest.param(
+                {"name": "effective-check", "params": {"omega1": 1e200}},
+                "IntegrationDivergenceError",
+                id="effective-check-omega1-1e200",
+            ),
+            pytest.param(
+                {"name": "effective-check", "params": {"omega2": 1e200}},
+                "IntegrationDivergenceError",
+                id="effective-check-omega2-1e200",
+            ),
+            # the 3 pi / omega1 grid overflows the phase fit to slope 0, or underflows it
+            pytest.param(
+                {"name": "interferometer", "params": {"omega1": 1e-300}},
+                "SimulationError",
+                marks=[
+                    pytest.mark.filterwarnings(
+                        "ignore:overflow encountered in multiply:RuntimeWarning"
+                    ),
+                    pytest.mark.filterwarnings(
+                        "ignore:Polyfit may be poorly conditioned:RuntimeWarning"
+                    ),
+                ],
+                id="interferometer-omega1-1e-300",
+            ),
+            pytest.param(
+                {"name": "interferometer", "params": {"omega1": 1e200}},
+                "SimulationError",
+                marks=[
+                    pytest.mark.filterwarnings(
+                        "ignore:divide by zero encountered in divide:RuntimeWarning"
+                    ),
+                    pytest.mark.filterwarnings(
+                        "ignore:invalid value encountered in divide:RuntimeWarning"
+                    ),
+                ],
+                id="interferometer-omega1-1e200",
+            ),
+        ],
+    )
+    def test_non_finite_step_is_numerical_failure(self, tmp_path, capsys, doc, error):
+        cfg = self.write(tmp_path, doc)
         assert cli.main(["validate", cfg]) == 0
         capsys.readouterr()
         assert cli.main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == 3
-        assert payload["error"]["type"] == "IntegrationDivergenceError"
+        assert payload["error"]["type"] == error
 
     @settings(
         derandomize=True,
@@ -547,9 +583,7 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["valid"] and report["regime_ok"]
 
-    @pytest.mark.parametrize(
-        "command", ["validate", "run", "run --workers 2"], ids=["validate", "run", "run-pool"]
-    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "doc",
         [
@@ -562,9 +596,7 @@ class TestCli:
     def test_validate_flags_regime(self, tmp_path, capsys, command, doc):
         # validate and run check the same regime, at every sweep point
         cfg = self.write(tmp_path, doc)
-        command, *options = command.split()
-        if command == "run":
-            options += ["--out", str(tmp_path / "runs")]
+        options = ["--out", str(tmp_path / "runs")] if command == "run" else []
         assert cli.main([command, cfg, *options]) == 4
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["error"]["type"] == "RegimeError"
