@@ -21,9 +21,10 @@ integrates the propagator over one period only and advances whole periods
 by powers of the one-period map ``U(T)`` (Floquet theory; Grifoni &
 Haenggi, Phys. Rep. 304, 229 (1998)).  Its steps are the eighth-order,
 unitary 4-stage Gauss-Legendre collocation maps, one small linear solve
-per step for this linear equation, formed in batches from one evaluation
-of ``H`` on all their stage times; halving every step until the Richardson
-estimate of the error meets the tolerance makes the accuracy explicit.
+per step for this linear equation, formed in blocks from one evaluation of
+``H`` on their stage times, in buffers that a refinement pass allocates once;
+halving every step until the Richardson estimate of the error meets the
+tolerance makes the accuracy explicit.
 The halving is :func:`lindblad._refine`, the loop that
 :func:`~reslab.lindblad.evolve` uses too.
 """
@@ -135,37 +136,45 @@ _GL_ORDER = 2 * _GL_C.size
 _STEP_SCALE = 0.75
 
 
-def _step_maps(h: Harmonic, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre one-step maps of ``Y' = -i H(t) Y`` from ``Y = I``
-    over ``[t, t + w]`` for each start ``t`` and width ``w``.  The stage slopes
-    ``K_i = M_i (I + w sum_j a_ij K_j)``, ``M_i = -i H(t + c_i w)``, solve one
-    linear system per step; the map is ``I + w sum_i b_i K_i``."""
-    n, s, d = starts.size, _GL_C.size, h.matrices.shape[-1]
-    m = -1j * h(starts[:, None] + widths[:, None] * _GL_C)  # (n, s, d, d)
-    # block (i, j) of each stage system is w a_ij M_i
-    coupling = widths[:, None, None, None, None] * _GL_A[:, None, :, None] * m[:, :, :, None, :]
-    system = np.eye(s * d) - coupling.reshape(n, s * d, s * d)
-    slopes = np.linalg.solve(system, m.reshape(n, s * d, d)).reshape(n, s, d, d)
-    return np.eye(d) + widths[:, None, None] * np.tensordot(slopes, _GL_B, axes=(1, 0))
-
-
 def _propagators(h: Harmonic, points: np.ndarray, substeps: np.ndarray) -> np.ndarray:
     """``U(p)`` from ``U(0) = I`` at each point ``p``, ``points[0] = 0``, the
-    interval before point ``i + 1`` taken in ``substeps[i]`` equal steps."""
+    interval before point ``i + 1`` taken in ``substeps[i]`` equal steps.  A
+    step over ``[t, t + w]`` multiplies by ``I + w sum_i b_i K_i``, whose stage
+    slopes ``K_i = M_i (I + w sum_j a_ij K_j)``, ``M_i = -i H(t + c_i w)``, solve
+    one linear system; blocks of ``_MAX_BLOCK`` steps reuse buffers allocated once."""
     widths = np.repeat(np.diff(points) / substeps, substeps)
     first = np.cumsum(substeps) - substeps  # each interval's first step
     within = np.arange(widths.size) - np.repeat(first, substeps)
     starts = np.repeat(points[:-1], substeps) + within * widths
-    last = set((first + substeps - 1).tolist())
-    u = np.eye(h.matrices.shape[-1], dtype=complex)
-    props = [u]
-    for j in range(0, widths.size, _MAX_BLOCK):
-        block = slice(j, j + _MAX_BLOCK)
-        for step, phi in enumerate(_step_maps(h, starts[block], widths[block]), j):
+    slots = dict(zip((first + substeps - 1).tolist(), range(1, points.size)))  # interval ends
+    n, s, d, rows = widths.size, _GL_C.size, h.matrices.shape[-1], min(_MAX_BLOCK, widths.size)
+    generator = -1j * h.matrices.reshape(-1, d * d)  # the -i A_k, flattened
+    # one allocation: glibc trims its heap past twice the largest block freed, so
+    # a pass's frees then stay mapped and the next pass faults no pages in
+    shapes = [(rows, s, d, d), (rows, s * d, s * d), (rows, d, d)]
+    ends = np.cumsum([np.prod(x) for x in shapes])
+    m, system, maps = map(np.reshape, np.split(np.empty(ends[-1], complex), ends[:-1]), shapes)
+    props = np.empty((points.size, d, d), dtype=complex)
+    props[0] = u = np.eye(d, dtype=complex)
+    for j in range(0, n, rows):
+        t, w = starts[j : j + rows], widths[j : j + rows]
+        k = t.size
+        mk, sk, out = m[:k], system[:k], maps[:k]
+        phases = np.exp(-1j * np.multiply.outer(t[:, None] + w[:, None] * _GL_C, h.frequencies))
+        np.matmul(phases.reshape(k * s, -1), generator, out=mk.reshape(k * s, d * d))
+        # block (i, j) of each stage system is -w a_ij M_i, plus 1 on the diagonal
+        coefficients = -w[:, None, None, None, None] * _GL_A[:, None, :, None]
+        np.multiply(coefficients, mk[:, :, :, None], out=sk.reshape(k, s, d, s, d))
+        sk.reshape(k, -1)[:, :: s * d + 1] += 1.0
+        slopes = np.linalg.solve(sk, mk.reshape(k, s * d, d))
+        np.matmul(_GL_B, slopes.reshape(k, s, d * d), out=out.reshape(k, d * d))
+        out *= w[:, None, None]
+        out.reshape(k, -1)[:, :: d + 1] += 1.0
+        for step, phi in enumerate(out, j):
             u = phi @ u
-            if step in last:
-                props.append(u)
-    return np.array(props)
+            if step in slots:
+                props[slots[step]] = u
+    return props
 
 
 def schroedinger_evolve(

@@ -76,8 +76,8 @@ def run_interferometer(
     Raises
     ------
     SimulationError
-        If the linear fit of the phase fails or has slope 0 (at extreme drive
-        frequencies the grid's time scale overflows or underflows the fit).
+        If the grid's time scale overflows or underflows the linear fit of the
+        phase (at extreme drive frequencies), or the fit fails or has slope 0.
     """
     jump = np.zeros((3, 3), dtype=complex)
     jump[1, 2] = 1.0  # |up><down|, auxiliary row and column identically zero
@@ -105,6 +105,9 @@ def run_interferometer(
     coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 
     phase = -np.unwrap(np.angle(coherence))
+    t_end = float(times[-1])  # the fit scales the times by sqrt(sum t^2) <= t_end sqrt(n)
+    if not 0.0 < t_end * t_end * times.size < np.inf:
+        raise SimulationError(f"the grid's time scale {t_end:.6g} is out of the phase fit's range")
     try:
         slope = float(np.polyfit(times, phase, 1)[0])
     except np.linalg.LinAlgError as exc:

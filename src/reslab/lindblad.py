@@ -366,8 +366,8 @@ def apply_generator(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> np.n
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 #: most substeps whose exponents are formed together: an interval with more
-#: is taken in blocks, which bounds the memory of one evaluation of ``L``
-#: (and of ``H`` and the stage systems of :func:`frames.schroedinger_evolve`)
+#: is taken in blocks, which bounds the memory of one evaluation of ``L``, and
+#: of the buffers that every block of a :func:`frames.schroedinger_evolve` pass reuses
 _MAX_BLOCK = 64
 
 #: Taylor degrees ``m`` and their double-precision bounds ``theta_m``: the
@@ -423,11 +423,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     added last (so that short steps, applied many times, stay exact to
     rounding).  That takes about ``2 sqrt(m)`` matrix products and holds
     ``q + 1`` powers, where the series term by term takes ``m`` products and
-    ``m + 1`` matrices.  A step whose norm is not finite raises
-    :class:`IntegrationDivergenceError`."""
+    ``m + 1`` matrices.  ``||a||_1`` must be below ``2^55``: ``j >= 54``
+    squarings would amplify the series' rounding past every digit."""
     norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    if not math.isfinite(norm):
-        raise IntegrationDivergenceError(norm, math.inf, f"a step's exponent has 1-norm {norm}")
     j = max(0, int(np.frexp(norm)[1]) - 2)
     a = a / 2.0**j
     m = int(_TAYLOR_DEGREES[np.searchsorted(_TAYLOR_THETA, norm / 2.0**j)])
@@ -470,6 +468,10 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
         keys = np.rint(dts / times[-1] * 1e12)
         _, which = np.unique(keys, return_inverse=True)
         lengths = np.bincount(which, weights=dts) / np.bincount(which)
+        norm = float(np.max(lengths)) * float(np.linalg.norm(L.matrices[0], 1))
+        if not norm < 2.0**55:  # before the longest dt L is formed, which may overflow; see _expm
+            message = f"a step's exponent has 1-norm {norm:.6g}"
+            raise IntegrationDivergenceError(norm, 2.0**55, message)
         maps = [_expm(dt * L.matrices[0]) for dt in lengths]
         starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
         for start, stop in zip(starts, [*starts[1:], dts.size]):
@@ -558,8 +560,9 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     ------
     IntegrationDivergenceError
         If the refinement fails to converge or the trace drifts, carrying the
-        achieved final-state difference (0 for a static generator), or if a
-        first substep count is too large to be an integer.
+        achieved final-state difference (0 for a static generator), if a
+        first substep count is too large to be an integer, or if an exact
+        interval map's exponent has a 1-norm of ``2^55`` or more.
     """
     times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)

@@ -145,13 +145,16 @@ class Branch:
     ``c`` of ``epsilon = [2 + c ratio]^-1``.  The protected and pumped
     ``kets``, the frame ``generators`` and the full Hamiltonian ``h1``
     (written in the frame of the first ``h1_rotated`` generators) are built
-    only when called for."""
+    only when called for.  The effective check starts in ``kets()[start]``
+    and reports its ``check_options``, given here with their defaults."""
 
     pins: dict
     scale: float
     coupling: float
     slope: float
     h1_rotated: int
+    start: int
+    check_options: dict
     kets: Callable
     generators: Callable
     h1: Callable
@@ -189,6 +192,7 @@ def branch_of(p: ModelParams, branch: str) -> Branch:
                 "delta_a_minus_omega2": ("delta_a", -p.omega2),
             },
             scale=max(scale, abs(p.delta2) / 2.0), coupling=p.g, slope=8.0 / 3.0, h1_rotated=0,
+            start=0, check_options={},
             kets=lambda: (up_ket(p.phi1, p.phi), down_ket(p.phi1, p.phi)),
             generators=lambda: (drive_generator_1(p), drive_generator_2(p)),
             h1=lambda: build_h1(p),
@@ -199,6 +203,7 @@ def branch_of(p: ModelParams, branch: str) -> Branch:
             pins={"omega2_zero": ("omega2", 0.0),
                   "delta_a_minus_two_lambda": ("delta_a", -2.0 * d.lam)},
             scale=scale, coupling=d.g_tilde, slope=1.0, h1_rotated=1,
+            start=1, check_options={"chi": 0.0},
             kets=lambda: (tilde_plus_ket(d.chi, p.phi1), tilde_minus_ket(d.chi, p.phi1)),
             generators=lambda: (0.5 * p.delta1 * SIGMA_Z, memory_generator(p)),
             h1=lambda: build_h1_memory(p),

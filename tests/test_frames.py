@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,44 @@ class TestGaussLegendre:
         ]
         assert errors[1] > 1e-11  # above the reference's own error
         assert errors[0] / errors[1] >= 200.0
+
+    @pytest.mark.parametrize("substeps", [[1], [63], [64], [65], [40, 90]])
+    def test_propagators_match_the_step_formula(self, substeps):
+        # the step written out: I - w [a_ij M_i] assembled and solved for the
+        # stage slopes, then I + w sum_i b_i K_i, applied one step at a time;
+        # block edges fall inside and between the intervals
+        rng = np.random.default_rng(len(substeps) + sum(substeps))
+        a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+        nus = [-2.5, -1.0, 0.0, 1.0, 2.5]
+        h = Harmonic(nus, [qmath.dag(b), qmath.dag(a), random_hermitian(rng, 3), a, b])
+        points = np.linspace(0.0, 0.3 * len(substeps), len(substeps) + 1)
+        ga, gb, gc = frames._GL_A, frames._GL_B, frames._GL_C
+        u, expected = np.eye(3), [np.eye(3)]
+        for start, stop, k in zip(points[:-1], points[1:], substeps):
+            w = (stop - start) / k
+            for step in range(k):
+                m = -1j * h(start + step * w + gc * w)
+                blocks = [[aij * mi for aij in row] for row, mi in zip(ga, m)]
+                system = np.eye(12) - w * np.block(blocks)
+                slopes = np.linalg.solve(system, m.reshape(12, 3)).reshape(4, 3, 3)
+                u = (np.eye(3) + w * np.tensordot(gb, slopes, axes=1)) @ u
+            expected.append(u)
+        props = frames._propagators(h, points, np.array(substeps))
+        assert np.max(np.abs(props - np.array(expected))) <= 1e-13
+
+    def test_propagation_allocates_no_block_temporaries(self):
+        # the stage systems and maps are written into buffers allocated once per
+        # pass: one effective-check integration peaks at 1.40 MB of numpy and
+        # Python allocations, against 1.89 MB when each 64-step block allocated
+        # its own stage systems (590 KB at this dimension, 6) and maps
+        h, psi0, times = effective_check_case("nonadiabatic")
+        tracemalloc.start()
+        try:
+            schroedinger_evolve(h, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     def test_exhausted_refinements_raise(self, monkeypatch):
         # no estimate reaches a tolerance below rounding: the first pass and

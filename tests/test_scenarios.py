@@ -20,6 +20,14 @@ from reslab.scenarios import (
 _SINGLE = [name for name in SCENARIOS if name != "sweep"]
 _MEMORY_CHECK = ("effective-check", {"branch": "memory"})
 _EDGE_VALUES = [0, 1e-300, 1e-3, 1, 1e6, 1e200]
+# the exit-code properties: a single scenario (or the memory check) with one or
+# two parameters at edge values
+_CONTRACT_BASES = st.sampled_from([(name, {}) for name in _SINGLE] + [_MEMORY_CHECK])
+_EDGE_PARAMS = st.lists(
+    st.tuples(st.sampled_from(scenarios._PARAM_KEYS), st.sampled_from(_EDGE_VALUES)),
+    min_size=1,
+    max_size=2,
+)
 
 
 class TestParseConfig:
@@ -416,6 +424,13 @@ class TestCli:
                 for name in ("nonadiabatic", "memory", "elimination-check")
             ],
             ({"name": "elimination-check", "params": {"g": 1e-300}}, ["params", "g"]),
+            # the Fock cutoff's ceiling: the full model's dimension is 2 (n_max + 1)
+            ({"name": "elimination-check", "params": {"n_max": 21}}, ["params", "n_max"]),
+            (
+                {"name": "sweep", "options": {"base": "effective-check"},
+                 "sweep_axis": ["n_max", [2, 1e6]]},
+                ["sweep_axis", 1, 1],
+            ),
         ],
     )
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, path):
@@ -434,9 +449,6 @@ class TestCli:
             pytest.param(
                 {"name": "elimination-check", "params": {"Gamma": 1e200}},
                 "IntegrationDivergenceError",
-                marks=pytest.mark.filterwarnings(
-                    "ignore:overflow encountered in multiply:RuntimeWarning"
-                ),
                 id="elimination-check-Gamma-1e200",
             ),
             # a sweep runs its points in order; the failing one ends the run
@@ -447,9 +459,6 @@ class TestCli:
                     "sweep_axis": ["Gamma", [1e6, 1e200]],
                 },
                 "IntegrationDivergenceError",
-                marks=pytest.mark.filterwarnings(
-                    "ignore:overflow encountered in multiply:RuntimeWarning"
-                ),
                 id="sweep-elimination-check-Gamma-1e200",
             ),
             # the full Hamiltonian's period is about 1e-200 of the 2/g grid: its
@@ -464,61 +473,51 @@ class TestCli:
                 "IntegrationDivergenceError",
                 id="effective-check-omega2-1e200",
             ),
-            # the 3 pi / omega1 grid overflows the phase fit to slope 0, or underflows it
+            # decay at 1e200 over 5e-8 s intervals: the exact map's j >= 54 squarings
+            # would leave no correct digit (they overflowed to NaN states, exit 0)
+            pytest.param(
+                {"name": "nonadiabatic", "params": {"gamma": 1e200},
+                 "grid": {"t_end": 1e-7, "n_samples": 3}},
+                "IntegrationDivergenceError",
+                id="nonadiabatic-gamma-1e200",
+            ),
+            # the 3 pi / omega1 grid: its 1.6e298 s intervals give exponents past 2^55
             pytest.param(
                 {"name": "interferometer", "params": {"omega1": 1e-300}},
-                "SimulationError",
-                marks=[
-                    pytest.mark.filterwarnings(
-                        "ignore:overflow encountered in multiply:RuntimeWarning"
-                    ),
-                    pytest.mark.filterwarnings(
-                        "ignore:Polyfit may be poorly conditioned:RuntimeWarning"
-                    ),
-                ],
+                "IntegrationDivergenceError",
                 id="interferometer-omega1-1e-300",
+            ),
+            # its t_end^2 overflows the phase fit (at a rate that keeps the maps in
+            # range), or underflows it
+            pytest.param(
+                {"name": "interferometer", "params": {"omega1": 1e-160, "g": 1e-100}},
+                "SimulationError",
+                id="interferometer-omega1-1e-160",
             ),
             pytest.param(
                 {"name": "interferometer", "params": {"omega1": 1e200}},
                 "SimulationError",
-                marks=[
-                    pytest.mark.filterwarnings(
-                        "ignore:divide by zero encountered in divide:RuntimeWarning"
-                    ),
-                    pytest.mark.filterwarnings(
-                        "ignore:invalid value encountered in divide:RuntimeWarning"
-                    ),
-                ],
                 id="interferometer-omega1-1e200",
             ),
         ],
     )
-    def test_non_finite_step_is_numerical_failure(self, tmp_path, capsys, doc, error):
+    def test_non_finite_step_is_numerical_failure(self, tmp_path, capfd, doc, error):
         cfg = self.write(tmp_path, doc)
         assert cli.main(["validate", cfg]) == 0
-        capsys.readouterr()
+        capfd.readouterr()
         assert cli.main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
-        payload = json.loads(capsys.readouterr().out)
+        # the failure is found before the arithmetic: no numpy warning, no LAPACK
+        # message, only the error JSON
+        out, err = capfd.readouterr()
+        assert err == "" and len(out.splitlines()) == 1
+        payload = json.loads(out)
         assert payload["exit_code"] == 3
         assert payload["error"]["type"] == error
 
-    @settings(
-        derandomize=True,
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        base=st.sampled_from([(name, {}) for name in _SINGLE] + [_MEMORY_CHECK]),
-        params=st.lists(
-            st.tuples(st.sampled_from(scenarios._PARAM_KEYS), st.sampled_from(_EDGE_VALUES)),
-            min_size=1,
-            max_size=2,
-        ),
-        sweep=st.booleans(),
-    )
-    def test_validate_keeps_the_exit_code_contract(self, tmp_path, capsys, base, params, sweep):
-        # any config that parses ends in 0, 2, 3 or 4, with error JSON on failure
+    @staticmethod
+    def contract_doc(base, params, sweep):
+        """A single config of ``base`` with the edge ``params``, or a one-point
+        sweep over the first of them."""
         name, options = base
         doc = {"name": name, "options": options, "params": dict(params)}
         if sweep:
@@ -526,11 +525,53 @@ class TestCli:
             doc = {**doc, "name": "sweep", "options": {**options, "base": name}}
             doc["params"] = {k: v for k, v in params[1:] if k != axis}
             doc["sweep_axis"] = [axis, [value]]
-        code = cli.main(["validate", self.write(tmp_path, doc)])
+        return doc
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(base=_CONTRACT_BASES, params=_EDGE_PARAMS, sweep=st.booleans())
+    def test_validate_keeps_the_exit_code_contract(self, tmp_path, capsys, base, params, sweep):
+        # any config that parses ends in 0, 2, 3 or 4, with error JSON on failure
+        code = cli.main(["validate", self.write(tmp_path, self.contract_doc(base, params, sweep))])
         assert code in (0, 2, 3, 4)
         last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         if code == 0:
             assert last["valid"]
+        else:
+            assert last["exit_code"] == code and set(last["error"]) >= {"type", "message"}
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        base=_CONTRACT_BASES,
+        params=_EDGE_PARAMS,
+        sweep=st.booleans(),
+        t_end=st.sampled_from([1e-7, 2e-6]),
+        n_samples=st.sampled_from([2, 5, 21]),
+    )
+    def test_run_keeps_the_exit_code_contract(
+        self, tmp_path, capfd, base, params, sweep, t_end, n_samples
+    ):
+        # a run of any config that parses ends in 0, 2, 3 or 4 with a JSON last
+        # line (its outputs, or the error), never with a traceback
+        doc = self.contract_doc(base, params, sweep)
+        doc["grid"] = {"t_end": t_end, "n_samples": n_samples}
+        cfg = self.write(tmp_path, doc)
+        code = cli.main(["run", cfg, "--out", str(tmp_path / "runs")])
+        assert code in (0, 2, 3, 4)
+        out, err = capfd.readouterr()
+        assert err == ""
+        last = json.loads(out.strip().splitlines()[-1])
+        if code == 0:
+            assert Path(last["out_dir"]).is_dir()
         else:
             assert last["exit_code"] == code and set(last["error"]) >= {"type", "message"}
 
