@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .lindblad import _MAX_BLOCK, Harmonic, LindbladTerm, _as_harmonic, _check_operator
-from .lindblad import _counts, _refine, _time_grid
+from .lindblad import Harmonic, LindbladTerm, _as_harmonic, _block_rows, _check_operator
+from .lindblad import _counts, _refine, _split, _step_layout, _time_grid, _whole_spans
 
 __all__ = [
     "FrameTransform",
@@ -94,24 +94,6 @@ def transformed_dissipator_average(term: LindbladTerm) -> np.ndarray:
     return sup.matrices[np.argmin(np.abs(sup.frequencies))]
 
 
-def _split(h: Harmonic, offsets: np.ndarray):
-    """The span ``S`` the propagator is integrated over, and each offset as
-    ``n S + r`` with whole spans ``n >= 0`` and ``r`` in ``(0, S]`` (``r = 0``
-    at the start).  ``S`` is ``h``'s period when that is shorter than the
-    last offset, else the last offset."""
-    horizon = offsets[-1]
-    if horizon == 0.0:
-        raise ValueError("the time grid spans no time")
-    period = h.period
-    span = period if period and period < horizon else horizon
-    whole, rest = np.divmod(offsets, span)
-    # a span's end belongs to that span, so without a shorter period n = 0
-    ends = (rest == 0.0) & (whole > 0)
-    whole[ends] -= 1
-    rest[ends] = span
-    return span, _counts(whole), rest
-
-
 def _gauss_legendre(stages: int):
     """Butcher tableau ``(a, b, c)`` of the ``stages``-stage Gauss-Legendre
     collocation method, of order ``2 stages``: ``c`` and ``b`` are the Gauss
@@ -141,13 +123,11 @@ def _propagators(h: Harmonic, points: np.ndarray, substeps: np.ndarray) -> np.nd
     interval before point ``i + 1`` taken in ``substeps[i]`` equal steps.  A
     step over ``[t, t + w]`` multiplies by ``I + w sum_i b_i K_i``, whose stage
     slopes ``K_i = M_i (I + w sum_j a_ij K_j)``, ``M_i = -i H(t + c_i w)``, solve
-    one linear system; blocks of ``_MAX_BLOCK`` steps reuse buffers allocated once."""
-    widths = np.repeat(np.diff(points) / substeps, substeps)
-    first = np.cumsum(substeps) - substeps  # each interval's first step
-    within = np.arange(widths.size) - np.repeat(first, substeps)
-    starts = np.repeat(points[:-1], substeps) + within * widths
-    slots = dict(zip((first + substeps - 1).tolist(), range(1, points.size)))  # interval ends
-    n, s, d, rows = widths.size, _GL_C.size, h.matrices.shape[-1], min(_MAX_BLOCK, widths.size)
+    one linear system; blocks of steps reuse buffers allocated once (``lindblad._BLOCK_BYTES``)."""
+    starts, widths, last = _step_layout(points, substeps)
+    slots = dict(zip(last.tolist(), range(1, points.size)))  # interval ends
+    n, s, d = widths.size, _GL_C.size, h.matrices.shape[-1]
+    rows = _block_rows(16 * d * d * (s + s * s + 1), n)
     generator = -1j * h.matrices.reshape(-1, d * d)  # the -i A_k, flattened
     # one allocation: glibc trims its heap past twice the largest block freed, so
     # a pass's frees then stay mapped and the next pass faults no pages in
@@ -193,7 +173,8 @@ def schroedinger_evolve(
     propagator ``U(t)`` from 0 is integrated over one span ``S``:
     ``H``'s period when that is shorter than the grid, else the whole grid.
     Each state is ``psi(t) = U(t mod S) U(S)^n psi0`` with
-    ``n = floor(t / S)``, the whole spans applied to the state one at a time.
+    ``n = floor(t / S)``, the powers of ``U(S)`` taken only between the
+    distinct counts ``n`` (``lindblad._whole_spans``).
 
     ``U`` is integrated by 4-stage Gauss-Legendre collocation (order 8,
     unitary for Hermitian ``H``; Hairer, Lubich & Wanner, Geometric Numerical
@@ -218,17 +199,13 @@ def schroedinger_evolve(
     h = _as_harmonic(hamiltonian)
     times = _time_grid(times)
     psi0 = qmath.as_ket(psi0)
-    span, whole, rest = _split(h, times)
-    points, where = np.unique(np.append(rest, span), return_inverse=True)  # 0, ..., S
+    whole, points, where = _split(h, times)  # points 0, ..., S
     rate = np.max(np.abs(h.frequencies)) + np.sum(np.linalg.norm(h.matrices, 2, axis=(1, 2)))
     substeps = _counts(np.maximum(1.0, np.ceil(_STEP_SCALE * np.diff(points) * rate)))
 
     def run(counts):
         props = _propagators(h, points, counts)
-        kets = [psi0]  # U(S)^n psi0
-        for _ in range(np.max(whole)):
-            kets.append(props[where[-1]] @ kets[-1])
-        return np.einsum("nij,nj->ni", props[where[:-1]], np.asarray(kets)[whole])
+        return np.einsum("nij,nj->ni", props[where[:-1]], _whole_spans(props[-1], whole, psi0))
 
     def richardson(fine, coarse):
         return float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
@@ -240,8 +217,8 @@ def schroedinger_evolve(
         "achieved": achieved,
         "steps": int(np.sum(substeps)),
         "passes": passes,
-        "period": span if np.max(whole) > 0 else None,
-        "whole_periods": int(np.max(whole)),
+        "period": float(points[-1]) if whole[-1] > 0 else None,
+        "whole_periods": int(whole[-1]),
     }
 
 

@@ -37,15 +37,25 @@ basis (the coherence vector), where a Hermiticity-preserving ``L`` is a
 real matrix ``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``,
 built once per master equation; the states map back by ``B^dag`` at the
 output times.
-``R`` is evaluated once on all the Gauss nodes of an interval, and the
-interval's exponents are formed together.  Each ``expm(Omega)`` is applied
-to the state, never formed: the Taylor series, one matrix-vector product
-per term, its terms summed smallest first, whose degree and number of
-segments follow from ``||Omega||_1`` and the double-precision bounds of
-Al-Mohy & Higham, so it is exact to rounding.  Every ``A_i`` annihilates the trace
-functional and maps Hermitian matrices to Hermitian ones, and so does
-their commutator and every Taylor term, so each step keeps trace and
-Hermiticity; a real ``x`` is Hermitian by construction.
+A pass lays its steps out flat and takes them in blocks that run across
+interval ends, as many as a byte budget holds: ``R`` is evaluated on all
+the Gauss nodes of a block by one matrix product, and the block's exponents
+and their 1-norms are formed in place, in one buffer the pass allocates
+once.  Each ``expm(Omega)`` is applied to the state, never formed: the
+Taylor series, one matrix-vector product per term, its terms summed
+smallest first, of the least degree whose double-precision bound (Al-Mohy
+& Higham) covers ``||Omega||_1``, so it is exact to rounding; only an
+exponent past the table's largest bound is formed, by :func:`_expm`.  Every
+``A_i`` annihilates the trace functional and maps Hermitian matrices to
+Hermitian ones, and so does their commutator and every Taylor term, so each
+step keeps trace and Hermiticity; a real ``x`` is Hermitian by construction.
+
+When the grid is longer than the period ``T`` of ``L``, the steps cover one
+period only: the identity is carried through the points ``t mod T``, and
+each state is ``M(t mod T) M(T)^n x0`` with the powers of the one-period
+map taken only between the distinct whole counts ``n`` (Floquet theory;
+Grifoni & Haenggi, Phys. Rep. 304, 229 (1998)), as
+:func:`frames.schroedinger_evolve` does with the same helpers.
 """
 
 from __future__ import annotations
@@ -191,10 +201,22 @@ class _RealGenerator:
     frequencies: np.ndarray
     matrices: np.ndarray  # the C_nu, then the S_nu
 
-    def __call__(self, t) -> np.ndarray:
-        """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``."""
+    def __call__(self, t, out=None) -> np.ndarray:
+        """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``,
+        one matrix product of the phases with the components, written into
+        ``out`` (C-contiguous) when it is given."""
         nt = np.multiply.outer(t, self.frequencies)
-        return np.tensordot(np.concatenate([np.cos(nt), np.sin(nt)], -1), self.matrices, axes=1)
+        phases = np.concatenate([np.cos(nt), np.sin(nt)], -1)
+        shape = (*phases.shape[:-1], *self.matrices.shape[1:])
+        flat = out.reshape(-1, shape[-1] * shape[-1]) if out is not None else None
+        components = self.matrices.reshape(phases.shape[-1], -1)
+        return np.matmul(phases.reshape(-1, phases.shape[-1]), components, out=flat).reshape(shape)
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        """A bound on ``||R(t)||_1`` at every ``t``: the 1-norm of the entrywise
+        ``sum_nu |C_nu| + |S_nu|``."""
+        return float(np.max(np.sum(np.abs(self.matrices), axis=(0, 1))))
 
 
 @dataclass(frozen=True)
@@ -322,7 +344,9 @@ class Trajectory:
     """Density matrices at ``times``, one ``(N, d, d)`` array, with integrator
     stats: ``method`` is ``"expm"`` (exact, nothing refined) or ``"magnus-4"``,
     whose ``achieved`` is the last ``|fine - coarse|`` of the final state,
-    accepted against ``tol``."""
+    accepted against ``tol``.  ``substeps`` counts the steps of each interval
+    the accepted pass took (see :func:`evolve`); ``period`` is the span that
+    ``whole_periods`` whole spans were advanced by, None when none was."""
 
     times: np.ndarray
     states: np.ndarray
@@ -331,6 +355,8 @@ class Trajectory:
     achieved: float = 0.0
     tol: float = 0.0
     method: str = "expm"
+    period: float | None = None
+    whole_periods: int = 0
 
     @property
     def final(self) -> np.ndarray:
@@ -365,10 +391,26 @@ def apply_generator(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> np.n
 #: Gauss-Legendre nodes of the two-point Magnus step, as fractions of the step
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
-#: most substeps whose exponents are formed together: an interval with more
-#: is taken in blocks, which bounds the memory of one evaluation of ``L``, and
-#: of the buffers that every block of a :func:`frames.schroedinger_evolve` pass reuses
-_MAX_BLOCK = 64
+#: bytes of the buffers one block of steps is formed in, which a pass allocates
+#: once and every block reuses: 64 Gauss-Legendre steps of
+#: :func:`frames.schroedinger_evolve` at d = 6, or 18 Magnus steps of the
+#: 36 x 36 real full-model generator
+_BLOCK_BYTES = 774_144
+
+
+def _block_rows(step_bytes: int, steps: int) -> int:
+    """Steps per block: as many as ``_BLOCK_BYTES`` holds, at least one, at most ``steps``."""
+    return min(steps, max(1, _BLOCK_BYTES // step_bytes))
+
+
+def _step_layout(points: np.ndarray, substeps: np.ndarray):
+    """A pass's steps laid out flat, the interval before point ``i + 1`` cut
+    into ``substeps[i]`` equal steps: each step's start and width, and the
+    index of each interval's last step."""
+    widths = np.repeat(np.diff(points) / substeps, substeps)
+    first = np.cumsum(substeps) - substeps  # each interval's first step
+    within = np.arange(widths.size) - np.repeat(first, substeps)
+    return np.repeat(points[:-1], substeps) + within * widths, widths, first + substeps - 1
 
 #: Taylor degrees ``m`` and their double-precision bounds ``theta_m``: the
 #: degree-``m`` Taylor polynomial of ``exp(A)`` has a backward error of at
@@ -385,29 +427,37 @@ _TAYLOR_THETA = np.array([
 _INVERSE_FACTORIALS = np.array([1.0 / math.factorial(p) for p in range(_TAYLOR_DEGREES[-1] + 1)])
 
 
-def _exp_action(omegas: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents, each
-    applied by its degree-``m`` Taylor series in ``s`` segments; ``v`` is a
-    vector or a block of columns, real or complex.  Each segment stacks the
-    powers ``(Omega/s)^p v`` from ``p = m`` down to 0, one matrix product per
-    term into a preallocated stack, and sums them weighted by ``1/p!``,
-    smallest first.  Every term keeps the trace and Hermiticity that
-    ``Omega`` keeps."""
-    # the least cost m s with ||Omega||_1 / s <= theta_m, for the largest norm
-    norm = float(np.max(np.sum(np.abs(omegas), axis=-2)))
-    segments = np.maximum(1.0, np.ceil(norm / _TAYLOR_THETA))
-    best = int(np.argmin(segments * _TAYLOR_DEGREES))
-    m, s = int(_TAYLOR_DEGREES[best]), int(segments[best])
-    if s > 1:
-        omegas = omegas / s
-    weights = _INVERSE_FACTORIALS[m::-1]
-    terms = np.empty((m + 1, *v.shape), dtype=np.result_type(omegas, v))
-    for omega in omegas:
-        for _ in range(s):
-            terms[m] = v
-            for p in range(m - 1, -1, -1):
-                np.dot(omega, terms[p + 1], out=terms[p])
-            v = (weights @ terms.reshape(m + 1, -1)).reshape(v.shape)
+def _exp_action(omegas: np.ndarray, v: np.ndarray, norms=None, terms=None) -> np.ndarray:
+    """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents; ``v``
+    is a vector or a block of columns, real or complex.  An exponent whose
+    1-norm (``norms``, computed here when not given) is at most ``theta_55``
+    is applied by its Taylor series of the least degree ``m`` whose
+    ``theta_m`` covers it: the powers ``Omega^p v`` from ``p = m`` down to 0,
+    one matrix product per term into the rows of ``terms`` (a stack of at
+    least ``m + 1`` arrays shaped as ``v``, allocated here when not given),
+    summed weighted by ``1/p!``, smallest first.  Every term keeps the trace
+    and Hermiticity that ``Omega`` keeps.  A larger exponent, which the series
+    would cut into ``||Omega||_1 / theta_55`` segments of 55 products each,
+    is formed by :func:`_expm` (its scaling and squaring takes about
+    ``log2 ||Omega||_1`` products) and applied by one product."""
+    if norms is None:
+        norms = np.max(np.sum(np.abs(omegas), axis=-2), axis=-1)
+    index = np.searchsorted(_TAYLOR_THETA, norms).tolist()
+    top = int(_TAYLOR_DEGREES[min(max(index), _TAYLOR_DEGREES.size - 1)])
+    if terms is None:
+        terms = np.empty((top + 1, *v.shape), dtype=np.result_type(omegas, v))
+    rows, last = list(terms[: top + 1]), None
+    for omega, i in zip(omegas, index):
+        if i == _TAYLOR_DEGREES.size:
+            v = _expm(omega) @ v
+            continue
+        m = int(_TAYLOR_DEGREES[i])
+        if m != last:
+            weights, stack, last = _INVERSE_FACTORIALS[m::-1], terms[: m + 1].reshape(m + 1, -1), m
+        rows[m][...] = v
+        for p in range(m - 1, -1, -1):
+            np.dot(omega, rows[p + 1], out=rows[p])
+        v = (weights @ stack).reshape(v.shape)
     return v
 
 
@@ -447,17 +497,105 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _magnus_exponents(L, t: float, h: float, steps: np.ndarray) -> np.ndarray:
-    """The fourth-order Magnus exponents of the steps ``[t + j h, t + (j + 1) h]``
-    for ``j`` in ``steps``, from one evaluation of ``L`` on their Gauss nodes."""
-    a = L((t + h * steps)[:, None] + h * _GAUSS_NODES)
-    a1, a2 = a[:, 0], a[:, 1]
-    return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+def _check_exponent_norm(norm: float) -> None:
+    """Raise :class:`IntegrationDivergenceError` unless ``norm``, a step
+    exponent's 1-norm or a bound on it, is finite and below ``2^55``: checked
+    before the exponent is formed, which may overflow.  Past it, ``_expm``,
+    which forms every exponent beyond the Taylor table, would square away
+    every digit."""
+    if not norm < 2.0**55:
+        message = f"a step's exponent has 1-norm up to {norm:.6g}"
+        raise IntegrationDivergenceError(norm, 2.0**55, message)
+
+
+def _magnus_exponents(R: _RealGenerator, starts, widths, buffer):
+    """The fourth-order Magnus exponents of the steps ``[t, t + w]``, one per
+    start ``t`` and width ``w``, and their 1-norms, formed in the flat
+    ``buffer`` of at least four matrices per step: ``R`` on every step's two
+    Gauss nodes by one product, then the two products of the commutator, each
+    a contiguous stack; the returned exponents are the first."""
+    k, n = starts.size, R.matrices.shape[-1]
+    a1, a2, commutator, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
+    R(starts + np.multiply.outer(_GAUSS_NODES, widths), out=buffer[: 2 * k * n * n])
+    np.matmul(a2, a1, out=commutator)
+    commutator -= np.matmul(a1, a2, out=product)
+    commutator.reshape(k, -1)[...] *= (math.sqrt(3.0) / 12.0 * widths * widths)[:, None]
+    a1 += a2
+    a1.reshape(k, -1)[...] *= (0.5 * widths)[:, None]
+    a1 += commutator
+    return a1, np.max(np.sum(np.abs(a1, out=product), axis=1), axis=1)
+
+
+def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
+    """``x`` at every point, carried from ``points[0]`` by Magnus steps, the
+    interval before point ``i + 1`` in ``substeps[i]`` of them; ``x`` is a
+    vector or a block of columns.  The steps run in blocks across interval
+    ends, each block's exponents formed in one buffer that the pass allocates
+    once (``_BLOCK_BYTES``), and applied in runs that end at the points."""
+    starts, widths, last = _step_layout(points, substeps)
+    bound = float(np.max(widths)) * R.norm_bound  # h max ||R(t)||_1
+    _check_exponent_norm(bound + math.sqrt(3.0) / 6.0 * bound * bound)
+    n = R.matrices.shape[-1]
+    rows = _block_rows(4 * n * n * 8, widths.size)
+    buffer = np.empty(4 * rows * n * n)
+    terms = np.empty((_TAYLOR_DEGREES[-1] + 1, *x.shape))
+    out = np.empty((points.size, *x.shape))
+    out[0] = x
+    for j in range(0, widths.size, rows):
+        omegas, norms = _magnus_exponents(R, starts[j : j + rows], widths[j : j + rows], buffer)
+        lo = 0
+        for i in range(*np.searchsorted(last, [j, j + norms.size])):
+            hi = last[i] - j + 1
+            out[i + 1] = x = _exp_action(omegas[lo:hi], x, norms[lo:hi], terms)
+            lo = hi
+        if lo < norms.size:
+            x = _exp_action(omegas[lo:], x, norms[lo:], terms)
+    return out
+
+
+def _split(h: Harmonic, times: np.ndarray):
+    """The span ``S`` a pass integrates over, as the points its steps end at,
+    and each time as ``n S + r``.  ``S`` is ``h``'s period when that is
+    shorter than the last time, else the last time; each ``r`` lies in
+    ``(0, S]`` (``r = 0`` at the start), and a span's end belongs to that
+    span, so without a shorter period ``n = 0``.  Returns the whole counts
+    ``n``, the sorted distinct points ``0, ..., S`` (every ``r`` and ``S``)
+    and the index of each ``r``, then of ``S``, among them."""
+    horizon = times[-1]
+    if horizon == 0.0:
+        raise ValueError("the time grid spans no time")
+    period = h.period
+    span = period if period and period < horizon else horizon
+    whole, rest = np.divmod(times, span)
+    ends = (rest == 0.0) & (whole > 0)
+    whole[ends] -= 1
+    rest[ends] = span
+    points, where = np.unique(np.append(rest, span), return_inverse=True)
+    return _counts(whole), points, where
+
+
+def _whole_spans(span_map: np.ndarray, whole: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """``span_map^n x0`` for each count ``n`` in ``whole``, stacked: the
+    powers are taken only between the sorted distinct counts, so memory and
+    time grow with their number and the log of the gaps; a gap of one is the
+    one product that a per-span advance makes."""
+    counts, which = np.unique(whole, return_inverse=True)
+    out = np.empty((counts.size, *x0.shape), dtype=np.result_type(span_map, x0))
+    x, done = x0, 0
+    for i, n in enumerate(counts.tolist()):
+        if n > done:
+            x = np.linalg.matrix_power(span_map, n - done) @ x
+        out[i], done = x, n
+    return out[which]
 
 
 def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
-    """States at ``times`` as an ``(N, d, d)`` stack, each interval ``i`` taken
-    in ``substeps[i]`` Magnus steps, or by exact maps for a static generator."""
+    """States at ``times`` as an ``(N, d, d)`` stack: by exact maps for a
+    static generator, else by :func:`_magnus_pass` over one span, the
+    interval before its point ``i + 1`` (see :func:`_split`) in
+    ``substeps[i]`` steps.  Without a whole period the state is carried
+    through the times; with one, the identity is carried through the span and
+    each state is ``M(r) M(S)^n x0`` (:func:`_whole_spans`)."""
     L = me.liouvillian
     out = np.empty((times.size, me.dim**2), dtype=complex)  # one vec(rho) per row
     out[0] = vec(rho0)
@@ -468,10 +606,7 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
         keys = np.rint(dts / times[-1] * 1e12)
         _, which = np.unique(keys, return_inverse=True)
         lengths = np.bincount(which, weights=dts) / np.bincount(which)
-        norm = float(np.max(lengths)) * float(np.linalg.norm(L.matrices[0], 1))
-        if not norm < 2.0**55:  # before the longest dt L is formed, which may overflow; see _expm
-            message = f"a step's exponent has 1-norm {norm:.6g}"
-            raise IntegrationDivergenceError(norm, 2.0**55, message)
+        _check_exponent_norm(float(np.max(lengths)) * float(np.linalg.norm(L.matrices[0], 1)))
         maps = [_expm(dt * L.matrices[0]) for dt in lengths]
         starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
         for start, stop in zip(starts, [*starts[1:], dts.size]):
@@ -483,16 +618,15 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
                 out[k + 1 : min(k + b, stop) + 1] = (powers @ out[k]).reshape(b, -1)[: stop - k]
     else:
         R = me._real_liouvillian
+        whole, points, where = _split(L, times)
         # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
         x = (R.basis @ out[0]).real
-        xs = []
-        for t, dt, k in zip(times, np.diff(times), substeps):
-            h = dt / k
-            for j in range(0, k, _MAX_BLOCK):
-                steps = np.arange(j, min(j + _MAX_BLOCK, k))
-                x = _exp_action(_magnus_exponents(R, t, h, steps), x)
-            xs.append(x)
-        out[1:] = np.array(xs) @ R.basis.conj()
+        if whole[-1] == 0:
+            xs = _magnus_pass(R, points, substeps, x)[where[1:-1]]
+        else:
+            maps = _magnus_pass(R, points, substeps, np.eye(x.size))
+            xs = np.einsum("nij,nj->ni", maps[where[1:-1]], _whole_spans(maps[-1], whole[1:], x))
+        out[1:] = xs @ R.basis.conj()
     # a row vec(rho) read in C order is rho transposed
     return out.reshape(-1, me.dim, me.dim).transpose(0, 2, 1)
 
@@ -550,8 +684,17 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     exact ``expm`` maps in one pass (``tol`` is only recorded), a time-dependent
     one by fourth-order Magnus steps, applied by a Taylor series exact to rounding.
 
-    A Magnus interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))``
-    substeps, about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
+    A time-dependent generator is integrated over one span ``S``: its period
+    when the grid is longer than that, else the whole grid.  Without a whole
+    period the state is carried through the output times.  With one, the
+    identity is carried through the points ``t mod S`` of the span, which
+    gives the maps ``M(r)``, and each state is ``M(t mod S) M(S)^n x0`` with
+    ``n = floor(t / S)`` (Floquet theory; Grifoni & Haenggi, Phys. Rep. 304,
+    229 (1998)); the record's ``period`` and ``whole_periods`` say so.
+    ``substeps[i]`` counts the steps between consecutive points of the span:
+    the output times, or the sorted distinct ``t mod S`` and ``S``.  Such an
+    interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))`` substeps,
+    about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
     :func:`_refine` doubles the counts until halving the step changes the
     final state by at most ``tol`` (Frobenius) and the trace drifts by at
     most 1e-9, which a static generator's one pass must also meet.
@@ -561,8 +704,8 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     IntegrationDivergenceError
         If the refinement fails to converge or the trace drifts, carrying the
         achieved final-state difference (0 for a static generator), if a
-        first substep count is too large to be an integer, or if an exact
-        interval map's exponent has a 1-norm of ``2^55`` or more.
+        first substep count or a count of whole periods is too large to be an
+        integer, or if a step's exponent may have a 1-norm of ``2^55`` or more.
     """
     times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -580,7 +723,8 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
         if np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))) > 1e-9:
             raise IntegrationDivergenceError(0.0, tol, "the trace drifted by more than 1e-9")
         return Trajectory(times, states, np.ones(times.size - 1, dtype=int), tol=tol)
-    substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(times) / 2.0)))
+    whole, points, _ = _split(me.liouvillian, times)
+    substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(points) / 2.0)))
     states, substeps, passes, achieved = _refine(
         lambda counts: _integrate(me, rho0, times, counts),
         substeps,
@@ -588,7 +732,10 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
         tol,
         lambda fine: np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))) <= 1e-9,
     )
-    return Trajectory(times, states, substeps, passes - 1, achieved, tol, method)
+    period = float(points[-1]) if whole[-1] > 0 else None
+    return Trajectory(
+        times, states, substeps, passes - 1, achieved, tol, method, period, int(whole[-1])
+    )
 
 
 def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:

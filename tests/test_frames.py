@@ -468,6 +468,47 @@ class TestGaussLegendre:
             tracemalloc.stop()
         assert peak <= 1.5e6
 
+    def test_many_periods_keep_memory_bounded(self):
+        # 1.2e6 periods of 2 pi / 3 in 5 samples: whole periods are powers of
+        # U(S), taken only between the distinct counts, where a per-period
+        # advance kept one ket per period (measured: 0.37 MB, about 0.02 s)
+        h, psi0 = _harmonic_case()
+        times = np.linspace(0.0, 1.2e6 * h.period, 5)
+        schroedinger_evolve(h, psi0, times[:2] / 1e6)
+        tracemalloc.start()
+        try:
+            states, info = schroedinger_evolve(h, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["whole_periods"] == 1_200_000 and peak <= 0.5e6
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-8
+
+    def test_whole_periods_match_the_per_period_advance(self, monkeypatch):
+        # samples at most a period apart: each count is one more than the last
+        # or the same, so the states equal a per-period advance bit for bit
+        h, psi0 = _harmonic_case()
+        times = np.linspace(0.0, 3.4 * h.period, 8)  # no sample on a multiple of the period
+        kept = []
+        propagators = frames._propagators
+
+        def keeping(h, points, substeps):
+            kept[:] = [points, propagators(h, points, substeps)]
+            return kept[1]
+
+        monkeypatch.setattr(frames, "_propagators", keeping)
+        states, info = schroedinger_evolve(h, psi0, times)
+        assert info["whole_periods"] == 3
+        points, props = kept
+        whole, rest = np.divmod(times, h.period)
+        kets = [psi0]
+        for _ in range(3):
+            kets.append(props[-1] @ kets[-1])
+        where = np.searchsorted(points, rest)
+        assert np.array_equal(points[where], rest)
+        expected = np.einsum("nij,nj->ni", props[where], np.array(kets)[whole.astype(int)])
+        assert np.array_equal(states, expected)
+
     def test_exhausted_refinements_raise(self, monkeypatch):
         # no estimate reaches a tolerance below rounding: the first pass and
         # twelve doublings run, then the last estimate is reported

@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +435,25 @@ class TestEvolve:
             error = np.linalg.norm(lindblad._exp_action(stack, v) - exact)
             assert error <= 1e-13 * np.linalg.norm(exact)
 
+    def test_exponents_past_the_taylor_table_are_formed(self, monkeypatch):
+        # a stiff step of 1-norm 1e4 would take a thousand degree-55 segments:
+        # its exponential is formed once by scaling and squaring instead, and
+        # the small step beside it keeps its series
+        rng = np.random.default_rng(20)
+        generator = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)._real_liouvillian
+        omegas = generator(np.array([0.3, 1.1]))
+        norms = np.max(np.sum(np.abs(omegas), axis=1), axis=1)
+        omegas *= (np.array([1e4, 0.5]) / norms)[:, None, None]
+        # a decaying exponent, so that exp(Omega) v stays in range
+        omegas[0] -= 1e4 * np.eye(9)
+        v = rng.normal(size=9)
+        formed = []
+        interval_map = lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: formed.append(1) or interval_map(a))
+        exact = scipy.linalg.expm(omegas[1]) @ scipy.linalg.expm(omegas[0]) @ v
+        assert np.linalg.norm(lindblad._exp_action(omegas, v) - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert formed == [1]
+
     @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0, 300.0, 1000.0])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_interval_map_matches_expm(self, norm, real):
@@ -447,8 +468,8 @@ class TestEvolve:
         assert error <= (1e-14 if norm <= 50.0 else 1e-13) * np.linalg.norm(exact)
 
     def test_time_dependent_steps_form_no_exponential(self, monkeypatch):
-        # each pass evaluates the real form of L once per interval and applies
-        # every step to the state
+        # each pass evaluates the real form of L once per block of steps, the
+        # blocks running across interval ends, and applies every step to the state
         rng = np.random.default_rng(13)
         me = random_harmonic_master_equation(rng, 3, 1.7, 2.9, 0.8)
         R = me._real_liouvillian
@@ -458,23 +479,51 @@ class TestEvolve:
         monkeypatch.setattr(
             lindblad._RealGenerator,
             "__call__",
-            lambda op, t: evaluated.append(op is R) or evaluate(op, t),
+            lambda op, t, out=None: evaluated.append(op is R) or evaluate(op, t, out),
         )
+        # a budget of three steps, each four 9 x 9 real matrices
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 3 * 4 * 81 * 8)
         times = np.linspace(0.0, 1.0, 5)
         traj = evolve(me, random_density(rng, 3), times)
         assert traj.refinements >= 1 and traj.method == "magnus-4"
         assert built == []
-        assert evaluated == [True] * (len(times) - 1) * (traj.refinements + 1)
+        steps = [int(np.sum(traj.substeps)) >> k for k in range(traj.refinements, -1, -1)]
+        assert steps[0] == times.size - 1  # one first step per interval
+        assert evaluated == [True] * sum(-(-n // 3) for n in steps)
 
     def test_interval_blocks_match_one_block(self, monkeypatch):
         me = random_harmonic_master_equation(np.random.default_rng(15), 3, 1.7, 2.9, 0.8)
         rho0 = random_density(np.random.default_rng(16), 3)
         times = np.array([0.0, 0.6, 1.0])
+        assert lindblad._block_rows(4 * 81 * 8, 80) == 80  # the budget holds all 80 steps
         whole = lindblad._integrate(me, rho0, times, [40, 40])
-        monkeypatch.setattr(lindblad, "_MAX_BLOCK", 16)
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 16 * 4 * 81 * 8)  # blocks of 16 steps
         blocks = lindblad._integrate(me, rho0, times, [40, 40])
         for a, b in zip(whole, blocks):
             assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_block_engine_matches_per_interval_steps(self, monkeypatch):
+        # blocks of 5 steps over mixed counts: intervals straddle blocks, and the
+        # 12-step interval is longer than a block
+        me = random_harmonic_master_equation(np.random.default_rng(17), 3, 1.7, 2.9, 0.8)
+        rho0 = random_density(np.random.default_rng(18), 3)
+        times = np.array([0.0, 0.2, 0.5, 0.6, 1.3, 1.5])
+        counts = np.array([3, 7, 1, 12, 2])
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * 4 * 81 * 8)
+        states = lindblad._integrate(me, rho0, times, counts)
+        # the reference: each interval's exponents from R on its own Gauss nodes,
+        # written out, and applied to the state interval by interval
+        R = me._real_liouvillian
+        x, xs = (R.basis @ vec(rho0)).real, []
+        for t, dt, k in zip(times, np.diff(times), counts):
+            h = dt / k
+            a = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES)
+            a1, a2 = a[:, 0], a[:, 1]
+            omegas = 0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+            x = lindblad._exp_action(omegas, x)
+            xs.append(x)
+        expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
+        assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
 
     def test_divergence_error_carries_residual(self):
         # a static generator's interval map is exact, so the refinement loop
@@ -583,15 +632,129 @@ class TestUnitaryHarmonicEvolve:
         assert np.max(np.abs(whole - qmath.projector(psi))) < 1e-8
 
 
+def benchmark_workloads():
+    """The benchmark's workload module, which builds the full-model inputs."""
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+    return workloads
+
+
+def dressed_full_model():
+    """The benchmark's full-model master equation (dressed frame, spontaneous
+    emission) at the first recorded phase pair, and its start state."""
+    workloads = benchmark_workloads()
+    me, rho0, _ = workloads.full_model_inputs(reslab, workloads.phase_table()[0], "full")
+    return me, rho0
+
+
+class TestWholePeriods:
+    @pytest.mark.parametrize("periods", [3.2, 32.0])
+    def test_whole_periods_match_a_chained_reference(self, periods):
+        # the reference restarts evolve at t = 0 once per period from the last
+        # period's end, which periodicity makes valid, and integrates each
+        # period through its own sample times
+        me, rho0 = dressed_full_model()
+        period = me.liouvillian.period
+        times = np.linspace(0.0, periods * period, 11)
+        traj = evolve(me, rho0, times)
+        # a span's end belongs to it: 32 periods are 31 whole ones and the last span
+        assert traj.period == period and traj.whole_periods == math.ceil(periods) - 1
+        whole, rest = np.divmod(times, period)
+        rho, reference = rho0, []
+        for n in range(int(whole[-1]) + 1):
+            inside = rest[whole == n]
+            grid = np.unique(np.concatenate([[0.0], inside, [period]]))
+            chained = evolve(me, rho, grid)
+            assert chained.period is None and chained.whole_periods == 0
+            reference += [chained.states[np.searchsorted(grid, r)] for r in inside]
+            rho = chained.final
+        # measured: 2.2e-10 (3.2 periods) and 1.6e-12 (32)
+        assert np.max(np.linalg.norm(traj.states - np.array(reference), axis=(1, 2))) <= 1e-9
+
+    def test_grid_within_a_period_carries_the_state(self, monkeypatch):
+        # the benchmark's grid spans an eighth of a period: the state, a vector,
+        # is carried through the output times and no power is taken
+        workloads = benchmark_workloads()
+        me, rho0, times = workloads.full_model_inputs(reslab, workloads.phase_table()[0], "full")
+        carried = []
+        magnus_pass = lindblad._magnus_pass
+
+        def carrying(R, points, substeps, x):
+            carried.append(x.shape)
+            return magnus_pass(R, points, substeps, x)
+
+        monkeypatch.setattr(lindblad, "_magnus_pass", carrying)
+        monkeypatch.setattr(lindblad, "_whole_spans", None)
+        traj = evolve(me, rho0, times)
+        assert traj.period is None and traj.whole_periods == 0
+        assert carried == [(36,)] * (traj.refinements + 1)
+        assert int(np.sum(traj.substeps)) == 80 and traj.refinements == 1
+
+    def test_full_model_evolve_allocates_no_block_temporaries(self):
+        # each pass forms its blocks of 18 steps in one 0.75 MB buffer (four
+        # 36 x 36 real matrices per step) and every block reuses it: one
+        # full-model evolve peaks at 0.85 MB of numpy and Python allocations,
+        # and blocks that allocate their 1-norm temporaries read 0.98 MB
+        workloads = benchmark_workloads()
+        inputs = workloads.full_model_inputs(reslab, workloads.phase_table()[0], "full")
+        evolve(*inputs)  # the real Liouvillian and its period are built once and kept
+        tracemalloc.start()
+        try:
+            evolve(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.95e6
+
+    def test_many_periods_keep_memory_bounded(self):
+        # a driven, decaying qubit over 1.2e5 periods of 2 pi / 3, 5 samples: one
+        # span is integrated and the whole ones are powers of its map, so time
+        # and memory do not grow with the number of periods (measured: 0.36 MB
+        # and about 0.01 s).  Far longer runs meet the 1e-9 trace-drift check's
+        # limit instead: the map's trace row is exact to about 1e-15, and the
+        # n-th power multiplies that by n
+        drive = Harmonic([3.0, -3.0, 0.0], [0.1 * SIGMA_X, 0.1 * SIGMA_X, SIGMA_Z])
+        me = MasterEquation(dim=2, hamiltonian=drive, terms=decay_qubit(1.0).terms)
+        times = np.linspace(0.0, 1.2e5 * drive.period, 5)
+        rho0 = np.diag([1.0, 0.0 + 0j])
+        evolve(me, rho0, times[:2] / 1e5)
+        tracemalloc.start()
+        try:
+            traj = evolve(me, rho0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.whole_periods >= 119_999 and traj.period == pytest.approx(drive.period, rel=1e-15)
+        assert peak <= 0.5e6
+        for s in traj.states:
+            assert abs(np.trace(s) - 1.0) <= 1e-9 and qmath.hermitian_defect(s) <= 1e-10
+
+    def test_whole_spans_power_only_between_distinct_counts(self):
+        rng = np.random.default_rng(19)
+        span_map, _ = np.linalg.qr(random_matrix(rng, 3))  # unitary: its powers stay bounded
+        x0 = qmath.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
+        whole = np.array([0, 0, 1, 2, 3, 3, 7, 10**6])
+        out = lindblad._whole_spans(span_map, whole, x0)
+        # a gap of one is the product a per-span advance makes, bit for bit
+        advanced = [x0]
+        for _ in range(3):
+            advanced.append(span_map @ advanced[-1])
+        assert np.array_equal(out[:6], np.array(advanced)[whole[:6]])
+        # a longer gap is one power, taken from the last distinct count
+        assert np.array_equal(out[6], np.linalg.matrix_power(span_map, 4) @ advanced[3])
+        w, v = np.linalg.eig(span_map)
+        exact = v @ (w ** (10**6) * np.linalg.solve(v, x0))
+        assert np.max(np.abs(out[7] - exact)) <= 1e-9
+
+
 class TestFullModelReference:
     def test_final_states_match_recorded_reference(self):
         # the benchmark's full-model inputs and its final states recorded at
         # the seed commit; read, never written
-        sys.path.insert(0, str(BENCHMARKS))
-        try:
-            import workloads
-        finally:
-            sys.path.remove(str(BENCHMARKS))
+        workloads = benchmark_workloads()
         reference = json.loads(workloads.REFERENCE.read_text())
         recorded = reference["full-model"]["tiny"]
         assert len(recorded) >= 4

@@ -19,10 +19,14 @@ from reslab.scenarios import (
 
 _SINGLE = [name for name in SCENARIOS if name != "sweep"]
 _MEMORY_CHECK = ("effective-check", {"branch": "memory"})
+# the time-dependent (Magnus) path of the interferometer
+_DECAYING_INTERFEROMETER = ("interferometer", {"include_tl_decay": True})
 _EDGE_VALUES = [0, 1e-300, 1e-3, 1, 1e6, 1e200]
-# the exit-code properties: a single scenario (or the memory check) with one or
-# two parameters at edge values
-_CONTRACT_BASES = st.sampled_from([(name, {}) for name in _SINGLE] + [_MEMORY_CHECK])
+# the exit-code properties: a single scenario (or the memory check, or the
+# decaying interferometer) with one or two parameters at edge values
+_CONTRACT_BASES = st.sampled_from(
+    [(name, {}) for name in _SINGLE] + [_MEMORY_CHECK, _DECAYING_INTERFEROMETER]
+)
 _EDGE_PARAMS = st.lists(
     st.tuples(st.sampled_from(scenarios._PARAM_KEYS), st.sampled_from(_EDGE_VALUES)),
     min_size=1,
@@ -498,6 +502,14 @@ class TestCli:
                 {"name": "interferometer", "params": {"omega1": 1e200}},
                 "SimulationError",
                 id="interferometer-omega1-1e200",
+            ),
+            # decay at 1e200 on the Magnus path: a bound on the exponents' 1-norm
+            # is checked before they are formed
+            pytest.param(
+                {"name": "interferometer", "options": {"include_tl_decay": True},
+                 "params": {"gamma": 1e200}, "grid": {"t_end": 1e-7, "n_samples": 3}},
+                "IntegrationDivergenceError",
+                id="interferometer-tl-decay-gamma-1e200",
             ),
         ],
     )
