@@ -1,5 +1,5 @@
-"""Rotating frames, the time-averaging oracle, and the Schroedinger
-integrator used to validate dressed-frame reductions.
+"""Rotating frames and the Schroedinger integrator used to validate
+dressed-frame reductions.
 
 A frame is the unitary family ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...``,
 a product of exponentials of static Hermitian generators.  States map as
@@ -8,11 +8,6 @@ and an operator seen from inside the frame, ``R(t)^dag O R(t)``, are
 finite Fourier sums and are built exactly as
 :class:`~reslab.lindblad.Harmonic` operators, which evaluate on a whole
 time grid at once.
-
-The averaging oracle works at the superoperator level: averaging the
-jump operator itself would discard the terms that survive in
-``O rho O^dag``.  For a harmonic jump the long-time average is exact: the
-secular sum keeps the products of equal-frequency components.
 
 The full Hamiltonians the effective ones are checked against are harmonic
 sums with commensurate frequencies, so they repeat with a period ``T``
@@ -36,12 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .lindblad import Harmonic, LindbladTerm, _as_harmonic, _block_rows, _check_operator
-from .lindblad import _counts, _refine, _split, _step_layout, _time_grid, _whole_spans
+from .lindblad import Harmonic, _as_harmonic, _block_rows, _check_operator, _counts
+from .lindblad import _refine, _span_states, _split, _step_layout, _time_grid
 
 __all__ = [
     "FrameTransform",
-    "transformed_dissipator_average",
     "EffectiveComparison",
     "compare_effective",
     "schroedinger_evolve",
@@ -79,21 +73,6 @@ class FrameTransform:
         return Harmonic(nus.ravel(), products.reshape(nus.size, *products.shape[-2:]))
 
 
-def transformed_dissipator_average(term: LindbladTerm) -> np.ndarray:
-    """Long-time average of a jump term's superoperator.
-
-    Returns a constant Liouvillian fragment (``dim^2 x dim^2``), suitable
-    as the ``extra_generator`` of a :class:`MasterEquation`: the
-    zero-frequency component of ``term.superoperator()``.  For a harmonic
-    jump ``sum_k exp(-i nu_k t) A_k`` the products of components with
-    different frequencies oscillate and average to zero, and the merged
-    ``nu_k`` are distinct, so the average is exactly the secular sum
-    ``sum_k D[A_k]``; a static term is its own average.
-    """
-    sup = term.superoperator()
-    return sup.matrices[np.argmin(np.abs(sup.frequencies))]
-
-
 def _gauss_legendre(stages: int):
     """Butcher tableau ``(a, b, c)`` of the ``stages``-stage Gauss-Legendre
     collocation method, of order ``2 stages``: ``c`` and ``b`` are the Gauss
@@ -118,9 +97,10 @@ _GL_ORDER = 2 * _GL_C.size
 _STEP_SCALE = 0.75
 
 
-def _propagators(h: Harmonic, points: np.ndarray, substeps: np.ndarray) -> np.ndarray:
-    """``U(p)`` from ``U(0) = I`` at each point ``p``, ``points[0] = 0``, the
-    interval before point ``i + 1`` taken in ``substeps[i]`` equal steps.  A
+def _propagators(h: Harmonic, points, substeps, u) -> np.ndarray:
+    """``U(p) u`` at each point ``p``, ``points[0] = 0``, for a ket or a block
+    of columns ``u`` carried from 0 (the identity gives the propagators ``U``),
+    the interval before point ``i + 1`` taken in ``substeps[i]`` equal steps.  A
     step over ``[t, t + w]`` multiplies by ``I + w sum_i b_i K_i``, whose stage
     slopes ``K_i = M_i (I + w sum_j a_ij K_j)``, ``M_i = -i H(t + c_i w)``, solve
     one linear system; blocks of steps reuse buffers allocated once (``lindblad._BLOCK_BYTES``)."""
@@ -134,8 +114,8 @@ def _propagators(h: Harmonic, points: np.ndarray, substeps: np.ndarray) -> np.nd
     shapes = [(rows, s, d, d), (rows, s * d, s * d), (rows, d, d)]
     ends = np.cumsum([np.prod(x) for x in shapes])
     m, system, maps = map(np.reshape, np.split(np.empty(ends[-1], complex), ends[:-1]), shapes)
-    props = np.empty((points.size, d, d), dtype=complex)
-    props[0] = u = np.eye(d, dtype=complex)
+    props = np.empty((points.size, *u.shape), dtype=complex)
+    props[0] = u
     for j in range(0, n, rows):
         t, w = starts[j : j + rows], widths[j : j + rows]
         k = t.size
@@ -170,18 +150,18 @@ def schroedinger_evolve(
     ``info`` is the integrator's record (see :class:`EffectiveComparison`).
 
     ``hamiltonian`` is a static matrix or a :class:`Harmonic`.  The
-    propagator ``U(t)`` from 0 is integrated over one span ``S``:
-    ``H``'s period when that is shorter than the grid, else the whole grid.
-    Each state is ``psi(t) = U(t mod S) U(S)^n psi0`` with
-    ``n = floor(t / S)``, the powers of ``U(S)`` taken only between the
-    distinct counts ``n`` (``lindblad._whole_spans``).
+    integration covers one span ``S``: ``H``'s period when that is shorter
+    than the grid, else the whole grid, through which the ket itself is
+    carried.  With a whole period the propagator ``U`` from 0 is carried
+    instead, and each state is ``psi(t) = U(t mod S) U(S)^n psi0`` with
+    ``n = floor(t / S)`` (``lindblad._span_states``, which ``evolve`` shares).
 
-    ``U`` is integrated by 4-stage Gauss-Legendre collocation (order 8,
-    unitary for Hermitian ``H``; Hairer, Lubich & Wanner, Geometric Numerical
-    Integration, 2nd ed. (2006), II.1 and IV.2), kept at the points
-    ``t mod S``.  The interval ``dt`` between two of them starts at
-    ``max(1, ceil(_STEP_SCALE dt (max|nu_k| + sum_k ||A_k||_2)))`` equal
-    steps; :func:`lindblad._refine` doubles every count until the Richardson
+    The steps are 4-stage Gauss-Legendre collocation (order 8, unitary for
+    Hermitian ``H``; Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, 2nd ed. (2006), II.1 and IV.2), and the carried operand is
+    kept at the points ``t mod S``.  The interval ``dt`` between two of them
+    starts at ``max(1, ceil(_STEP_SCALE dt (max|nu_k| + sum_k ||A_k||_2)))``
+    equal steps; :func:`lindblad._refine` doubles every count until the Richardson
     estimate ``max |psi_fine - psi_coarse| / (2^8 - 1)`` over the states is
     at most ``tol``.  The record's ``achieved`` is that estimate, not a bound
     on the error, and it can understate a long integration's error: over 12
@@ -204,8 +184,7 @@ def schroedinger_evolve(
     substeps = _counts(np.maximum(1.0, np.ceil(_STEP_SCALE * np.diff(points) * rate)))
 
     def run(counts):
-        props = _propagators(h, points, counts)
-        return np.einsum("nij,nj->ni", props[where[:-1]], _whole_spans(props[-1], whole, psi0))
+        return _span_states(lambda u: _propagators(h, points, counts, u), whole, where, psi0)
 
     def richardson(fine, coarse):
         return float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)

@@ -54,8 +54,11 @@ When the grid is longer than the period ``T`` of ``L``, the steps cover one
 period only: the identity is carried through the points ``t mod T``, and
 each state is ``M(t mod T) M(T)^n x0`` with the powers of the one-period
 map taken only between the distinct whole counts ``n`` (Floquet theory;
-Grifoni & Haenggi, Phys. Rep. 304, 229 (1998)), as
-:func:`frames.schroedinger_evolve` does with the same helpers.
+Grifoni & Haenggi, Phys. Rep. 304, 229 (1998)); :func:`_span_states`
+assembles them for :func:`frames.schroedinger_evolve` too.  The trace row
+of ``M(T)`` is set to the exact trace functional before it is powered,
+when the two differ by rounding alone, so ``n`` periods do not multiply
+that rounding by ``n``.
 """
 
 from __future__ import annotations
@@ -164,6 +167,20 @@ class Harmonic:
         if any(abs(x - float(f)) > PERIOD_RTOL * x for x, f in zip(ratios, fits)):
             return None
         return 2.0 * math.pi * math.lcm(*(f.denominator for f in fits)) / float(np.min(nu))
+
+    @property
+    def mean(self) -> np.ndarray:
+        """The long-time average of ``O(t)``: its zero-frequency component, or
+        zeros when it has none, since every other component oscillates.
+
+        On a jump term's superoperator this is the rotating-wave (secular)
+        oracle.  Averaging the jump operator itself would discard the terms
+        that survive in ``O rho O^dag``; averaging ``D[O(t)]`` keeps the
+        products of equal-frequency components, and the merged ``nu_k`` are
+        distinct, so for a harmonic jump the average is exactly the secular
+        sum ``sum_k D[A_k]``; a static term is its own average."""
+        zero = np.flatnonzero(self.frequencies == 0.0)
+        return self.matrices[zero[0]] if zero.size else np.zeros_like(self.matrices[0])
 
     def map(self, f) -> "Harmonic":
         """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``."""
@@ -536,7 +553,10 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     bound = float(np.max(widths)) * R.norm_bound  # h max ||R(t)||_1
     _check_exponent_norm(bound + math.sqrt(3.0) / 6.0 * bound * bound)
     n = R.matrices.shape[-1]
-    rows = _block_rows(4 * n * n * 8, widths.size)
+    # per step: the four n x n matrices of the buffer, R's phase arrays (the
+    # times by each of the F frequencies, their cosines, sines and both joined,
+    # on two nodes: 10 F floats) and the row of 1-norms (n)
+    rows = _block_rows(8 * (4 * n * n + 10 * R.frequencies.size + n), widths.size)
     buffer = np.empty(4 * rows * n * n)
     terms = np.empty((_TAYLOR_DEGREES[-1] + 1, *x.shape))
     out = np.empty((points.size, *x.shape))
@@ -589,15 +609,34 @@ def _whole_spans(span_map: np.ndarray, whole: np.ndarray, x0: np.ndarray) -> np.
     return out[which]
 
 
-def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
+def _span_states(run, whole, where, x0) -> np.ndarray:
+    """The state at each time ``n S + r`` of :func:`_split`, stacked, from
+    ``run(x)``, which carries an operand ``x`` through the span's points.
+    Without a whole span in the grid, ``run`` carries ``x0`` itself; with one,
+    it carries the identity, which gives the maps ``M(r)``, and each state is
+    ``M(r) M(S)^n x0`` (:func:`_whole_spans`)."""
+    if whole[-1] == 0:
+        return run(x0)[where[:-1]]
+    maps = run(np.eye(x0.size, dtype=x0.dtype))
+    return np.einsum("nij,nj->ni", maps[where[:-1]], _whole_spans(maps[-1], whole, x0))
+
+
+#: the largest defect of a span map's trace row that counts as rounding; the
+#: 1e-9 trace-drift check still sees every larger one
+_TRACE_ROUNDING = 1e-12
+
+
+def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np.ndarray:
     """States at ``times`` as an ``(N, d, d)`` stack: by exact maps for a
-    static generator, else by :func:`_magnus_pass` over one span, the
-    interval before its point ``i + 1`` (see :func:`_split`) in
-    ``substeps[i]`` steps.  Without a whole period the state is carried
-    through the times; with one, the identity is carried through the span and
-    each state is ``M(r) M(S)^n x0`` (:func:`_whole_spans`)."""
-    L = me.liouvillian
-    out = np.empty((times.size, me.dim**2), dtype=complex)  # one vec(rho) per row
+    static generator, else by :func:`_magnus_pass` over the span of ``split``
+    (what :func:`_split` returns for ``times``), the interval before its
+    point ``i + 1`` in ``substeps[i]`` steps, assembled by :func:`_span_states`.
+    The trace row of a span map, which must equal the trace functional (the
+    sum of the first ``d`` coordinates), is projected onto it before it is
+    powered, when the two differ by rounding alone: ``M(S)^n`` multiplies
+    that defect by ``n``."""
+    L, d = me.liouvillian, me.dim
+    out = np.empty((times.size, d * d), dtype=complex)  # one vec(rho) per row
     out[0] = vec(rho0)
     if not np.any(L.frequencies):
         dts = np.diff(times)
@@ -606,8 +645,8 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
         keys = np.rint(dts / times[-1] * 1e12)
         _, which = np.unique(keys, return_inverse=True)
         lengths = np.bincount(which, weights=dts) / np.bincount(which)
-        _check_exponent_norm(float(np.max(lengths)) * float(np.linalg.norm(L.matrices[0], 1)))
-        maps = [_expm(dt * L.matrices[0]) for dt in lengths]
+        _check_exponent_norm(float(np.max(lengths)) * float(np.linalg.norm(L.mean, 1)))
+        maps = [_expm(dt * L.mean) for dt in lengths]
         starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
         for start, stop in zip(starts, [*starts[1:], dts.size]):
             powers = [maps[which[start]]]  # M, ..., M^b with b = ceil(sqrt(run length))
@@ -617,18 +656,21 @@ def _integrate(me: MasterEquation, rho0, times, substeps) -> np.ndarray:
             for k in range(start, stop, b):
                 out[k + 1 : min(k + b, stop) + 1] = (powers @ out[k]).reshape(b, -1)[: stop - k]
     else:
-        R = me._real_liouvillian
-        whole, points, where = _split(L, times)
+        R, (whole, points, where) = me._real_liouvillian, split
+
+        def run(x):
+            maps = _magnus_pass(R, points, substeps, x)
+            if x.ndim == 2:  # the identity carried: M(S)'s trace row less the functional
+                defect = np.sum(maps[-1, :d], axis=0) - (np.arange(x.shape[0]) < d)
+                if np.max(np.abs(defect)) <= _TRACE_ROUNDING:
+                    maps[-1, :d] -= defect / d
+            return maps
+
         # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
-        x = (R.basis @ out[0]).real
-        if whole[-1] == 0:
-            xs = _magnus_pass(R, points, substeps, x)[where[1:-1]]
-        else:
-            maps = _magnus_pass(R, points, substeps, np.eye(x.size))
-            xs = np.einsum("nij,nj->ni", maps[where[1:-1]], _whole_spans(maps[-1], whole[1:], x))
-        out[1:] = xs @ R.basis.conj()
+        xs = _span_states(run, whole, where, (R.basis @ out[0]).real)
+        out[1:] = xs[1:] @ R.basis.conj()
     # a row vec(rho) read in C order is rho transposed
-    return out.reshape(-1, me.dim, me.dim).transpose(0, 2, 1)
+    return out.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 #: most doublings of the step counts before an integration gives up
@@ -719,14 +761,14 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     if times.size == 1:
         return Trajectory(times, rho0[None].copy(), tol=tol, method=method)
     if not fastest:  # exact maps: one pass, nothing to refine
-        states = _integrate(me, rho0, times, None)
+        states = _integrate(me, rho0, times)
         if np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))) > 1e-9:
             raise IntegrationDivergenceError(0.0, tol, "the trace drifted by more than 1e-9")
         return Trajectory(times, states, np.ones(times.size - 1, dtype=int), tol=tol)
-    whole, points, _ = _split(me.liouvillian, times)
+    split = whole, points, _ = _split(me.liouvillian, times)
     substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(points) / 2.0)))
     states, substeps, passes, achieved = _refine(
-        lambda counts: _integrate(me, rho0, times, counts),
+        lambda counts: _integrate(me, rho0, times, split, counts),
         substeps,
         lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
         tol,

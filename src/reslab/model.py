@@ -61,7 +61,6 @@ __all__ = [
     "epsilon_closed_form",
     "reduced_master_equation",
     "dressed_decay_generator",
-    "asymptotic_state",
     "protected_state_nonadiabatic",
     "protected_state_memory",
     "protected_state_dressed_gauge",
@@ -471,30 +470,6 @@ def reduced_master_equation(
         terms=(LindbladTerm(rate=rate, operator=jump),),
         extra_generator=extra,
     )
-
-
-def asymptotic_state(branch: str, epsilon: float) -> np.ndarray:
-    """Asymptotic reduced state in the protected basis.
-
-    Nonadiabatic: ``diag(1 - eps, eps)``.  Memory: the same diagonal plus
-    symmetric off-diagonal terms ``eps (1 - eps)^-1``; parameter sets
-    breaking positivity (``(1 - eps)^3 < eps``) are rejected rather than
-    repaired.
-    """
-    if branch == "nonadiabatic":
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-        return np.diag([1.0 - epsilon, epsilon]).astype(complex)
-    if branch == "memory":
-        if not 0.0 <= epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-        if (1.0 - epsilon) ** 3 < epsilon:
-            raise ValueError(
-                f"off-diagonal coefficient breaks positivity for epsilon = {epsilon}"
-            )
-        off = epsilon / (1.0 - epsilon)
-        return np.array([[1.0 - epsilon, off], [off, epsilon]], dtype=complex)
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 # --- protected states --------------------------------------------------------

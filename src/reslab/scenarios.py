@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,19 +59,7 @@ SCENARIOS = {
     "sweep": "run a base scenario over a list of parameter values",
 }
 
-_PARAM_KEYS = (
-    "g",
-    "omega1",
-    "omega2",
-    "phi1",
-    "phi2",
-    "delta_a",
-    "delta1",
-    "delta2",
-    "Gamma",
-    "gamma",
-    "n_max",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(model.ModelParams))
 _RATE_KEYS = ("g", "omega1", "omega2", "delta_a", "delta1", "delta2", "Gamma", "gamma")
 _MINIMUM = {"g": 0, "omega1": 0, "omega2": 0, "Gamma": 0, "gamma": 0, "n_max": 1}
 
@@ -321,10 +309,6 @@ def _grid(sc: Scenario, default_t_end: float, default_n: int) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
 
 
-def _params_dict(p: model.ModelParams) -> dict:
-    return {k: getattr(p, k) for k in _PARAM_KEYS}
-
-
 def _integrator_stats(traj: Trajectory) -> dict:
     return {
         "method": traj.method,
@@ -568,7 +552,7 @@ def _run_sweep(sc: Scenario) -> ScenarioResult:
 def _result(sc, p, derived, header, rows, integrator=None) -> ScenarioResult:
     resolved = {
         "name": sc.name,
-        "params": _params_dict(p),
+        "params": asdict(p),
         "grid": {"t_end": sc.grid.t_end, "n_samples": sc.grid.n_samples},
         "options": dict(sc.options),
         "unit_scale": sc.unit_scale,
@@ -579,7 +563,7 @@ def _result(sc, p, derived, header, rows, integrator=None) -> ScenarioResult:
         "schema": SCHEMA_VERSION,
         "scenario": sc.name,
         "series_schema": f"{sc.name}/v1",
-        "resolved_params": _params_dict(p),
+        "resolved_params": asdict(p),
         "derived": derived,
     }
     if integrator is not None:

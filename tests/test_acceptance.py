@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reslab import model, qmath
-from reslab.frames import compare_effective, transformed_dissipator_average
+from reslab.frames import compare_effective
 from reslab.interferometer import run_interferometer
 from reslab.lindblad import LindbladTerm, MasterEquation, evolve, steady_state
 from reslab.phases import dynamic_phase, geometric_phase
@@ -206,7 +206,7 @@ def test_criterion_8_consistency_audit():
         delta1=0.0, delta2=-16.0, delta_a=-1.0, Gamma=1e6, gamma=gamma, n_max=1,
     )
     dressed = model.dressed_decay_jump(pav, "nonadiabatic")
-    frag = transformed_dissipator_average(LindbladTerm(rate=gamma, operator=dressed))
+    frag = LindbladTerm(rate=gamma, operator=dressed).superoperator().mean
     oracle = {
         "pump": frag[0, 3].real,
         "damping": (frag[0, 3] - frag[0, 0]).real,

@@ -12,12 +12,7 @@ import scipy.linalg
 import reslab
 from reslab import frames, model, qmath
 from reslab.errors import IntegrationDivergenceError
-from reslab.frames import (
-    FrameTransform,
-    compare_effective,
-    schroedinger_evolve,
-    transformed_dissipator_average,
-)
+from reslab.frames import FrameTransform, compare_effective, schroedinger_evolve
 from reslab.scenarios import Scenario, resolve_params
 from reslab.lindblad import Harmonic, LindbladTerm, unvec, vec
 
@@ -84,20 +79,20 @@ class TestConjugateOperator:
 class TestDissipatorAverage:
     def test_static_passthrough(self):
         term = LindbladTerm(rate=1.4, operator=SIGMA_GE)
-        frag = transformed_dissipator_average(term)
+        frag = term.superoperator().mean
         assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.7))) < 1e-12
 
     def test_global_phase_invariance(self):
         omega = 2.0 * np.pi * 3.0
         term = LindbladTerm(rate=1.8, operator=Harmonic([-omega], [SIGMA_GE]))
-        frag = transformed_dissipator_average(term)
+        frag = term.superoperator().mean
         assert np.max(np.abs(frag - dissipator(SIGMA_GE, 0.9))) < 1e-12
 
     def test_fragment_is_valid_generator(self):
         gamma = 1.3
         p = dressed_decay_params(gamma)
         term = dressed_decay_term(p)
-        frag = transformed_dissipator_average(term)
+        frag = term.superoperator().mean
         tau = np.zeros(4, dtype=complex)
         tau[[0, 3]] = 1.0
         assert np.max(np.abs(tau @ frag)) < 1e-10
@@ -115,7 +110,7 @@ class TestDissipatorAverage:
         #   d rho_ud/dt = -(5g/8) rho_ud      (no rho_du cross term)
         gamma = 2.0
         p = dressed_decay_params(gamma)
-        frag = transformed_dissipator_average(dressed_decay_term(p))
+        frag = dressed_decay_term(p).superoperator().mean
         pump = frag[0, 3].real
         damp = (frag[0, 3] - frag[0, 0]).real
         coh_decay = -frag[2, 2].real
@@ -144,7 +139,7 @@ class TestDissipatorAverage:
         n = 512
         ts = (np.arange(n) + 0.5) * (period / n)
         brute = sum(dissipator(term.operator_at(t), 0.5 * term.rate) for t in ts) / n
-        assert np.max(np.abs(transformed_dissipator_average(term) - brute)) < 1e-12
+        assert np.max(np.abs(term.superoperator().mean - brute)) < 1e-12
 
 
 def dressed_decay_params(gamma):
@@ -364,9 +359,9 @@ class TestSchroedingerEvolve:
         spans = []
         propagators = frames._propagators
 
-        def recording(h, points, substeps):
+        def recording(h, points, substeps, u):
             spans.append((points[0], points[-1]))
-            return propagators(h, points, substeps)
+            return propagators(h, points, substeps, u)
 
         monkeypatch.setattr(frames, "_propagators", recording)
         schroedinger_evolve(*EVOLVE_CASES[case][0]())
@@ -415,7 +410,7 @@ class TestGaussLegendre:
     def test_one_period_map_is_unitary(self):
         h, _ = _harmonic_case()
         points = np.linspace(0.0, h.period, 5)
-        props = frames._propagators(h, points, np.full(4, 25))
+        props = frames._propagators(h, points, np.full(4, 25), np.eye(2, dtype=complex))
         defects = props @ props.conj().transpose(0, 2, 1) - np.eye(2)
         assert np.max(np.abs(defects)) <= 1e-12
 
@@ -424,7 +419,7 @@ class TestGaussLegendre:
         points = np.array([0.0, h.period])
         exact = reference_states(h, psi0, points)[-1]
         errors = [
-            np.max(np.abs(frames._propagators(h, points, np.array([k]))[-1] @ psi0 - exact))
+            np.max(np.abs(frames._propagators(h, points, np.array([k]), psi0)[-1] - exact))
             for k in (4, 8)
         ]
         assert errors[1] > 1e-11  # above the reference's own error
@@ -451,7 +446,7 @@ class TestGaussLegendre:
                 slopes = np.linalg.solve(system, m.reshape(12, 3)).reshape(4, 3, 3)
                 u = (np.eye(3) + w * np.tensordot(gb, slopes, axes=1)) @ u
             expected.append(u)
-        props = frames._propagators(h, points, np.array(substeps))
+        props = frames._propagators(h, points, np.array(substeps), np.eye(3, dtype=complex))
         assert np.max(np.abs(props - np.array(expected))) <= 1e-13
 
     def test_propagation_allocates_no_block_temporaries(self):
@@ -492,8 +487,8 @@ class TestGaussLegendre:
         kept = []
         propagators = frames._propagators
 
-        def keeping(h, points, substeps):
-            kept[:] = [points, propagators(h, points, substeps)]
+        def keeping(h, points, substeps, u):
+            kept[:] = [points, propagators(h, points, substeps, u)]
             return kept[1]
 
         monkeypatch.setattr(frames, "_propagators", keeping)
@@ -516,9 +511,9 @@ class TestGaussLegendre:
         passes = []
         propagators = frames._propagators
 
-        def counting(h, points, substeps):
+        def counting(h, points, substeps, u):
             passes.append(int(np.sum(substeps)))
-            return propagators(h, points, substeps)
+            return propagators(h, points, substeps, u)
 
         monkeypatch.setattr(frames, "_propagators", counting)
         with pytest.raises(IntegrationDivergenceError) as err:

@@ -316,29 +316,6 @@ class TestBlochOdeRhs:
         assert d_anti[0, 1] / 1j == pytest.approx(-a - gamma / 8.0)
 
 
-class TestAsymptoticState:
-    def test_pure_limit(self):
-        assert np.array_equal(model.asymptotic_state("nonadiabatic", 0.0), np.diag([1.0, 0.0]))
-
-    def test_reference_population(self):
-        eps = 3.0 / 86.0
-        rho = model.asymptotic_state("nonadiabatic", eps)
-        assert rho[0, 0] == pytest.approx(83.0 / 86.0, abs=1e-15)
-        assert qmath.fidelity(rho, qmath.basis_ket(2, 0)) == pytest.approx(83.0 / 86.0, abs=1e-15)
-
-    def test_memory_offdiagonals(self):
-        eps = 1.0 / 102.0
-        rho = model.asymptotic_state("memory", eps)
-        assert rho[0, 1] == pytest.approx(eps / (1.0 - eps))
-        assert qmath.fidelity(rho, qmath.basis_ket(2, 0)) == pytest.approx(101.0 / 102.0, abs=1e-14)
-        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
-
-    def test_memory_positivity_domain(self):
-        with pytest.raises(ValueError):
-            model.asymptotic_state("memory", 0.4)  # (1 - 0.4)^3 = 0.216 < 0.4
-        model.asymptotic_state("memory", 0.3)  # (0.7)^3 = 0.343 >= 0.3
-
-
 class TestProtectedStates:
     def test_initial_state_is_excited(self):
         p = dimensionless_params()

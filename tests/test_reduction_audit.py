@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from reslab import model
-from reslab.frames import transformed_dissipator_average
 from reslab.lindblad import LindbladTerm, MasterEquation, steady_state
 
 
@@ -28,7 +27,7 @@ def memory_params(chi, lam=16.0, gamma=1.0):
 
 def averaged_memory_decay(p):
     term = LindbladTerm(rate=p.gamma, operator=model.dressed_decay_jump(p, "memory"))
-    return transformed_dissipator_average(term)
+    return term.superoperator().mean
 
 
 class TestMemoryBranchOracle:
