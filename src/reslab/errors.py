@@ -20,7 +20,10 @@ class NotHermitianError(SimulationError):
 
 
 class IntegrationDivergenceError(SimulationError):
-    """Step refinement failed to reach the requested tolerance."""
+    """An integration failed: step refinement did not reach its tolerance,
+    the trace drifted by more than 1e-9, a step's exponent may have a 1-norm
+    of ``2^55`` or more, or a count of steps or whole periods is ``2^63`` or
+    more.  ``achieved`` and ``target`` carry the failing figure and its bound."""
 
     def __init__(self, achieved: float, target: float, message: str | None = None):
         self.achieved = float(achieved)

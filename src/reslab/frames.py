@@ -15,13 +15,10 @@ sums with commensurate frequencies, so they repeat with a period ``T``
 integrates the propagator over one period only and advances whole periods
 by powers of the one-period map ``U(T)`` (Floquet theory; Grifoni &
 Haenggi, Phys. Rep. 304, 229 (1998)).  Its steps are the eighth-order,
-unitary 4-stage Gauss-Legendre collocation maps, one small linear solve
-per step for this linear equation, formed in blocks from one evaluation of
-``H`` on their stage times, in buffers that a refinement pass allocates once;
-halving every step until the Richardson estimate of the error meets the
-tolerance makes the accuracy explicit.
-The halving is :func:`lindblad._refine`, the loop that
-:func:`~reslab.lindblad.evolve` uses too.
+unitary 4-stage Gauss-Legendre collocation maps, halved by the loop of
+:func:`~reslab.lindblad.evolve` (``lindblad._refine``) until the Richardson
+estimate of the error meets the tolerance, and it returns the record that
+``evolve`` returns, a :class:`~reslab.lindblad.Trajectory`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .lindblad import Harmonic, _as_harmonic, _block_rows, _check_operator, _counts
+from .lindblad import Harmonic, Trajectory, _as_harmonic, _block_rows, _check_operator, _counts
 from .lindblad import _refine, _span_states, _split, _step_layout, _time_grid
 
 __all__ = [
@@ -143,11 +140,11 @@ def schroedinger_evolve(
     times,
     *,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, dict]:
+) -> Trajectory:
     """Integrate ``i dpsi/dt = H(t) psi`` on the grid ``times``, which must
-    start at 0 and increase strictly; ``psi0`` is the state at 0.  Returns
-    ``(states, info)``: the states have shape ``(len(times), dim)``, and
-    ``info`` is the integrator's record (see :class:`EffectiveComparison`).
+    start at 0 and increase strictly; ``psi0`` is the state at 0.  Returns a
+    :class:`~reslab.lindblad.Trajectory` whose ``states`` are the kets, shape
+    ``(len(times), dim)``, with the record :func:`~reslab.lindblad.evolve` keeps.
 
     ``hamiltonian`` is a static matrix or a :class:`Harmonic`.  The
     integration covers one span ``S``: ``H``'s period when that is shorter
@@ -189,33 +186,19 @@ def schroedinger_evolve(
     def richardson(fine, coarse):
         return float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
 
-    states, substeps, passes, achieved = _refine(run, substeps, richardson, tol)
-    return states, {
-        "method": "gauss-legendre-4",
-        "tol": tol,
-        "achieved": achieved,
-        "steps": int(np.sum(substeps)),
-        "passes": passes,
-        "period": float(points[-1]) if whole[-1] > 0 else None,
-        "whole_periods": int(whole[-1]),
-    }
+    refined = _refine(run, substeps, richardson, tol)
+    period = float(points[-1]) if whole[-1] > 0 else None
+    return Trajectory(times, *refined, tol, "gauss-legendre-4", period, int(whole[-1]))
 
 
 @dataclass(frozen=True)
 class EffectiveComparison:
-    """Fidelity record of a full-model versus effective-model evolution.
-    ``integrator`` is :func:`schroedinger_evolve`'s record of the full-model
-    integration: its ``method``, the ``tol`` and the ``achieved`` Richardson
-    estimate it accepted (an estimate of the error, not a bound: see
-    :func:`schroedinger_evolve`), the accepted pass's ``steps`` over one
-    span, the number of ``passes`` (:func:`lindblad._refine`'s first pass and
-    its doublings), the ``period`` it advanced by (None when the full
-    Hamiltonian has none shorter than the time grid) and the
-    ``whole_periods`` it advanced."""
+    """Fidelity record of a full-model versus effective-model evolution:
+    the full model's :func:`schroedinger_evolve` ``trajectory`` and the
+    fidelity at each of its times."""
 
-    time_grid: np.ndarray
+    trajectory: Trajectory
     fidelity_series: np.ndarray
-    integrator: dict
 
     @property
     def worst_fidelity(self) -> float:
@@ -236,9 +219,9 @@ def compare_effective(
     ``psi_eff(t) = R(t) exp(-i H_eff t) R(0)^dag psi0``.
     """
     _check_operator(frame, "frame")
-    times = _time_grid(times)
     psi0 = qmath.normalized(psi0)
-    full_states, integrator = schroedinger_evolve(full, psi0, times)
+    traj = schroedinger_evolve(full, psi0, times)
+    times = traj.times
 
     h_eff = qmath.as_operator(effective)
     w, v = np.linalg.eigh(0.5 * (h_eff + qmath.dag(h_eff)))
@@ -246,5 +229,5 @@ def compare_effective(
     coeff = qmath.dag(v) @ (qmath.dag(rs[0]) @ psi0)
     eff_states = (np.exp(-1j * np.multiply.outer(times, w)) * coeff) @ v.T
     eff_states = np.einsum("nij,nj->ni", rs, eff_states)
-    fids = np.abs(np.einsum("ni,ni->n", full_states.conj(), eff_states)) ** 2
-    return EffectiveComparison(time_grid=times, fidelity_series=fids, integrator=integrator)
+    fids = np.abs(np.einsum("ni,ni->n", traj.states.conj(), eff_states)) ** 2
+    return EffectiveComparison(trajectory=traj, fidelity_series=fids)

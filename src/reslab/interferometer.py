@@ -37,7 +37,6 @@ __all__ = [
 
 @dataclass
 class InterferometerResult:
-    times: np.ndarray
     trajectory: Trajectory
     rho_aa: np.ndarray
     population_up: np.ndarray
@@ -116,7 +115,6 @@ def run_interferometer(
         raise SimulationError("the linear fit of the phase has slope 0")
     abs_c = np.abs(coherence)
     return InterferometerResult(
-        times=times,
         trajectory=traj,
         rho_aa=rho_aa,
         population_up=pop_up,

@@ -358,11 +358,12 @@ class MasterEquation:
 
 @dataclass
 class Trajectory:
-    """Density matrices at ``times``, one ``(N, d, d)`` array, with integrator
-    stats: ``method`` is ``"expm"`` (exact, nothing refined) or ``"magnus-4"``,
-    whose ``achieved`` is the last ``|fine - coarse|`` of the final state,
-    accepted against ``tol``.  ``substeps`` counts the steps of each interval
-    the accepted pass took (see :func:`evolve`); ``period`` is the span that
+    """States at ``times``, density matrices ``(N, d, d)`` from :func:`evolve`
+    or kets ``(N, d)`` from :func:`frames.schroedinger_evolve`, with the
+    integrator's record: ``method`` is ``"expm"`` (exact, nothing refined),
+    ``"magnus-4"`` or ``"gauss-legendre-4"``; ``achieved`` is the estimate
+    of the pass accepted against ``tol`` after ``refinements`` doublings,
+    whose steps per interval ``substeps`` counts; ``period`` is the span that
     ``whole_periods`` whole spans were advanced by, None when none was."""
 
     times: np.ndarray
@@ -680,20 +681,22 @@ _MAX_REFINEMENTS = 12
 def _refine(run, counts, estimate, tol, accept=lambda states: True):
     """The step-doubling policy of both integrators: ``run(counts)`` once,
     then again with every count doubled until ``estimate(fine, coarse)`` is
-    at most ``tol`` and ``accept(fine)`` holds.  Returns ``(states, counts,
-    passes, estimate)`` of the accepted pass; after ``_MAX_REFINEMENTS``
-    doublings, raises :class:`IntegrationDivergenceError` with the last
-    estimate."""
+    at most ``tol`` and ``accept(fine)`` holds, at most ``_MAX_REFINEMENTS``
+    times.  Returns the last pass's ``(states, counts, refinements,
+    estimate)``, the leading fields of its :class:`Trajectory`.  Raises
+    :class:`IntegrationDivergenceError` when that estimate exceeds ``tol``;
+    a last pass that ``accept`` rejects is the caller's to report."""
     coarse = run(counts)
-    achieved = math.inf
-    for passes in range(2, _MAX_REFINEMENTS + 2):
+    for refinements in range(1, _MAX_REFINEMENTS + 1):
         counts = counts * 2
         fine = run(counts)
         achieved = estimate(fine, coarse)
         if achieved <= tol and accept(fine):
-            return fine, counts, passes, achieved
+            break
         coarse = fine
-    raise IntegrationDivergenceError(achieved, tol)
+    if not achieved <= tol:
+        raise IntegrationDivergenceError(achieved, tol)
+    return fine, counts, refinements, achieved
 
 
 def _counts(x) -> np.ndarray:
@@ -739,15 +742,17 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
     :func:`_refine` doubles the counts until halving the step changes the
     final state by at most ``tol`` (Frobenius) and the trace drifts by at
-    most 1e-9, which a static generator's one pass must also meet.
+    most 1e-9.  Every trajectory, a static generator's one pass included,
+    must meet that trace check.
 
     Raises
     ------
     IntegrationDivergenceError
-        If the refinement fails to converge or the trace drifts, carrying the
-        achieved final-state difference (0 for a static generator), if a
-        first substep count or a count of whole periods is too large to be an
-        integer, or if a step's exponent may have a 1-norm of ``2^55`` or more.
+        If the refinement fails to converge (carrying the last final-state
+        difference), if the trace drifts by more than 1e-9 (carrying the
+        drift), if a first substep count or a count of whole periods is too
+        large to be an integer, or if a step's exponent may have a 1-norm of
+        ``2^55`` or more.
     """
     times = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -760,24 +765,28 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     method = "magnus-4" if fastest else "expm"
     if times.size == 1:
         return Trajectory(times, rho0[None].copy(), tol=tol, method=method)
+
+    def drift(states):
+        return float(np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))))
+
     if not fastest:  # exact maps: one pass, nothing to refine
-        states = _integrate(me, rho0, times)
-        if np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))) > 1e-9:
-            raise IntegrationDivergenceError(0.0, tol, "the trace drifted by more than 1e-9")
-        return Trajectory(times, states, np.ones(times.size - 1, dtype=int), tol=tol)
-    split = whole, points, _ = _split(me.liouvillian, times)
-    substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(points) / 2.0)))
-    states, substeps, passes, achieved = _refine(
-        lambda counts: _integrate(me, rho0, times, split, counts),
-        substeps,
-        lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
-        tol,
-        lambda fine: np.max(np.abs(np.trace(fine, axis1=1, axis2=2) - np.trace(rho0))) <= 1e-9,
-    )
-    period = float(points[-1]) if whole[-1] > 0 else None
-    return Trajectory(
-        times, states, substeps, passes - 1, achieved, tol, method, period, int(whole[-1])
-    )
+        traj = Trajectory(times, _integrate(me, rho0, times), np.ones(times.size - 1, int), tol=tol)
+    else:
+        split = whole, points, _ = _split(me.liouvillian, times)
+        substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(points) / 2.0)))
+        refined = _refine(
+            lambda counts: _integrate(me, rho0, times, split, counts),
+            substeps,
+            lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
+            tol,
+            lambda fine: drift(fine) <= 1e-9,
+        )
+        period = float(points[-1]) if whole[-1] > 0 else None
+        traj = Trajectory(times, *refined, tol, method, period, int(whole[-1]))
+    trace_drift = drift(traj.states)
+    if not trace_drift <= 1e-9:
+        raise IntegrationDivergenceError(trace_drift, 1e-9, f"the trace drifted by {trace_drift:.3e}")
+    return traj
 
 
 def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:

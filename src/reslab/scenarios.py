@@ -310,12 +310,17 @@ def _grid(sc: Scenario, default_t_end: float, default_n: int) -> np.ndarray:
 
 
 def _integrator_stats(traj: Trajectory) -> dict:
+    """The ``integrator`` block of every summary whose run integrates."""
+    substeps = traj.substeps if traj.substeps is not None else np.zeros(1, dtype=int)
     return {
         "method": traj.method,
         "refinements": traj.refinements,
-        "max_substeps_per_interval": int(np.max(traj.substeps)) if traj.substeps is not None else 0,
+        "max_substeps_per_interval": int(np.max(substeps)),
+        "steps": int(np.sum(substeps)),
         "achieved_residual": traj.achieved,
         "tol": traj.tol,
+        "period": traj.period,
+        "whole_periods": traj.whole_periods,
     }
 
 
@@ -416,8 +421,9 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     }
     header = ["t", "rho_aa", "pop_up", "pop_down", "abs_coherence", "phase", "reference_pea"]
     columns = [res.rho_aa, res.population_up, res.population_down, np.abs(res.coherence)]
-    rows = np.column_stack([res.times, *columns, res.phase, res.reference_series]).tolist()
-    return _result(sc, p, derived, header, rows, integrator=_integrator_stats(res.trajectory))
+    traj = res.trajectory
+    rows = np.column_stack([traj.times, *columns, res.phase, res.reference_series]).tolist()
+    return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
 def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
@@ -437,8 +443,8 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         **{key: sc.options.get(key, default) for key, default in b.check_options.items()},
     }
     header = ["t", "fidelity"]
-    rows = np.column_stack([comp.time_grid, comp.fidelity_series]).tolist()
-    return _result(sc, p, derived, header, rows, integrator=comp.integrator)
+    rows = np.column_stack([comp.trajectory.times, comp.fidelity_series]).tolist()
+    return _result(sc, p, derived, header, rows, integrator=_integrator_stats(comp.trajectory))
 
 
 def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:

@@ -330,7 +330,7 @@ class TestSchroedingerEvolve:
     def test_matches_reference(self, case):
         build, bound = EVOLVE_CASES[case]
         h, psi0, times = build()
-        states, _ = schroedinger_evolve(h, psi0, times)
+        states = schroedinger_evolve(h, psi0, times).states
         assert np.max(np.abs(states - reference_states(h, psi0, times))) <= bound
 
     def test_effective_check_memory_is_criterion_5_at_chi_0(self):
@@ -375,19 +375,15 @@ class TestSchroedingerEvolve:
     def test_comparison_reports_the_period_map(self):
         h, psi0, times = effective_check_case("nonadiabatic")
         comp = compare_effective(h, np.zeros((6, 6)), psi0, np.linspace(0.0, times[-1], 11))
-        achieved = comp.integrator.pop("achieved")
-        assert 0.0 < achieved <= 1e-10
-        assert comp.integrator == {
-            "method": "gauss-legendre-4",
-            "tol": 1e-10,
-            "steps": 600,
-            "passes": 2,
-            "period": 2.0 * np.pi / 1e6,
-            "whole_periods": 3,
-        }
+        traj = comp.trajectory
+        assert 0.0 < traj.achieved <= 1e-10
+        assert (traj.method, traj.tol, traj.refinements) == ("gauss-legendre-4", 1e-10, 1)
+        assert int(np.sum(traj.substeps)) == 600  # the accepted pass's steps per span
+        assert (traj.period, traj.whole_periods) == (2.0 * np.pi / 1e6, 3)
+        assert np.array_equal(traj.times, np.linspace(0.0, times[-1], 11))
         short = compare_effective(h, np.zeros((6, 6)), psi0, np.linspace(0.0, 1e-6, 11))
-        assert short.integrator["period"] is None
-        assert short.integrator["whole_periods"] == 0
+        assert short.trajectory.period is None
+        assert short.trajectory.whole_periods == 0
 
 
 def _harmonic_case():
@@ -403,7 +399,7 @@ class TestGaussLegendre:
         h = random_hermitian(rng, 4)
         psi0 = qmath.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
         times = np.linspace(0.0, 3.0, 7)
-        states, _ = schroedinger_evolve(h, psi0, times, tol=1e-13)
+        states = schroedinger_evolve(h, psi0, times, tol=1e-13).states
         exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in times])
         assert np.max(np.abs(states - exact)) <= 1e-12
 
@@ -472,12 +468,12 @@ class TestGaussLegendre:
         schroedinger_evolve(h, psi0, times[:2] / 1e6)
         tracemalloc.start()
         try:
-            states, info = schroedinger_evolve(h, psi0, times)
+            traj = schroedinger_evolve(h, psi0, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info["whole_periods"] == 1_200_000 and peak <= 0.5e6
-        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-8
+        assert traj.whole_periods == 1_200_000 and peak <= 0.5e6
+        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) <= 1e-8
 
     def test_whole_periods_match_the_per_period_advance(self, monkeypatch):
         # samples at most a period apart: each count is one more than the last
@@ -492,8 +488,8 @@ class TestGaussLegendre:
             return kept[1]
 
         monkeypatch.setattr(frames, "_propagators", keeping)
-        states, info = schroedinger_evolve(h, psi0, times)
-        assert info["whole_periods"] == 3
+        traj = schroedinger_evolve(h, psi0, times)
+        assert traj.whole_periods == 3
         points, props = kept
         whole, rest = np.divmod(times, h.period)
         kets = [psi0]
@@ -502,7 +498,7 @@ class TestGaussLegendre:
         where = np.searchsorted(points, rest)
         assert np.array_equal(points[where], rest)
         expected = np.einsum("nij,nj->ni", props[where], np.array(kets)[whole.astype(int)])
-        assert np.array_equal(states, expected)
+        assert np.array_equal(traj.states, expected)
 
     def test_exhausted_refinements_raise(self, monkeypatch):
         # no estimate reaches a tolerance below rounding: the first pass and

@@ -75,7 +75,7 @@ class TestRunInterferometer:
     def test_coherence_matches_closed_form(self):
         p = interferometer_params()
         res = run_interferometer(p, three_half_cycles(p, 401))
-        expected = 0.5 * np.exp(-1j * (p.omega1 + 0.5 * p.omega2) * res.times)
+        expected = 0.5 * np.exp(-1j * (p.omega1 + 0.5 * p.omega2) * res.trajectory.times)
         assert np.max(np.abs(res.coherence - expected)) < 1e-6
 
     def test_decay_contribution_is_small_over_one_cycle(self):

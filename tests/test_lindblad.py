@@ -399,11 +399,13 @@ class TestEvolve:
         assert np.array_equal(traj.states[0], rho0)
 
     def test_trace_breaking_generator_fails_the_drift_check(self):
-        # a converged trajectory whose trace decays as exp(-0.1 t) is still rejected
+        # a converged trajectory whose trace decays as exp(-0.1 t) is still rejected;
+        # the states are exact, and the error carries the drift against 1e-9
         me = MasterEquation(dim=2, extra_generator=-0.1 * np.eye(4))
-        with pytest.raises(IntegrationDivergenceError) as raised:
+        with pytest.raises(IntegrationDivergenceError, match="trace drifted") as raised:
             evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11))
-        assert raised.value.achieved <= 1e-8  # the states are exact; the trace did not hold
+        assert raised.value.achieved == pytest.approx(1.0 - np.exp(-0.1), rel=1e-12)
+        assert raised.value.target == 1e-9
         drift_free = MasterEquation(dim=2, extra_generator=np.zeros((4, 4)))
         assert evolve(drift_free, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 1.0, 11)).refinements == 0
 
@@ -646,9 +648,20 @@ class TestUnitaryHarmonicEvolve:
         for psi0 in ([1.0, 0.0], [1.0, 1.0j], [0.3, -0.8]):
             psi0 = qmath.normalized(psi0)
             traj = evolve(MasterEquation(dim=2, hamiltonian=h), qmath.projector(psi0), times)
-            for s, psi in zip(traj.states, schroedinger_evolve(h, psi0, times)[0]):
+            for s, psi in zip(traj.states, schroedinger_evolve(h, psi0, times).states):
                 assert abs(np.trace(s @ s) - 1.0) < 1e-10
                 assert np.max(np.abs(s - qmath.projector(psi))) < 1e-8
+
+    def test_both_integrators_report_the_same_period(self):
+        # cos(3 t) sigma_x + sigma_z over 3.2 periods, as a ket and as a density matrix
+        h = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
+        times = np.linspace(0.0, 3.2 * h.period, 9)
+        psi0 = qmath.normalized([1.0, 0.5 - 0.5j])
+        ket = schroedinger_evolve(h, psi0, times)
+        rho = evolve(MasterEquation(dim=2, hamiltonian=h), qmath.projector(psi0), times)
+        assert (ket.period, ket.whole_periods) == (rho.period, rho.whole_periods)
+        assert ket.period == pytest.approx(h.period, rel=1e-15) and ket.whole_periods == 3
+        assert np.array_equal(ket.times, rho.times)
 
     def test_half_interval_composition(self):
         # cos(2t) sigma_x + sin(t) sigma_z
@@ -661,7 +674,7 @@ class TestUnitaryHarmonicEvolve:
         first = evolve(MasterEquation(dim=2, hamiltonian=h), rho0, [0.0, T / 2]).final
         second = evolve(MasterEquation(dim=2, hamiltonian=shifted(h, T / 2)), first, [0.0, T / 2])
         assert np.max(np.abs(whole - second.final)) < 1e-8
-        psi = schroedinger_evolve(h, qmath.normalized([1.0, 0.5 - 0.5j]), [0.0, T])[0][-1]
+        psi = schroedinger_evolve(h, qmath.normalized([1.0, 0.5 - 0.5j]), [0.0, T]).final
         assert np.max(np.abs(whole - qmath.projector(psi))) < 1e-8
 
 
@@ -785,8 +798,30 @@ class TestWholePeriods:
         # is left as it is, and its powers drift by 2e-9 over 100 periods
         drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
         me = MasterEquation(2, drive, decay_qubit(0.5).terms, extra_generator=-1e-11 * np.eye(4))
-        with pytest.raises(IntegrationDivergenceError):
+        with pytest.raises(IntegrationDivergenceError, match="trace drifted"):
             evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 100.0 * drive.period, 5))
+
+    def test_drift_is_not_reported_as_a_failed_convergence(self):
+        # a trace loss of 1e-9 per unit time: every pass converges (last estimate
+        # about 5e-13) and no doubling cures the drift, so the error names it
+        drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
+        me = MasterEquation(2, drive, decay_qubit(0.5).terms, extra_generator=-1e-9 * np.eye(4))
+        times = np.linspace(0.0, 100.0 * drive.period, 5)
+        with pytest.raises(IntegrationDivergenceError, match="trace drifted") as raised:
+            evolve(me, np.diag([1.0, 0.0 + 0j]), times)
+        drift = 1.0 - np.exp(-1e-9 * times[-1])
+        assert raised.value.achieved == pytest.approx(drift, rel=1e-3)
+        assert raised.value.target == 1e-9
+
+    @pytest.mark.parametrize("periods", [6e7, 1.2e8])
+    def test_doublings_cure_the_drift_of_many_periods(self, periods):
+        # the final state converges at 256 steps per span, where the powers drift
+        # by 1e-9 to 6e-9; the doublings the trace check asks for cure it
+        drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
+        me = MasterEquation(dim=2, hamiltonian=drive, terms=decay_qubit(0.5).terms)
+        traj = evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, periods * drive.period, 5))
+        assert traj.whole_periods == int(periods) and traj.achieved <= 1e-8
+        assert np.max(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0)) <= 1e-9
 
     def test_whole_spans_power_only_between_distinct_counts(self):
         rng = np.random.default_rng(19)

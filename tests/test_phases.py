@@ -144,7 +144,8 @@ class TestPhaseRecord:
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 2001)
         h = model.drive_interaction_hamiltonian(p)
-        states = list(schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)[0])
+        psi0 = model.protected_state_nonadiabatic(p, 0.0)
+        states = list(schroedinger_evolve(h, psi0, times).states)
         rec = phase_record(states, times, h)
         total_overlap = principal_phase(float(np.angle(np.vdot(states[0], states[-1]))))
         diff = abs(total_overlap - principal_phase(rec.total))
@@ -155,7 +156,7 @@ class TestPhaseRecord:
         p = cycle_params()
         times = np.linspace(0.0, np.pi / p.omega1, 501)
         h = model.drive_interaction_hamiltonian(p)
-        gen, _ = schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times)
+        gen = schroedinger_evolve(h, model.protected_state_nonadiabatic(p, 0.0), times).states
         for i in range(0, len(times), 100):
             ray = model.protected_state_nonadiabatic(p, times[i])
             assert abs(abs(np.vdot(gen[i], ray)) - 1.0) < 1e-8

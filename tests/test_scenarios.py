@@ -204,12 +204,13 @@ class TestRunScenario:
         sc = parse_config(json.dumps(doc))
         r1 = run_scenario(sc, out_dir=tmp_path / "a")
         integrator = dict(r1.summary["integrator"])
-        assert 0.0 < integrator.pop("achieved") <= 1e-10
+        assert 0.0 < integrator.pop("achieved_residual") <= 1e-10
         assert integrator == {
             "method": "gauss-legendre-4",
             "tol": 1e-10,
             "steps": 754 if period else 380,  # the accepted pass's steps per span
-            "passes": 2,
+            "max_substeps_per_interval": 6 if period else 38,
+            "refinements": 1,
             "period": pytest.approx(period, rel=1e-14) if period else None,
             "whole_periods": whole_periods,
         }
@@ -217,6 +218,51 @@ class TestRunScenario:
         r2 = run_scenario(sc, out_dir=tmp_path / "b")
         s1, s2 = ((r.out_dir / "summary.json").read_text().splitlines() for r in (r1, r2))
         assert [x for x in s1 if "wall_time_s" not in x] == [x for x in s2 if "wall_time_s" not in x]
+
+    def test_every_integrating_scenario_writes_one_integrator_block(self, monkeypatch):
+        # small explicit grids; the effective checks' comparisons are kept, to
+        # read the trajectory each of their blocks reports
+        comparisons, compare = [], scenarios.compare_effective
+
+        def keeping(*args, **kwargs):
+            comparisons.append(compare(*args, **kwargs))
+            return comparisons[-1]
+
+        monkeypatch.setattr(scenarios, "compare_effective", keeping)
+        check = {"g": 1.0, "omega1": 400.0, "omega2": 20.0, "Gamma": 20.0, "gamma": 0.0}
+        cases = {
+            "nonadiabatic": ("nonadiabatic", {}, {}),
+            "memory": ("memory", {}, {}),
+            "interferometer": ("interferometer", {}, {}),
+            "decaying interferometer": ("interferometer", {}, {"include_tl_decay": True}),
+            "nonadiabatic check": ("effective-check", check, {}),
+            "memory check": ("effective-check", {**check, "omega2": 0.0}, {"branch": "memory"}),
+            "elimination-check": ("elimination-check", {}, {}),
+        }
+        blocks = {}
+        for key, (name, params, options) in cases.items():
+            sc = Scenario(name=name, params=params, grid=TimeGrid(n_samples=11), options=options)
+            blocks[key] = run_scenario(sc).summary["integrator"]
+        keys = {
+            "method",
+            "refinements",
+            "max_substeps_per_interval",
+            "steps",
+            "achieved_residual",
+            "tol",
+            "period",
+            "whole_periods",
+        }
+        assert {key: set(block) for key, block in blocks.items()} == dict.fromkeys(cases, keys)
+        assert len(comparisons) == 2
+        for key, comp in zip(("nonadiabatic check", "memory check"), comparisons):
+            traj, block = comp.trajectory, blocks[key]
+            assert traj.period is not None
+            assert (block["steps"], block["refinements"], block["period"]) == (
+                int(np.sum(traj.substeps)),
+                traj.refinements,
+                traj.period,
+            )
 
     def test_determinism(self, tmp_path):
         sc = parse_config('{"name": "nonadiabatic", "grid": {"n_samples": 50}}')
