@@ -38,14 +38,18 @@ real matrix ``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``,
 built once per master equation; the states map back by ``B^dag`` at the
 output times.
 A pass lays its steps out flat and takes them in blocks that run across
-interval ends, as many as a byte budget holds: ``R`` is evaluated on all
-the Gauss nodes of a block by one matrix product, and the block's exponents
-and their 1-norms are formed in place, in one buffer the pass allocates
-once.  Each ``expm(Omega)`` is applied to the state, never formed: the
-Taylor series, one matrix-vector product per term, its terms summed
-smallest first, of the least degree whose double-precision bound (Al-Mohy
-& Higham) covers ``||Omega||_1``, so it is exact to rounding; only an
-exponent past the table's largest bound is formed, by :func:`_expm`.  Every
+interval ends, as many as a byte budget holds: ``B_i = (h/2) R(t + c_i h)``
+is evaluated on all the Gauss nodes of a block by one matrix product, each
+width folded into its phase rows, and the block's exponents
+``Omega = B_1 + B_2 + [B_2, B_1] / sqrt 3`` are formed in place, in one
+buffer the pass allocates once.  Each ``expm(Omega)`` is applied to the
+state, never formed: the Taylor series, one matrix-vector product per term,
+its terms summed smallest first, of the least degree whose double-precision
+bound (Al-Mohy & Higham) covers ``h ||R|| + (sqrt(3)/6) (h ||R||)^2``, a
+bound on ``||Omega||_1`` from the one ``||R|| >= ||R(t)||_1`` of the master
+equation, so it is exact to rounding.  Only where that bound passes the
+table is ``||Omega||_1`` measured, and only an exponent past the table's
+largest bound is formed, by :func:`_expm`.  Every
 ``A_i`` annihilates the trace functional and maps Hermitian matrices to
 Hermitian ones, and so does their commutator and every Taylor term, so each
 step keeps trace and Hermiticity; a real ``x`` is Hermitian by construction.
@@ -218,12 +222,16 @@ class _RealGenerator:
     frequencies: np.ndarray
     matrices: np.ndarray  # the C_nu, then the S_nu
 
-    def __call__(self, t, out=None) -> np.ndarray:
+    def __call__(self, t, weights=None, out=None) -> np.ndarray:
         """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``,
         one matrix product of the phases with the components, written into
-        ``out`` (C-contiguous) when it is given."""
+        ``out`` (C-contiguous) when it is given.  ``weights``, broadcast
+        against ``t``, scales each time's phase row in place, so the product
+        gives ``w R(t)`` at no further pass over the stack."""
         nt = np.multiply.outer(t, self.frequencies)
         phases = np.concatenate([np.cos(nt), np.sin(nt)], -1)
+        if weights is not None:
+            phases *= np.asarray(weights)[..., None]
         shape = (*phases.shape[:-1], *self.matrices.shape[1:])
         flat = out.reshape(-1, shape[-1] * shape[-1]) if out is not None else None
         components = self.matrices.reshape(phases.shape[-1], -1)
@@ -448,8 +456,8 @@ _INVERSE_FACTORIALS = np.array([1.0 / math.factorial(p) for p in range(_TAYLOR_D
 def _exp_action(omegas: np.ndarray, v: np.ndarray, norms=None, terms=None) -> np.ndarray:
     """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents; ``v``
     is a vector or a block of columns, real or complex.  An exponent whose
-    1-norm (``norms``, computed here when not given) is at most ``theta_55``
-    is applied by its Taylor series of the least degree ``m`` whose
+    1-norm (or the bound on it in ``norms``, measured here when not given) is
+    at most ``theta_55`` is applied by its Taylor series of the least degree ``m`` whose
     ``theta_m`` covers it: the powers ``Omega^p v`` from ``p = m`` down to 0,
     one matrix product per term into the rows of ``terms`` (a stack of at
     least ``m + 1`` arrays shaped as ``v``, allocated here when not given),
@@ -527,21 +535,21 @@ def _check_exponent_norm(norm: float) -> None:
 
 
 def _magnus_exponents(R: _RealGenerator, starts, widths, buffer):
-    """The fourth-order Magnus exponents of the steps ``[t, t + w]``, one per
-    start ``t`` and width ``w``, and their 1-norms, formed in the flat
-    ``buffer`` of at least four matrices per step: ``R`` on every step's two
-    Gauss nodes by one product, then the two products of the commutator, each
-    a contiguous stack; the returned exponents are the first."""
+    """The fourth-order Magnus exponents ``Omega = B_1 + B_2 + [B_2, B_1] / sqrt 3``
+    of the steps ``[t, t + w]``, one per start ``t`` and width ``w``, where
+    ``B_i = (w/2) R(t + c_i w)``, formed in the flat ``buffer`` of at least
+    four matrices per step: the ``B_i`` on every step's two Gauss nodes by one
+    product, the width folded into its phase rows, then the two products of
+    the commutator, each a contiguous stack; the returned exponents are the first."""
     k, n = starts.size, R.matrices.shape[-1]
-    a1, a2, commutator, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
-    R(starts + np.multiply.outer(_GAUSS_NODES, widths), out=buffer[: 2 * k * n * n])
-    np.matmul(a2, a1, out=commutator)
-    commutator -= np.matmul(a1, a2, out=product)
-    commutator.reshape(k, -1)[...] *= (math.sqrt(3.0) / 12.0 * widths * widths)[:, None]
-    a1 += a2
-    a1.reshape(k, -1)[...] *= (0.5 * widths)[:, None]
-    a1 += commutator
-    return a1, np.max(np.sum(np.abs(a1, out=product), axis=1), axis=1)
+    b1, b2, commutator, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
+    R(starts + np.multiply.outer(_GAUSS_NODES, widths), 0.5 * widths, out=buffer[: 2 * k * n * n])
+    np.matmul(b2, b1, out=commutator)
+    commutator -= np.matmul(b1, b2, out=product)
+    commutator *= 1.0 / math.sqrt(3.0)
+    b1 += b2
+    b1 += commutator
+    return b1
 
 
 def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
@@ -549,21 +557,36 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     interval before point ``i + 1`` in ``substeps[i]`` of them; ``x`` is a
     vector or a block of columns.  The steps run in blocks across interval
     ends, each block's exponents formed in one buffer that the pass allocates
-    once (``_BLOCK_BYTES``), and applied in runs that end at the points."""
+    once (``_BLOCK_BYTES``), and applied in runs that end at the points.  A
+    step of width ``h`` takes the Taylor degree that the bound
+    ``h ||R|| + (sqrt(3)/6) (h ||R||)^2`` on its exponent's 1-norm sets, with
+    ``||R||`` the :attr:`_RealGenerator.norm_bound`; the widest step's bound
+    is checked before any exponent is formed, and a step whose bound passes
+    the Taylor table takes its measured 1-norm instead, so that a loose
+    bound forms no exponential."""
+
+    def bound(hr):  # at least ||Omega||_1 for hr = h ||R||, by the triangle inequality
+        return hr + math.sqrt(3.0) / 6.0 * hr * hr
+
     starts, widths, last = _step_layout(points, substeps)
-    bound = float(np.max(widths)) * R.norm_bound  # h max ||R(t)||_1
-    _check_exponent_norm(bound + math.sqrt(3.0) / 6.0 * bound * bound)
+    widest = bound(float(np.max(widths)) * R.norm_bound)
+    _check_exponent_norm(widest)
     n = R.matrices.shape[-1]
     # per step: the four n x n matrices of the buffer, R's phase arrays (the
     # times by each of the F frequencies, their cosines, sines and both joined,
-    # on two nodes: 10 F floats) and the row of 1-norms (n)
+    # on two nodes: 10 F floats) and n floats, which cover its bound and weight
     rows = _block_rows(8 * (4 * n * n + 10 * R.frequencies.size + n), widths.size)
     buffer = np.empty(4 * rows * n * n)
     terms = np.empty((_TAYLOR_DEGREES[-1] + 1, *x.shape))
     out = np.empty((points.size, *x.shape))
     out[0] = x
     for j in range(0, widths.size, rows):
-        omegas, norms = _magnus_exponents(R, starts[j : j + rows], widths[j : j + rows], buffer)
+        block = widths[j : j + rows]
+        omegas = _magnus_exponents(R, starts[j : j + rows], block, buffer)
+        norms = bound(block * R.norm_bound)
+        if widest > _TAYLOR_THETA[-1]:  # a step is formed only if its measured norm passes the table
+            for i in np.flatnonzero(norms > _TAYLOR_THETA[-1]).tolist():
+                norms[i] = np.linalg.norm(omegas[i], 1)
         lo = 0
         for i in range(*np.searchsorted(last, [j, j + norms.size])):
             hi = last[i] - j + 1

@@ -620,6 +620,6 @@ def write_outputs(out_root: Path, scenario_name: str, result: ScenarioResult) ->
     )
     lines = [",".join(result.series_header)]
     for row in result.series_rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+        lines.append(",".join(map(repr, map(float, row))))
     (run_dir / "series.csv").write_text("\n".join(lines) + "\n")
     return run_dir

@@ -71,10 +71,29 @@ def random_harmonic_master_equation(rng, dim, nu, jump_nu, rate):
 
 def magnus_step_bytes(me):
     """The bytes one Magnus step of ``me`` counts against ``_BLOCK_BYTES``: four
-    n x n real matrices, R's phase arrays (10 per frequency) and a row of n 1-norms."""
+    n x n real matrices, R's phase arrays (10 per frequency) and n more floats."""
     R = me._real_liouvillian
     n = R.matrices.shape[-1]
     return 8 * (4 * n * n + 10 * R.frequencies.size + n)
+
+
+def magnus_step_norms(monkeypatch, R, points, counts):
+    """Every step's measured ``||Omega||_1`` and the norm that ``_magnus_pass``
+    sets its Taylor degree by, recorded from the pass's ``_exp_action`` calls."""
+    measured, applied = [], []
+    apply = lindblad._exp_action
+
+    def spy(omegas, v, norms=None, terms=None):
+        measured.append(np.linalg.norm(omegas, 1, axis=(1, 2)))
+        applied.append(np.array(norms))
+        return apply(omegas, v, norms, terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_exp_action", spy)
+        lindblad._magnus_pass(R, points, np.asarray(counts), np.ones(R.matrices.shape[-1]))
+    measured, applied = np.concatenate(measured), np.concatenate(applied)
+    assert measured.size == np.sum(counts)
+    return measured, applied
 
 
 def shifted(h, s):
@@ -491,7 +510,8 @@ class TestEvolve:
         monkeypatch.setattr(
             lindblad._RealGenerator,
             "__call__",
-            lambda op, t, out=None: evaluated.append(op is R) or evaluate(op, t, out),
+            lambda op, t, weights=None, out=None: evaluated.append(op is R)
+            or evaluate(op, t, weights, out),
         )
         # a budget of three steps
         monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 3 * magnus_step_bytes(me))
@@ -526,16 +546,22 @@ class TestEvolve:
         monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * magnus_step_bytes(me))
         split = lindblad._split(me.liouvillian, times)
         states = lindblad._integrate(me, rho0, times, split, counts)
-        # the reference: each interval's exponents from R on its own Gauss nodes,
-        # written out, and applied to the state interval by interval
+        # the reference: each interval's exponents from B_i = (h/2) R on its own
+        # Gauss nodes, written out, and applied to the state interval by interval
+        # at the Taylor degrees of the bound h ||R|| + (sqrt(3)/6) (h ||R||)^2, or
+        # of the measured 1-norm where that bound passes the table (the steps of 0.1)
         R = me._real_liouvillian
         x, xs = (R.basis @ vec(rho0)).real, []
         for t, dt, k in zip(times, np.diff(times), counts):
             h = dt / k
-            a = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES)
-            a1, a2 = a[:, 0], a[:, 1]
-            omegas = 0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
-            x = lindblad._exp_action(omegas, x)
+            b = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES, 0.5 * h)
+            b1, b2 = b[:, 0], b[:, 1]
+            omegas = b1 + b2 + (b2 @ b1 - b1 @ b2) * (1.0 / np.sqrt(3.0))
+            hr = h * R.norm_bound
+            norm = hr + np.sqrt(3.0) / 6.0 * hr * hr
+            if norm > lindblad._TAYLOR_THETA[-1]:
+                norm = np.linalg.norm(omegas, 1, axis=(1, 2))
+            x = lindblad._exp_action(omegas, x, np.broadcast_to(norm, k))
             xs.append(x)
         expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
         assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
@@ -559,6 +585,33 @@ class TestEvolve:
             finally:
                 tracemalloc.stop()
             assert peak <= 0.9e6
+
+    def test_step_bound_covers_every_exponent(self, monkeypatch):
+        # h ||R|| + (sqrt(3)/6) (h ||R||)^2 covers ||Omega||_1 on random harmonic
+        # generators, from one step per interval (where the bound passes the
+        # Taylor table and the measured norm is taken) to many
+        rng = np.random.default_rng(21)
+        points = np.array([0.0, 0.4, 1.1, 1.5])
+        for dim in (2, 3):
+            R = random_harmonic_master_equation(rng, dim, 1.7, 2.9, 0.8)._real_liouvillian
+            for counts in ([1, 1, 1], [2, 3, 5], [16, 32, 16]):
+                measured, applied = magnus_step_norms(monkeypatch, R, points, counts)
+                assert np.all(applied >= measured)
+
+    def test_step_bound_sets_the_full_model_degrees(self, monkeypatch):
+        # the benchmark's full-model generator at every phase pair it draws, at 4
+        # and 8 steps per interval (its coarse and fine passes): the bound covers
+        # ||Omega||_1 and sets the Taylor degrees that the measured norm would
+        workloads = benchmark_workloads()
+        for phases in workloads.phase_table():
+            me, _, times = workloads.full_model_inputs(reslab, phases, "full")
+            points = lindblad._split(me.liouvillian, times)[1]
+            for k in (4, 8):
+                counts = np.full(points.size - 1, k)
+                measured, applied = magnus_step_norms(monkeypatch, me._real_liouvillian, points, counts)
+                assert np.all(applied >= measured)
+                degrees = [np.searchsorted(lindblad._TAYLOR_THETA, x) for x in (applied, measured)]
+                assert np.array_equal(*degrees)
 
     def test_divergence_error_carries_residual(self):
         # a static generator's interval map is exact, so the refinement loop

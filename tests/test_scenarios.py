@@ -290,6 +290,16 @@ class TestRunScenario:
         resolved = json.loads((result.out_dir / "resolved_config.json").read_text())
         assert resolved["name"] == "phase-cycle"
 
+    def test_series_values_are_written_as_floats(self, tmp_path):
+        # each value is written as repr(float(x)): under numpy 2 the repr of a
+        # numpy float itself reads "np.float64(0.1)"
+        row = [3, np.float64(0.1), True]
+        result = scenarios.ScenarioResult({}, ["n", "x", "flag"], [row], {})
+        run_dir = scenarios.write_outputs(tmp_path, "phase-cycle", result)
+        expected = ",".join(repr(float(x)) for x in row)
+        assert expected == "3.0,0.1,1.0"
+        assert (run_dir / "series.csv").read_text() == "n,x,flag\n" + expected + "\n"
+
     @pytest.mark.parametrize(
         "base, options, axis, params, grid, shown",
         [
