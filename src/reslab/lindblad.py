@@ -47,7 +47,10 @@ state, never formed: the Taylor series, one matrix-vector product per term,
 its terms summed smallest first, of the least degree whose double-precision
 bound (Al-Mohy & Higham) covers ``h ||R|| + (sqrt(3)/6) (h ||R||)^2``, a
 bound on ``||Omega||_1`` from the one ``||R|| >= ||R(t)||_1`` of the master
-equation, so it is exact to rounding.  Only where that bound passes the
+equation, so it is exact to rounding.  One call of the Taylor kernel takes a
+whole block: its per-degree weights and rows are resolved once, the terms
+live in one buffer sized to the pass's widest step, and the weighted sum is
+written into the carried state, so no step allocates.  Only where that bound passes the
 table is ``||Omega||_1`` measured, and only an exponent past the table's
 largest bound is formed, by :func:`_expm`.  Every
 ``A_i`` annihilates the trace functional and maps Hermitian matrices to
@@ -240,8 +243,9 @@ class _RealGenerator:
     @functools.cached_property
     def norm_bound(self) -> float:
         """A bound on ``||R(t)||_1`` at every ``t``: the 1-norm of the entrywise
-        ``sum_nu |C_nu| + |S_nu|``."""
-        return float(np.max(np.sum(np.abs(self.matrices), axis=(0, 1))))
+        ``sum_nu hypot(C_nu, S_nu)``, since ``|c cos + s sin| <= hypot(c, s)``."""
+        cosines, sines = np.split(self.matrices, 2)
+        return float(np.max(np.sum(np.hypot(cosines, sines), axis=(0, 1))))
 
 
 @dataclass(frozen=True)
@@ -453,37 +457,54 @@ _TAYLOR_THETA = np.array([
 _INVERSE_FACTORIALS = np.array([1.0 / math.factorial(p) for p in range(_TAYLOR_DEGREES[-1] + 1)])
 
 
-def _exp_action(omegas: np.ndarray, v: np.ndarray, norms=None, terms=None) -> np.ndarray:
+def _taylor_top(norm) -> int:
+    """The Taylor degree that a 1-norm (or a bound on it) of ``norm`` takes,
+    degree 55 for one past the table: how many rows the series needs."""
+    return int(_TAYLOR_DEGREES[min(np.searchsorted(_TAYLOR_THETA, norm), _TAYLOR_DEGREES.size - 1)])
+
+
+def _exp_action(omegas: np.ndarray, v: np.ndarray, norms=None, terms=None, ends=(), out=()):
     """``expm(Omega_{n-1}) ... expm(Omega_0) v`` for a stack of exponents; ``v``
-    is a vector or a block of columns, real or complex.  An exponent whose
-    1-norm (or the bound on it in ``norms``, measured here when not given) is
-    at most ``theta_55`` is applied by its Taylor series of the least degree ``m`` whose
-    ``theta_m`` covers it: the powers ``Omega^p v`` from ``p = m`` down to 0,
-    one matrix product per term into the rows of ``terms`` (a stack of at
-    least ``m + 1`` arrays shaped as ``v``, allocated here when not given),
-    summed weighted by ``1/p!``, smallest first.  Every term keeps the trace
-    and Hermiticity that ``Omega`` keeps.  A larger exponent, which the series
-    would cut into ``||Omega||_1 / theta_55`` segments of 55 products each,
-    is formed by :func:`_expm` (its scaling and squaring takes about
-    ``log2 ||Omega||_1`` products) and applied by one product."""
+    is a vector or a block of columns, real or complex, and is not changed.
+    The state after step ``ends[k]`` is also written into ``out[k]``.  An
+    exponent whose 1-norm (or the bound on it in ``norms``, measured here when
+    not given) is at most ``theta_55`` is applied by its Taylor series of the
+    least degree ``m`` whose ``theta_m`` covers it: the powers ``Omega^p v``
+    from ``p = m`` down to 0, one bound ``Omega.dot`` per term into the rows of
+    ``terms`` (a stack of at least ``m + 1`` arrays shaped as ``v``, allocated
+    here when not given), summed weighted by ``1/p!``, smallest first, by one
+    matrix product written into the carried operand.  What depends on ``m``
+    alone (the weights, the stacked rows, the top row and the pairs of rows
+    each product reads and writes) is resolved once per degree, so a step
+    allocates nothing.  Every term keeps the trace and Hermiticity that
+    ``Omega`` keeps.  A larger exponent, which the series would cut into
+    ``||Omega||_1 / theta_55`` segments of 55 products each, is formed by
+    :func:`_expm` (its scaling and squaring takes about ``log2 ||Omega||_1``
+    products) and applied by one product."""
     if norms is None:
         norms = np.max(np.sum(np.abs(omegas), axis=-2), axis=-1)
     index = np.searchsorted(_TAYLOR_THETA, norms).tolist()
-    top = int(_TAYLOR_DEGREES[min(max(index), _TAYLOR_DEGREES.size - 1)])
+    v = np.array(v, dtype=np.result_type(omegas, v))  # the carried operand
     if terms is None:
-        terms = np.empty((top + 1, *v.shape), dtype=np.result_type(omegas, v))
-    rows, last = list(terms[: top + 1]), None
-    for omega, i in zip(omegas, index):
-        if i == _TAYLOR_DEGREES.size:
-            v = _expm(omega) @ v
-            continue
+        terms = np.empty((_taylor_top(np.max(norms)) + 1, *v.shape), dtype=v.dtype)
+    flat, rows, plans = v.reshape(-1), list(terms), {}
+    for i in set(index) - {_TAYLOR_DEGREES.size}:
         m = int(_TAYLOR_DEGREES[i])
-        if m != last:
-            weights, stack, last = _INVERSE_FACTORIALS[m::-1], terms[: m + 1].reshape(m + 1, -1), m
-        rows[m][...] = v
-        for p in range(m - 1, -1, -1):
-            np.dot(omega, rows[p + 1], out=rows[p])
-        v = (weights @ stack).reshape(v.shape)
+        pairs = list(zip(rows[m:0:-1], rows[m - 1 :: -1]))  # Omega . rows[p + 1] -> rows[p]
+        plans[i] = _INVERSE_FACTORIALS[m::-1], terms[: m + 1].reshape(m + 1, -1), rows[m], pairs
+    saves = dict(zip(ends, out))
+    for step, (omega, i) in enumerate(zip(omegas, index)):
+        if i == _TAYLOR_DEGREES.size:
+            v[...] = _expm(omega) @ v
+        else:
+            weights, stack, top, pairs = plans[i]
+            top[...] = v
+            product = omega.dot
+            for row, power in pairs:
+                product(row, power)
+            np.matmul(weights, stack, out=flat)
+        if step in saves:
+            saves[step][...] = v
     return v
 
 
@@ -557,10 +578,12 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     interval before point ``i + 1`` in ``substeps[i]`` of them; ``x`` is a
     vector or a block of columns.  The steps run in blocks across interval
     ends, each block's exponents formed in one buffer that the pass allocates
-    once (``_BLOCK_BYTES``), and applied in runs that end at the points.  A
-    step of width ``h`` takes the Taylor degree that the bound
-    ``h ||R|| + (sqrt(3)/6) (h ||R||)^2`` on its exponent's 1-norm sets, with
-    ``||R||`` the :attr:`_RealGenerator.norm_bound`; the widest step's bound
+    once (``_BLOCK_BYTES``), and applied by one :func:`_exp_action` call,
+    which writes the states at the interval ends inside the block into their
+    rows of the result; its Taylor terms are rows of one buffer sized to the
+    widest step's degree.  A step of width ``h`` takes the Taylor degree that
+    the bound ``h ||R|| + (sqrt(3)/6) (h ||R||)^2`` on its exponent's 1-norm
+    sets, with ``||R||`` the :attr:`_RealGenerator.norm_bound`; the widest step's bound
     is checked before any exponent is formed, and a step whose bound passes
     the Taylor table takes its measured 1-norm instead, so that a loose
     bound forms no exponential."""
@@ -577,7 +600,7 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     # on two nodes: 10 F floats) and n floats, which cover its bound and weight
     rows = _block_rows(8 * (4 * n * n + 10 * R.frequencies.size + n), widths.size)
     buffer = np.empty(4 * rows * n * n)
-    terms = np.empty((_TAYLOR_DEGREES[-1] + 1, *x.shape))
+    terms = np.empty((_taylor_top(widest) + 1, *x.shape))
     out = np.empty((points.size, *x.shape))
     out[0] = x
     for j in range(0, widths.size, rows):
@@ -587,13 +610,8 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
         if widest > _TAYLOR_THETA[-1]:  # a step is formed only if its measured norm passes the table
             for i in np.flatnonzero(norms > _TAYLOR_THETA[-1]).tolist():
                 norms[i] = np.linalg.norm(omegas[i], 1)
-        lo = 0
-        for i in range(*np.searchsorted(last, [j, j + norms.size])):
-            hi = last[i] - j + 1
-            out[i + 1] = x = _exp_action(omegas[lo:hi], x, norms[lo:hi], terms)
-            lo = hi
-        if lo < norms.size:
-            x = _exp_action(omegas[lo:], x, norms[lo:], terms)
+        ends = slice(*np.searchsorted(last, [j, j + norms.size]))  # the intervals ending in the block
+        x = _exp_action(omegas, x, norms, terms, (last[ends] - j).tolist(), out[1:][ends])
     return out
 
 
@@ -701,20 +719,21 @@ def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np
 _MAX_REFINEMENTS = 12
 
 
-def _refine(run, counts, estimate, tol, accept=lambda states: True):
+def _refine(run, counts, estimate, tol, settled=lambda fine, coarse: True):
     """The step-doubling policy of both integrators: ``run(counts)`` once,
     then again with every count doubled until ``estimate(fine, coarse)`` is
-    at most ``tol`` and ``accept(fine)`` holds, at most ``_MAX_REFINEMENTS``
-    times.  Returns the last pass's ``(states, counts, refinements,
-    estimate)``, the leading fields of its :class:`Trajectory`.  Raises
-    :class:`IntegrationDivergenceError` when that estimate exceeds ``tol``;
-    a last pass that ``accept`` rejects is the caller's to report."""
+    at most ``tol`` and ``settled(fine, coarse)`` holds, at most
+    ``_MAX_REFINEMENTS`` times.  Returns the last pass's ``(states, counts,
+    refinements, estimate)``, the leading fields of its :class:`Trajectory`.
+    Raises :class:`IntegrationDivergenceError` when that estimate exceeds
+    ``tol``; a last pass that fails the caller's own check is the caller's
+    to report."""
     coarse = run(counts)
     for refinements in range(1, _MAX_REFINEMENTS + 1):
         counts = counts * 2
         fine = run(counts)
         achieved = estimate(fine, coarse)
-        if achieved <= tol and accept(fine):
+        if achieved <= tol and settled(fine, coarse):
             break
         coarse = fine
     if not achieved <= tol:
@@ -765,8 +784,10 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
     :func:`_refine` doubles the counts until halving the step changes the
     final state by at most ``tol`` (Frobenius) and the trace drifts by at
-    most 1e-9.  Every trajectory, a static generator's one pass included,
-    must meet that trace check.
+    most 1e-9, or until a converged pass's drift repeats the last pass's to
+    1e-3 of itself: that drift is the generator's own, and no doubling cures
+    it.  Every trajectory, a static generator's one pass included, must meet
+    that trace check.
 
     Raises
     ------
@@ -792,6 +813,12 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     def drift(states):
         return float(np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))))
 
+    def settled(fine, coarse):
+        # the trace holds, or a doubling moved its drift by under 1e-3 of it:
+        # then the drift is the generator's own, and no doubling cures it
+        now = drift(fine)
+        return now <= 1e-9 or abs(now - drift(coarse)) <= 1e-3 * now
+
     if not fastest:  # exact maps: one pass, nothing to refine
         traj = Trajectory(times, _integrate(me, rho0, times), np.ones(times.size - 1, int), tol=tol)
     else:
@@ -802,7 +829,7 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
             substeps,
             lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
             tol,
-            lambda fine: drift(fine) <= 1e-9,
+            settled,
         )
         period = float(points[-1]) if whole[-1] > 0 else None
         traj = Trajectory(times, *refined, tol, method, period, int(whole[-1]))

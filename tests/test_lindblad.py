@@ -83,10 +83,10 @@ def magnus_step_norms(monkeypatch, R, points, counts):
     measured, applied = [], []
     apply = lindblad._exp_action
 
-    def spy(omegas, v, norms=None, terms=None):
+    def spy(omegas, v, norms=None, *rest):
         measured.append(np.linalg.norm(omegas, 1, axis=(1, 2)))
         applied.append(np.array(norms))
-        return apply(omegas, v, norms, terms)
+        return apply(omegas, v, norms, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(lindblad, "_exp_action", spy)
@@ -536,22 +536,29 @@ class TestEvolve:
         for a, b in zip(whole, blocks):
             assert np.max(np.abs(a - b)) < 1e-13
 
-    def test_block_engine_matches_per_interval_steps(self, monkeypatch):
+    @pytest.mark.parametrize("operand", ["state", "identity"])
+    def test_block_engine_matches_per_interval_steps(self, monkeypatch, operand):
         # blocks of 5 steps over mixed counts: intervals straddle blocks, and the
-        # 12-step interval is longer than a block
+        # 12-step interval is longer than a block; the carried identity is the
+        # operand of a span map
         me = random_harmonic_master_equation(np.random.default_rng(17), 3, 1.7, 2.9, 0.8)
         rho0 = random_density(np.random.default_rng(18), 3)
         times = np.array([0.0, 0.2, 0.5, 0.6, 1.3, 1.5])
         counts = np.array([3, 7, 1, 12, 2])
         monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * magnus_step_bytes(me))
-        split = lindblad._split(me.liouvillian, times)
-        states = lindblad._integrate(me, rho0, times, split, counts)
+        R = me._real_liouvillian
+        if operand == "state":
+            split = lindblad._split(me.liouvillian, times)
+            states = lindblad._integrate(me, rho0, times, split, counts)
+            x = (R.basis @ vec(rho0)).real
+        else:
+            x = np.eye(9)
+            maps = lindblad._magnus_pass(R, times, counts, x)
         # the reference: each interval's exponents from B_i = (h/2) R on its own
-        # Gauss nodes, written out, and applied to the state interval by interval
+        # Gauss nodes, written out, and applied to the operand interval by interval
         # at the Taylor degrees of the bound h ||R|| + (sqrt(3)/6) (h ||R||)^2, or
         # of the measured 1-norm where that bound passes the table (the steps of 0.1)
-        R = me._real_liouvillian
-        x, xs = (R.basis @ vec(rho0)).real, []
+        xs = []
         for t, dt, k in zip(times, np.diff(times), counts):
             h = dt / k
             b = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES, 0.5 * h)
@@ -563,8 +570,27 @@ class TestEvolve:
                 norm = np.linalg.norm(omegas, 1, axis=(1, 2))
             x = lindblad._exp_action(omegas, x, np.broadcast_to(norm, k))
             xs.append(x)
-        expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
-        assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
+        if operand == "identity":
+            assert np.array_equal(maps[0], np.eye(9)) and np.array_equal(maps[1:], xs)
+        else:
+            expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
+            assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
+
+    def test_pass_applies_each_block_in_one_call(self, monkeypatch):
+        # blocks of 5 steps over intervals of 1 to 12 steps: 35 steps are 7
+        # blocks, and each enters the Taylor kernel once, however many of the
+        # 12 interval ends it holds
+        me = random_harmonic_master_equation(np.random.default_rng(17), 3, 1.7, 2.9, 0.8)
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * magnus_step_bytes(me))
+        points = np.linspace(0.0, 1.5, 13)
+        counts = np.array([1, 2, 3, 1, 12, 1, 5, 2, 1, 4, 2, 1])
+        calls = []
+        apply = lindblad._exp_action
+        monkeypatch.setattr(
+            lindblad, "_exp_action", lambda omegas, *rest: calls.append(len(omegas)) or apply(omegas, *rest)
+        )
+        lindblad._magnus_pass(me._real_liouvillian, points, counts, np.ones(9))
+        assert calls == [5] * 7
 
     def test_block_budget_holds_the_phase_arrays(self):
         # a d = 2 generator admits about a thousand steps per block, so R's phase
@@ -597,6 +623,8 @@ class TestEvolve:
             for counts in ([1, 1, 1], [2, 3, 5], [16, 32, 16]):
                 measured, applied = magnus_step_norms(monkeypatch, R, points, counts)
                 assert np.all(applied >= measured)
+            # the column sums of hypot(C, S) are at most those of |C| + |S|
+            assert R.norm_bound <= np.max(np.sum(np.abs(R.matrices), axis=(0, 1)))
 
     def test_step_bound_sets_the_full_model_degrees(self, monkeypatch):
         # the benchmark's full-model generator at every phase pair it draws, at 4
@@ -865,6 +893,20 @@ class TestWholePeriods:
         drift = 1.0 - np.exp(-1e-9 * times[-1])
         assert raised.value.achieved == pytest.approx(drift, rel=1e-3)
         assert raised.value.target == 1e-9
+
+    def test_generator_drift_stops_the_doublings(self, monkeypatch):
+        # the drift of 2.094e-7 repeats on every pass, so the doublings stop at
+        # the first pass whose estimate meets tol: the seventh, at 256 substeps
+        drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
+        me = MasterEquation(2, drive, decay_qubit(0.5).terms, extra_generator=-1e-9 * np.eye(4))
+        passes = []
+        integrate = lindblad._integrate
+        monkeypatch.setattr(
+            lindblad, "_integrate", lambda *args: passes.append(max(args[-1])) or integrate(*args)
+        )
+        with pytest.raises(IntegrationDivergenceError, match="trace drifted"):
+            evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 100.0 * drive.period, 5))
+        assert len(passes) <= 7 and passes[-1] <= 256
 
     @pytest.mark.parametrize("periods", [6e7, 1.2e8])
     def test_doublings_cure_the_drift_of_many_periods(self, periods):
