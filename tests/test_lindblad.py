@@ -96,6 +96,38 @@ def magnus_step_norms(monkeypatch, R, points, counts):
     return measured, applied
 
 
+def block_engine_case(monkeypatch):
+    """A d = 3 harmonic generator, a state, and five intervals of 3, 7, 1, 12
+    and 2 steps run in blocks of 5 steps."""
+    me = random_harmonic_master_equation(np.random.default_rng(17), 3, 1.7, 2.9, 0.8)
+    rho0 = random_density(np.random.default_rng(18), 3)
+    times = np.array([0.0, 0.2, 0.5, 0.6, 1.3, 1.5])
+    counts = np.array([3, 7, 1, 12, 2])
+    monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * magnus_step_bytes(me))
+    return me, rho0, times, counts
+
+
+def per_interval_steps(R, times, counts, x):
+    """The reference for ``_magnus_pass``: each interval's exponents from
+    B_i = (h/2) R on its own Gauss nodes, written out, and applied to ``x``
+    interval by interval at the Taylor degrees of the bound
+    h ||R|| + (sqrt(3)/6) (h ||R||)^2, or of the measured 1-norm where that
+    bound passes the table. Returns the operand at each interval's end."""
+    xs = []
+    for t, dt, k in zip(times, np.diff(times), counts):
+        h = dt / k
+        b = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES, 0.5 * h)
+        b1, b2 = b[:, 0], b[:, 1]
+        omegas = b1 + b2 + (b2 @ b1 - b1 @ b2) * (1.0 / np.sqrt(3.0))
+        hr = h * R.norm_bound
+        norm = hr + np.sqrt(3.0) / 6.0 * hr * hr
+        if norm > lindblad._TAYLOR_THETA[-1]:
+            norm = np.linalg.norm(omegas, 1, axis=(1, 2))
+        x = lindblad._exp_action(omegas, x, np.broadcast_to(norm, k))
+        xs.append(x)
+    return xs
+
+
 def shifted(h, s):
     """``t -> H(t + s)``."""
     return Harmonic(h.frequencies, np.exp(-1j * h.frequencies * s)[:, None, None] * h.matrices)
@@ -536,45 +568,24 @@ class TestEvolve:
         for a, b in zip(whole, blocks):
             assert np.max(np.abs(a - b)) < 1e-13
 
-    @pytest.mark.parametrize("operand", ["state", "identity"])
-    def test_block_engine_matches_per_interval_steps(self, monkeypatch, operand):
+    def test_block_engine_matches_per_interval_steps(self, monkeypatch):
         # blocks of 5 steps over mixed counts: intervals straddle blocks, and the
-        # 12-step interval is longer than a block; the carried identity is the
-        # operand of a span map
-        me = random_harmonic_master_equation(np.random.default_rng(17), 3, 1.7, 2.9, 0.8)
-        rho0 = random_density(np.random.default_rng(18), 3)
-        times = np.array([0.0, 0.2, 0.5, 0.6, 1.3, 1.5])
-        counts = np.array([3, 7, 1, 12, 2])
-        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 5 * magnus_step_bytes(me))
+        # 12-step interval is longer than a block
+        me, rho0, times, counts = block_engine_case(monkeypatch)
         R = me._real_liouvillian
-        if operand == "state":
-            split = lindblad._split(me.liouvillian, times)
-            states = lindblad._integrate(me, rho0, times, split, counts)
-            x = (R.basis @ vec(rho0)).real
-        else:
-            x = np.eye(9)
-            maps = lindblad._magnus_pass(R, times, counts, x)
-        # the reference: each interval's exponents from B_i = (h/2) R on its own
-        # Gauss nodes, written out, and applied to the operand interval by interval
-        # at the Taylor degrees of the bound h ||R|| + (sqrt(3)/6) (h ||R||)^2, or
-        # of the measured 1-norm where that bound passes the table (the steps of 0.1)
-        xs = []
-        for t, dt, k in zip(times, np.diff(times), counts):
-            h = dt / k
-            b = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES, 0.5 * h)
-            b1, b2 = b[:, 0], b[:, 1]
-            omegas = b1 + b2 + (b2 @ b1 - b1 @ b2) * (1.0 / np.sqrt(3.0))
-            hr = h * R.norm_bound
-            norm = hr + np.sqrt(3.0) / 6.0 * hr * hr
-            if norm > lindblad._TAYLOR_THETA[-1]:
-                norm = np.linalg.norm(omegas, 1, axis=(1, 2))
-            x = lindblad._exp_action(omegas, x, np.broadcast_to(norm, k))
-            xs.append(x)
-        if operand == "identity":
-            assert np.array_equal(maps[0], np.eye(9)) and np.array_equal(maps[1:], xs)
-        else:
-            expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
-            assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
+        split = lindblad._split(me.liouvillian, times)
+        states = lindblad._integrate(me, rho0, times, split, counts)
+        xs = per_interval_steps(R, times, counts, (R.basis @ vec(rho0)).real)
+        expected = (np.array(xs) @ R.basis.conj()).reshape(-1, 3, 3).transpose(0, 2, 1)
+        assert np.array_equal(states[0], rho0) and np.array_equal(states[1:], expected)
+
+    def test_block_engine_matches_per_interval_steps_on_span_maps(self, monkeypatch):
+        # the same blocks with the carried identity as the operand of a span map
+        me, _, times, counts = block_engine_case(monkeypatch)
+        R = me._real_liouvillian
+        maps = lindblad._magnus_pass(R, times, counts, np.eye(9))
+        xs = per_interval_steps(R, times, counts, np.eye(9))
+        assert np.array_equal(maps[0], np.eye(9)) and np.array_equal(maps[1:], xs)
 
     def test_pass_applies_each_block_in_one_call(self, monkeypatch):
         # blocks of 5 steps over intervals of 1 to 12 steps: 35 steps are 7
