@@ -66,6 +66,9 @@ assembles them for :func:`frames.schroedinger_evolve` too.  The trace row
 of ``M(T)`` is set to the exact trace functional before it is powered,
 when the two differ by rounding alone, so ``n`` periods do not multiply
 that rounding by ``n``.
+
+A static generator's steady state is the null vector of ``R_0`` in these
+real coordinates, from one SVD (:func:`steady_state`).
 """
 
 from __future__ import annotations
@@ -840,59 +843,37 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
 
 
 def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
-    """Trace-one null vector of the Liouvillian, as ``(rho, info)``.
-
-    The Liouvillian is normalized by its largest entry before the
-    eigendecomposition, so the null-eigenvalue bound 1e-10 and the residual
-    bound 1e-9 are relative to the rate scale of the problem.  A
-    multi-dimensional null space is flagged as degenerate and resolved by
-    projecting the maximally mixed state onto it.
+    """Trace-one null vector of the Liouvillian, as ``(rho, info)``: that of
+    the real ``R_0`` (:class:`_RealGenerator`), from one SVD.  ``R_0`` is
+    normalized by its largest entry first, so the null bound 1e-10 on its
+    singular values and the residual bound 1e-9 are relative to the rate
+    scale of the problem.  A multi-dimensional null space is flagged as
+    degenerate and resolved by projecting the maximally mixed state onto it.
+    A real null vector maps back to an exactly Hermitian ``rho``.
 
     Raises
     ------
     SteadyStateError
         If no trace-class null vector exists or the residual target
         cannot be met.
+    NotHermitianError
+        If the generator does not preserve Hermiticity.
     """
     if np.any(me.liouvillian.frequencies):
         raise ValueError("steady_state requires a time-independent master equation")
-    d = me.dim
-    L = liouvillian_matrix(me, 0.0)
-    scale = max(1.0, float(np.max(np.abs(L))))
-    Ls = L / scale
-    w, v = np.linalg.eig(Ls)
-    null_mask = np.abs(w) <= 1e-10
-    null_dim = int(np.count_nonzero(null_mask))
-    if null_dim == 0:
-        raise SteadyStateError(
-            f"no null eigenvalue found (smallest |eig| = {np.min(np.abs(w)):.3e})"
-        )
-    q, _ = np.linalg.qr(v[:, null_mask])
-    cand = q[:, 0] if null_dim == 1 else q @ (qmath.dag(q) @ vec(np.eye(d) / d))
-    rho = unvec(cand, d)
-    rho = 0.5 * (rho + qmath.dag(rho))
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
+    d, R = me.dim, me._real_liouvillian
+    r = R.matrices[0] / max(1.0, float(np.max(np.abs(R.matrices[0]))))
+    _, s, vt = np.linalg.svd(r)
+    null = vt[s <= 1e-10]
+    if not len(null):
+        raise SteadyStateError(f"no null singular value found (smallest = {s[-1]:.3e})")
+    trace = np.repeat([1.0, 0.0], [d, d * d - d])  # tr rho: the |i><i| coordinates
+    x = null[0] if len(null) == 1 else (null @ (trace / d)) @ null
+    if abs(trace @ x) < 1e-12:
         raise SteadyStateError("null space contains no trace-class state")
-    rho = rho / np.real(tr)
-
-    if null_dim == 1:
-        # polish with a bordered least-squares solve (L x = 0, tr x = 1)
-        A = np.vstack([Ls, vec(np.eye(d))[None, :]])  # the trace functional
-        b = np.zeros(d * d + 1, dtype=complex)
-        b[-1] = 1.0
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        polished = unvec(x, d)
-        polished = 0.5 * (polished + qmath.dag(polished))
-        tr = np.trace(polished)
-        if abs(tr) > 1e-12:
-            rho = polished / np.real(tr)
-
-    res = float(np.linalg.norm(Ls @ vec(rho)))
+    x = x / (trace @ x)
+    res = float(np.linalg.norm(r @ x))
     if res > 1e-9:
-        raise SteadyStateError(
-            f"steady-state residual {res:.3e} exceeds 1.0e-09 "
-            "(relative to the rate scale)"
-        )
-    info = SteadyStateInfo(null_dimension=null_dim, degenerate=null_dim > 1, residual=res)
-    return rho, info
+        raise SteadyStateError(f"steady-state residual {res:.3e} > 1e-9, relative to the rate scale")
+    info = SteadyStateInfo(len(null), len(null) > 1, res)
+    return (x @ R.basis.conj()).reshape(d, d).T, info

@@ -145,7 +145,8 @@ class Branch:
     ``kets``, the frame ``generators`` and the full Hamiltonian ``h1``
     (written in the frame of the first ``h1_rotated`` generators) are built
     only when called for.  The effective check starts in ``kets()[start]``
-    and reports its ``check_options``, given here with their defaults."""
+    and reports its ``check_options``, given here with their defaults.
+    ``rate_equations(gamma)`` is the reduced model's decay generator, or None."""
 
     pins: dict
     scale: float
@@ -157,6 +158,7 @@ class Branch:
     kets: Callable
     generators: Callable
     h1: Callable
+    rate_equations: Callable | None
 
     @property
     def basis(self) -> np.ndarray:
@@ -194,7 +196,7 @@ def branch_of(p: ModelParams, branch: str) -> Branch:
             start=0, check_options={},
             kets=lambda: (up_ket(p.phi1, p.phi), down_ket(p.phi1, p.phi)),
             generators=lambda: (drive_generator_1(p), drive_generator_2(p)),
-            h1=lambda: build_h1(p),
+            h1=lambda: build_h1(p), rate_equations=dressed_decay_generator,
         )
     if branch == "memory":
         d = DerivedMemoryParams.from_params(p)
@@ -205,7 +207,7 @@ def branch_of(p: ModelParams, branch: str) -> Branch:
             start=1, check_options={"chi": 0.0},
             kets=lambda: (tilde_plus_ket(d.chi, p.phi1), tilde_minus_ket(d.chi, p.phi1)),
             generators=lambda: (0.5 * p.delta1 * SIGMA_Z, memory_generator(p)),
-            h1=lambda: build_h1_memory(p),
+            h1=lambda: build_h1_memory(p), rate_equations=None,
         )
     raise ValueError(f"unknown branch {branch!r}")
 
@@ -453,17 +455,18 @@ def reduced_master_equation(
     population transfer rate (:class:`~reslab.lindblad.LindbladTerm`), which
     is what the eliminated two-part model and the dressed rate equations
     both give.
-    With ``include_gamma`` the dressed spontaneous-emission rate equations
-    are added as an extra generator (nonadiabatic branch only; no closed
-    rate system is defined for the memory branch).
+    With ``include_gamma`` the branch's dressed spontaneous-emission rate
+    equations (:attr:`Branch.rate_equations`) are added as an extra
+    generator; the memory branch defines none.
     """
     rate = engineered_rate(p, branch)
     jump = sigma(qmath.basis_ket(2, 0), qmath.basis_ket(2, 1))
     extra = None
     if include_gamma:
-        if branch != "nonadiabatic":
+        rate_equations = branch_of(p, branch).rate_equations
+        if rate_equations is None:
             raise ValueError("include_gamma is only defined for the nonadiabatic branch")
-        extra = dressed_decay_generator(p.gamma)
+        extra = rate_equations(p.gamma)
     return MasterEquation(
         dim=2,
         hamiltonian=None,

@@ -20,6 +20,7 @@ SOURCE = Path(reslab.__file__).resolve().parent
 #: changes the benchmark's per-layer metrics: a change of its own
 PINNED_BY_THE_BENCHMARK = {
     "apply_generator",
+    "liouvillian_matrix",
     "LindbladTerm.operator_at",
     "MasterEquation.hamiltonian_at",
 }

@@ -894,8 +894,9 @@ class TestWholePeriods:
             evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, 100.0 * drive.period, 5))
 
     def test_drift_is_not_reported_as_a_failed_convergence(self):
-        # a trace loss of 1e-9 per unit time: every pass converges (last estimate
-        # about 5e-13) and no doubling cures the drift, so the error names it
+        # a trace loss of 1e-9 per unit time: the estimates fall from 4.3e-3 to
+        # 5.5e-9 (256 substeps), the first to meet tol, and no doubling cures
+        # the drift, so the error names it
         drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
         me = MasterEquation(2, drive, decay_qubit(0.5).terms, extra_generator=-1e-9 * np.eye(4))
         times = np.linspace(0.0, 100.0 * drive.period, 5)
@@ -996,6 +997,33 @@ class TestSteadyState:
         rho0 = qmath.projector(qmath.normalized([1.0, 1.0j]))
         traj = evolve(me, rho0, np.linspace(0.0, 40.0 / gamma, 11))
         assert qmath.trace_distance(traj.final, steady_state(me)[0]) < 1e-5
+
+    def test_dressed_full_model_without_decay(self):
+        # the benchmark's full model without spontaneous emission: a static
+        # 36 x 36 generator; the reference is the bordered least-squares solve
+        # L vec(rho) = 0, tr rho = 1 on the complex Liouvillian
+        workloads = benchmark_workloads()
+        phi1, phi2 = workloads.phase_table()[0]
+        p = model.ModelParams(phi1=phi1, phi2=phi2, **workloads.FULL_MODEL_PARAMS)
+        me = model.full_system_master_equation(p, frame="dressed-effective")
+        rho, info = steady_state(me)
+        assert me.dim**2 == 36 and info.null_dimension == 1 and info.residual <= 1e-9
+        assert np.array_equal(rho, rho.conj().T)
+        bordered = np.vstack([liouvillian_matrix(me), vec(np.eye(me.dim))[None, :]])
+        x, *_ = np.linalg.lstsq(bordered, np.eye(me.dim**2 + 1)[-1], rcond=None)
+        assert np.max(np.abs(rho - unvec(x, me.dim))) <= 1e-12
+        # the slowest mode relaxes at 0.025, so 100/rate = 2000 is e^-50 away
+        rho0 = qmath.projector(np.kron(qmath.basis_ket(2, 1), qmath.basis_ket(p.n_max + 1, 0)))
+        final = evolve(me, rho0, [0.0, 100.0 / model.engineered_rate(p)]).final
+        assert np.max(np.abs(final - rho)) <= 1e-12
+
+    def test_rejects_non_hermiticity_preserving_generator(self):
+        # the static generator that evolve admits on its exact expm path
+        a = 0.3 * SIGMA_GE
+        extra = -1j * (np.kron(np.eye(2), a) - np.kron(a.T, np.eye(2)))
+        me = MasterEquation(2, SIGMA_Z, decay_qubit(1.0).terms, extra_generator=extra)
+        with pytest.raises(NotHermitianError):
+            steady_state(me)
 
 
 class TestResidual:
