@@ -26,7 +26,7 @@ EXIT_REGIME = 4
 def _load_scenario(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config(text)
 

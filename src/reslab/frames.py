@@ -1,13 +1,13 @@
 """Rotating frames and the Schroedinger integrator used to validate
 dressed-frame reductions.
 
-A frame is the unitary family ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...``,
-a product of exponentials of static Hermitian generators.  States map as
-``psi -> R(t) psi`` and operators as ``O -> R O R^dag``.  ``R(t)`` itself
-and an operator seen from inside the frame, ``R(t)^dag O R(t)``, are
-finite Fourier sums and are built exactly as
-:class:`~reslab.lindblad.Harmonic` operators, which evaluate on a whole
-time grid at once.
+A frame is a unitary family ``F(t)``; states map as ``psi -> F(t) psi``
+and operators as ``O -> F O F^dag``.  :func:`rotation` builds the frame
+``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...`` of static Hermitian generators,
+and :func:`to_frame` sees an operator or a Hamiltonian from inside any
+frame, ``F(t)^dag O(t) F(t)``.  Both are finite Fourier sums, built
+exactly as :class:`~reslab.lindblad.Harmonic` operators, which evaluate on
+a whole time grid at once.
 
 The full Hamiltonians the effective ones are checked against are harmonic
 sums with commensurate frequencies, so they repeat with a period ``T``
@@ -23,7 +23,7 @@ estimate of the error meets the tolerance, and it returns the record that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,42 +32,42 @@ from .lindblad import Harmonic, Trajectory, _as_harmonic, _block_rows, _check_op
 from .lindblad import _refine, _span_states, _split, _step_layout, _time_grid
 
 __all__ = [
-    "FrameTransform",
+    "rotation",
+    "to_frame",
     "EffectiveComparison",
     "compare_effective",
     "schroedinger_evolve",
 ]
 
-@dataclass(frozen=True, eq=False)
-class FrameTransform:
-    """Unitary frame ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...`` given by its
-    static Hermitian generators, outermost first.  ``rotation`` is ``R(t)``
-    as a harmonic sum, built once from the generators' eigendecompositions:
-    each factor is ``sum_a exp(-i w_a t) P_a`` over its eigenprojectors."""
+def rotation(generators) -> Harmonic:
+    """The frame ``R(t) = exp(-i G_1 t) exp(-i G_2 t) ...`` of static Hermitian
+    generators, outermost first, as a harmonic sum built from their
+    eigendecompositions: each factor is ``sum_a exp(-i w_a t) P_a`` over its
+    eigenprojectors."""
+    gens = [qmath.as_operator(g) for g in generators]
+    d = gens[0].shape[0]
+    r = Harmonic([0.0], [np.eye(d)])
+    for w, v in (np.linalg.eigh(0.5 * (g + qmath.dag(g))) for g in gens):
+        projectors = np.einsum("ia,ja->aij", v, v.conj())
+        products = np.einsum("kij,ajl->kail", r.matrices, projectors)
+        r = Harmonic(np.add.outer(r.frequencies, w).ravel(), products.reshape(-1, d, d))
+    return r
 
-    generators: tuple
-    rotation: Harmonic = field(init=False, repr=False)
 
-    def __post_init__(self):
-        gens = tuple(qmath.as_operator(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        d = gens[0].shape[0]
-        r = Harmonic([0.0], [np.eye(d)])
-        for w, v in (np.linalg.eigh(0.5 * (g + qmath.dag(g))) for g in gens):
-            projectors = np.einsum("ia,ja->aij", v, v.conj())
-            products = np.einsum("kij,ajl->kail", r.matrices, projectors)
-            r = Harmonic(np.add.outer(r.frequencies, w).ravel(), products.reshape(-1, d, d))
-        object.__setattr__(self, "rotation", r)
-
-    def to_frame(self, o) -> Harmonic:
-        """``R(t)^dag O R(t)`` for a static ``O``, exactly, as a harmonic sum:
-        with ``R(t) = sum_k exp(-i nu_k t) A_k`` it is
-        ``sum_kl exp(-i (nu_l - nu_k) t) A_k^dag O A_l``."""
-        r = self.rotation
-        left = r.matrices.conj().transpose(0, 2, 1) @ qmath.as_operator(o)
-        products = np.einsum("kij,ljm->klim", left, r.matrices)
-        nus = np.add.outer(-r.frequencies, r.frequencies)
-        return Harmonic(nus.ravel(), products.reshape(nus.size, *products.shape[-2:]))
+def to_frame(frame: Harmonic, o, *, hamiltonian: bool = False) -> Harmonic:
+    """``F^dag O F``: a static or harmonic ``O`` seen from inside the unitary
+    frame ``F``, exactly.  With ``F(t) = sum_l exp(-i nu_l t) A_l`` and
+    ``O(t) = sum_m exp(-i mu_m t) B_m`` it is ``sum_kml exp(-i (mu_m + nu_l -
+    nu_k) t) A_k^dag B_m A_l``.  ``hamiltonian`` adds the frame's own term
+    ``-i F^dag dF/dt``, a ``B_m A_l`` of ``-nu_l A_l`` at ``mu = 0``, so that
+    ``F^dag psi`` evolves under the result when ``i dpsi/dt = O psi``."""
+    nu, a, o = frame.frequencies, frame.matrices, _as_harmonic(o)
+    mu, right = np.add.outer(o.frequencies, nu), o.matrices[:, None] @ a  # B_m A_l
+    if hamiltonian:
+        mu, right = np.vstack([mu, nu]), np.concatenate([right, -nu[:, None, None] * a[None]])
+    nus = np.add.outer(-nu, mu)
+    products = np.einsum("kji,mljn->kmlin", a.conj(), right)
+    return Harmonic(nus.ravel(), products.reshape(nus.size, *a.shape[1:]))
 
 
 def _gauss_legendre(stages: int):

@@ -99,7 +99,7 @@ def run_interferometer(
     # reference ray mapped back into the frame of the simulation: (R(t) W)^dag ref(t)
     nonadiabatic = model.branch_of(p, "nonadiabatic")
     w = nonadiabatic.basis
-    rw = nonadiabatic.frame.rotation.map(lambda u: u @ w)(times)
+    rw = nonadiabatic.frame.map(lambda u: u @ w)(times)
     refs = np.einsum("nji,nj->ni", rw.conj(), model.protected_state_dressed_gauge(p, times))
     coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 

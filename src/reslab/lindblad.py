@@ -130,7 +130,8 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 class Harmonic:
     """Time-dependent operator ``O(t) = sum_k exp(-i nu_k t) A_k`` with static
     ``A_k``.  Frequencies closer than ``FREQUENCY_RTOL`` times the largest
-    ``|nu_k|`` are merged, so the stored ones are distinct and ascending.
+    ``|nu_k|`` are merged, so the stored ones are distinct and ascending;
+    those that close to 0 are 0, and so are sums that cancel up to rounding.
     When they are commensurate, ``O`` repeats with :attr:`period`.
 
     Arrays that need no sorting or merging are stored without a copy, so
@@ -144,11 +145,13 @@ class Harmonic:
         mats = np.asarray(self.matrices, dtype=complex)
         if nu.ndim != 1 or nu.size == 0 or mats.shape != (nu.size, *mats.shape[-2:]):
             raise DimensionMismatchError(f"{nu.shape} frequencies, matrices {mats.shape}")
+        tol = FREQUENCY_RTOL * np.max(np.abs(nu))
+        nu = np.where(np.abs(nu) <= tol, 0.0, nu)
         # the stack is copied only to sort it and to merge it, and only if needed
         if np.any(np.diff(nu) < 0.0):
             order = np.argsort(nu, kind="stable")
             nu, mats = nu[order], mats[order]
-        starts = np.flatnonzero(np.diff(nu, prepend=-np.inf) > FREQUENCY_RTOL * np.max(np.abs(nu)))
+        starts = np.flatnonzero(np.diff(nu, prepend=-np.inf) > tol)
         if starts.size < nu.size:
             counts = np.diff(starts, append=nu.size)
             nu, mats = np.add.reduceat(nu, starts) / counts, np.add.reduceat(mats, starts, axis=0)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import qmath
 from .errors import RegimeError
-from .frames import FrameTransform
+from .frames import rotation, to_frame
 from .lindblad import Harmonic, LindbladTerm, MasterEquation
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "build_h1",
     "build_h1_memory",
     "build_h2",
+    "effective_model",
     "dressed_decay_jump",
     "engineered_rate",
     "epsilon_closed_form",
@@ -166,9 +167,9 @@ class Branch:
         return np.column_stack(self.kets())
 
     @property
-    def frame(self) -> FrameTransform:
+    def frame(self) -> Harmonic:
         """``R(t)``, mapping the branch's dressed frame into the interaction picture."""
-        return FrameTransform(self.generators())
+        return rotation(self.generators())
 
 
 def branch_of(p: ModelParams, branch: str) -> Branch:
@@ -333,9 +334,8 @@ def effective_check_frame(p: ModelParams, branch: str) -> Harmonic:
     the branch frame less the factors that Hamiltonian is already in (the
     memory branch's ``exp(-i K t)`` alone)."""
     b = branch_of(p, branch)
-    r = FrameTransform(b.generators()[b.h1_rotated :])
-    w = b.basis
-    return r.rotation.map(lambda u: np.kron(u @ w, np.eye(p.n_max + 1)))
+    r, w = rotation(b.generators()[b.h1_rotated :]), b.basis
+    return r.map(lambda u: np.kron(u @ w, np.eye(p.n_max + 1)))
 
 
 # --- Hamiltonians ----------------------------------------------------------
@@ -374,19 +374,21 @@ def build_h1_memory(p: ModelParams) -> Harmonic:
     )
 
 
-def build_h2(p: ModelParams, branch: str) -> np.ndarray:
-    """Engineered coupling ``(c/2)(e^{i phi1} a^dag |P><M| + h.c.)`` with the
-    branch's coupling ``c``, in its (protected P, pumped M) x Fock basis.
-
-    Requires the branch's resonance constraints; violations raise
-    :class:`RegimeError` carrying the report.
+def effective_model(p: ModelParams, branch: str) -> tuple[Harmonic, Harmonic, np.ndarray]:
+    """``(H1, F, H2)``: the branch's full Hamiltonian, the frame of
+    :func:`effective_check_frame` and ``H2 = mean(F^dag H1 F - i F^dag dF/dt)``,
+    ``H1`` averaged in that frame (James & Jerke, Can. J. Phys. 85, 625 (2007)).
+    Off the branch's resonances it raises :class:`RegimeError`, carrying the report.
     """
     require_regime(p, branch)
-    coupling, a = 0.5 * branch_of(p, branch).coupling, qmath.fock_annihilation(p.n_max)
-    upper = coupling * np.exp(1j * p.phi1) * np.kron(
-        sigma(qmath.basis_ket(2, 0), qmath.basis_ket(2, 1)), qmath.dag(a)
-    )
-    return upper + qmath.dag(upper)
+    h1, frame = branch_of(p, branch).h1(), effective_check_frame(p, branch)
+    return h1, frame, to_frame(frame, h1, hamiltonian=True).mean
+
+
+def build_h2(p: ModelParams, branch: str) -> np.ndarray:
+    """``H2`` of :func:`effective_model`: the engineered coupling of the
+    protected and the pumped state, in their (P, M) x Fock basis."""
+    return effective_model(p, branch)[2]
 
 
 # --- engineered reservoir, closed forms -------------------------------------
@@ -536,13 +538,10 @@ def drive_interaction_hamiltonian(p: ModelParams) -> Harmonic:
 
 
 def dressed_decay_jump(p: ModelParams, branch: str) -> Harmonic:
-    """Spontaneous-emission jump ``|g><e|`` seen in the rotating dressed
-    frame of the branch, in protected-basis coordinates:
-    ``w^dag R(t)^dag |g><e| R(t) w`` with ``R`` the branch frame and ``w``
-    the branch's basis."""
+    """Spontaneous-emission jump ``|g><e|`` seen from the branch frame ``R`` in
+    the branch's basis ``w``: ``(R w)^dag |g><e| R w``."""
     b = branch_of(p, branch)
-    w = b.basis
-    return b.frame.to_frame(sigma(ket_g(), ket_e())).map(lambda a: qmath.dag(w) @ a @ w)
+    return to_frame(b.frame.map(lambda u: u @ b.basis), sigma(ket_g(), ket_e()))
 
 
 def full_system_master_equation(
@@ -552,26 +551,21 @@ def full_system_master_equation(
     frame: str = "dressed-effective",
     include_gamma: bool = False,
 ) -> MasterEquation:
-    """Master equation of the two-level system plus lossy cavity mode.
-
-    ``frame="dressed-effective"``: static engineered Hamiltonian (H2 form)
-    in the protected basis, cavity decay at population rate Gamma, and
-    optionally the spontaneous-emission channel conjugated into the
-    rotating dressed frame (the harmonic :func:`dressed_decay_jump`).
-
-    ``frame="bare"``: the full interaction-picture Hamiltonian (harmonic)
-    with static jump operators.
-    """
-    a, eye_f = qmath.fock_annihilation(p.n_max), np.eye(p.n_max + 1)
-    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), a))]
-    if frame == "bare":
-        hamiltonian, jump = branch_of(p, branch).h1(), np.kron(sigma(ket_g(), ket_e()), eye_f)
-    elif frame == "dressed-effective":
-        hamiltonian, jump = build_h2(p, branch), None
-        if include_gamma:
-            jump = dressed_decay_jump(p, branch).map(lambda o: np.kron(o, eye_f))
-    else:
+    """Master equation of the two-level system plus lossy cavity mode: the
+    branch's full Hamiltonian, cavity decay ``1 x a`` at population rate Gamma
+    and, with ``include_gamma``, spontaneous emission ``|g><e| x 1`` at rate
+    gamma.  ``frame="dressed-effective"`` sees it from the frame ``F`` of
+    :func:`effective_check_frame`: the Hamiltonian is :func:`build_h2` and the
+    decay jump ``F^dag (|g><e| x 1) F``.  ``F`` acts on the two-level factor
+    alone, so the cavity jump is left static.  ``frame="bare"`` does not turn it."""
+    if frame not in ("bare", "dressed-effective"):
         raise ValueError(f"unknown frame {frame!r}")
+    dressed = frame == "dressed-effective"
+    hamiltonian = build_h2(p, branch) if dressed else branch_of(p, branch).h1()
+    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), qmath.fock_annihilation(p.n_max)))]
     if include_gamma:
-        terms.append(LindbladTerm(rate=p.gamma, operator=jump))
+        decay = np.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
+        if dressed:
+            decay = to_frame(effective_check_frame(p, branch), decay)
+        terms.append(LindbladTerm(rate=p.gamma, operator=decay))
     return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

@@ -153,8 +153,10 @@ def parse_config(text: str) -> Scenario:
     _require(isinstance(name, str), "scenario name must be a string", ("name",))
     _require(name in SCENARIOS, f"unknown scenario {name!r}", ("name",))
 
+    raw_params = raw.get("params") or {}
+    _require(isinstance(raw_params, dict), "params must be an object", ("params",))
     params = {}
-    for key, value in (raw.get("params") or {}).items():
+    for key, value in raw_params.items():
         _require(key in _PARAM_KEYS, f"unknown parameter {key!r}", ("params", key))
         params[key] = _check_param(key, value, ("params", key))
 
@@ -429,10 +431,10 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
 def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     branch = _branch_for(sc)
     b = model.branch_of(p, branch)
-    full, frame = b.h1(), model.effective_check_frame(p, branch)
+    full, frame, h2 = model.effective_model(p, branch)
     psi0 = np.kron(b.kets()[b.start], qmath.basis_ket(p.n_max + 1, 0))
     times = _grid(sc, 2.0 / max(p.g, 1e-300), 201)
-    comp = compare_effective(full, model.build_h2(p, branch), psi0, times, frame=frame)
+    comp = compare_effective(full, h2, psi0, times, frame=frame)
 
     report = model.check_regime(p, branch)
     derived = {

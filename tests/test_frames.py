@@ -12,7 +12,7 @@ import scipy.linalg
 import reslab
 from reslab import frames, model, qmath
 from reslab.errors import IntegrationDivergenceError
-from reslab.frames import FrameTransform, compare_effective, schroedinger_evolve
+from reslab.frames import compare_effective, rotation, schroedinger_evolve, to_frame
 from reslab.scenarios import Scenario, resolve_params
 from reslab.lindblad import Harmonic, LindbladTerm, unvec, vec
 
@@ -34,17 +34,17 @@ class TestFrameTransform:
     def test_static_generator_frame(self):
         rng = np.random.default_rng(0)
         g = random_hermitian(rng, 3)
-        frame = FrameTransform((g,))
-        assert np.max(np.abs(frame.rotation(0.0) - np.eye(3))) < 1e-12
+        frame = rotation((g,))
+        assert np.max(np.abs(frame(0.0) - np.eye(3))) < 1e-12
         for t in (0.3, 1.7):
-            u = frame.rotation(t)
+            u = frame(t)
             assert np.max(np.abs(qmath.dag(u) @ u - np.eye(3))) < 1e-10
             assert np.max(np.abs(u - scipy.linalg.expm(-1j * g * t))) < 1e-12
 
     def test_compose_generator(self):
         rng = np.random.default_rng(1)
         g1, g2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        r = FrameTransform((g1, g2)).rotation
+        r = rotation((g1, g2))
         t = 0.41
         u1 = scipy.linalg.expm(-1j * g1 * t)
         assert np.max(np.abs(r(t) - u1 @ scipy.linalg.expm(-1j * g2 * t))) < 1e-12
@@ -65,15 +65,33 @@ class TestConjugateOperator:
         rng = np.random.default_rng(3)
         for _ in range(5):
             o = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            frame = FrameTransform((random_hermitian(rng, 3),))
-            u = frame.rotation(0.7)
+            frame = rotation((random_hermitian(rng, 3),))
+            u = frame(0.7)
             conjugated = u @ o @ qmath.dag(u)
             before = np.sort_complex(np.linalg.eigvals(o))
             after = np.sort_complex(np.linalg.eigvals(conjugated))
             assert np.max(np.abs(before - after)) < 1e-9
             assert abs(np.linalg.norm(o) - np.linalg.norm(conjugated)) < 1e-9
             # to_frame is the inverse conjugation R^dag O R, read off the rotation
-            assert np.max(np.abs(frame.to_frame(o)(0.7) - qmath.dag(u) @ o @ u)) < 1e-12
+            assert np.max(np.abs(to_frame(frame, o)(0.7) - qmath.dag(u) @ o @ u)) < 1e-12
+
+
+class TestToFrame:
+    def test_hamiltonian_term_follows_the_evolution(self):
+        # F^dag psi evolves under F^dag H F - i F^dag dF/dt; with the frame's own
+        # term of the other sign the frame would turn the wrong way
+        rng = np.random.default_rng(11)
+        frame = rotation((random_hermitian(rng, 3), random_hermitian(rng, 3)))
+        upper = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = Harmonic([0.0, 2.3, -2.3], [random_hermitian(rng, 3), upper, upper.conj().T])
+        psi0 = qmath.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
+        times = np.linspace(0.0, 1.0, 9)
+        bare = schroedinger_evolve(h, psi0, times).states
+        seen = schroedinger_evolve(
+            to_frame(frame, h, hamiltonian=True), qmath.dag(frame(0.0)) @ psi0, times
+        ).states
+        expected = np.einsum("nji,nj->ni", frame(times).conj(), bare)
+        assert np.max(np.abs(seen - expected)) < 1e-8
 
 
 class TestDissipatorAverage:

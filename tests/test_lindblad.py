@@ -1082,6 +1082,12 @@ class TestHarmonic:
         assert np.array_equal(op.frequencies, [-1.0, 0.0, 1.0 + 5e-14])
         assert np.max(np.abs(op.matrices[2] - 3.0 * SIGMA_GE)) == 0.0
 
+    def test_frequencies_that_cancel_up_to_rounding_are_zero(self):
+        # within FREQUENCY_RTOL of 0 relative to the largest: merged at exactly 0
+        op = Harmonic([-2e-10, 5.0, 1e-10], [SIGMA_GE, SIGMA_X, SIGMA_Z])
+        assert np.array_equal(op.frequencies, [0.0, 5.0])
+        assert np.array_equal(op.mean, SIGMA_GE + SIGMA_Z)
+
     @pytest.mark.parametrize(
         "make, period",
         [

@@ -198,6 +198,44 @@ class TestBuildH2:
         assert np.linalg.norm(model.build_h2(pm2, "memory"), 2) == pytest.approx(1.0, rel=1e-9)
 
 
+def h2_closed_form(p, branch):
+    """The engineered coupling (c/2)(e^{i phi1} a^dag |P><M| + h.c.) in the
+    (protected P, pumped M) x Fock basis, with the coupling c = g, or
+    g (1 - chi/2) with chi = delta1 / lambda on the memory branch."""
+    chi = p.delta1 / np.hypot(p.omega1, 0.5 * p.delta1)
+    c = p.g if branch == "nonadiabatic" else p.g * (1.0 - 0.5 * chi)
+    pm = model.sigma(qmath.basis_ket(2, 0), qmath.basis_ket(2, 1))
+    upper = 0.5 * c * np.exp(1j * p.phi1) * np.kron(pm, qmath.dag(qmath.fock_annihilation(p.n_max)))
+    return upper + qmath.dag(upper)
+
+
+def h2_reference_cases():
+    """(branch, params) on both branches, at g = 1 and at the defaults' scale."""
+    defaults = model.ModelParams()
+    for phi1, phi2 in ((0.0, 0.0), (0.4, 1.1), (-2.3, 0.6), (5.592147, 3.417427)):
+        yield "nonadiabatic", dimensionless_params(phi1=phi1, phi2=phi2)
+        yield "nonadiabatic", defaults.replace(phi1=phi1, phi2=phi2)
+        for chi in (-1.2, 0.0, 0.5):
+            yield "memory", memory_params(chi, phi1=phi1).replace(phi2=phi2)
+            at_defaults = memory_params(chi, lam=defaults.omega1, g=defaults.g, phi1=phi1)
+            yield "memory", at_defaults.replace(phi2=phi2)
+    # H1's frequencies seen from this frame cancel only up to rounding
+    yield "nonadiabatic", defaults.replace(
+        g=33316.01509368366, omega1=206583.4073766256, omega2=51818.38942462618,
+        phi1=4.270767664030135, phi2=6.491392219829592, delta_a=-51818.38942462618,
+        delta2=-413166.8147532512,
+    )
+
+
+class TestH2ClosedForm:
+    @pytest.mark.parametrize("branch, p", list(h2_reference_cases()))
+    def test_derived_h2_is_the_closed_form(self, branch, p):
+        # build_h2 averages H1 in the branch frame; the closed form is the reference
+        expected = h2_closed_form(p, branch)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(model.build_h2(p, branch) - expected)) <= 1e-12 * scale
+
+
 class TestEngineeredRate:
     def test_reference_magnitudes(self):
         p = model.ModelParams(g=1e5, Gamma=1e6, gamma=1e2)
@@ -332,7 +370,7 @@ class TestProtectedStates:
         r = model.branch_of(p, "nonadiabatic").frame
         jump = model.sigma(model.up_ket(p.phi1, p.phi), model.down_ket(p.phi1, p.phi))
         for t in np.linspace(0.0, 0.05, 7):
-            rt = r.rotation(t)
+            rt = r(t)
             o_t = rt @ jump @ qmath.dag(rt)
             psi = model.protected_state_nonadiabatic(p, t)
             assert np.linalg.norm(o_t @ psi) < 1e-9
@@ -349,7 +387,7 @@ class TestProtectedStates:
                 model.tilde_plus_ket(d.chi, p.phi1), model.tilde_minus_ket(d.chi, p.phi1)
             )
             for t in np.linspace(0.0, 0.05, 5):
-                rt = r.rotation(t)
+                rt = r(t)
                 o_t = rt @ jump @ qmath.dag(rt)
                 psi = model.protected_state_memory(p, t)
                 assert np.linalg.norm(o_t @ psi) < 1e-9
@@ -411,8 +449,8 @@ class TestDriveInteractionHamiltonian:
         h = model.drive_interaction_hamiltonian(p)
         dt = 1e-7
         for t in (0.0, 0.013, 0.4):
-            rdot = (r.rotation(t + dt) - r.rotation(t - dt)) / (2.0 * dt)
-            assert np.max(np.abs(1j * rdot @ qmath.dag(r.rotation(t)) - h(t))) < 1e-5
+            rdot = (r(t + dt) - r(t - dt)) / (2.0 * dt)
+            assert np.max(np.abs(1j * rdot @ qmath.dag(r(t)) - h(t))) < 1e-5
 
     def test_constant_expectation_on_protected_path(self):
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
@@ -456,7 +494,7 @@ class TestFullSystemMasterEquation:
             w = model.branch_of(p, branch).basis
             jump = model.dressed_decay_jump(p, branch)
             for t in rng.uniform(0.0, 0.1, 5):
-                rt = r.rotation(t)
+                rt = r(t)
                 direct = qmath.dag(w) @ qmath.dag(rt) @ s_ge @ rt @ w
                 assert np.max(np.abs(jump(t) - direct)) < 1e-12
 
@@ -469,6 +507,28 @@ class TestFullSystemMasterEquation:
         s_ge = model.sigma(model.ket_g(), model.ket_e())
         expected = np.kron(qmath.dag(w) @ s_ge @ w, np.eye(p.n_max + 1))
         assert np.max(np.abs(me.terms[1].operator_at(0.0) - expected)) < 1e-12
+
+    def test_dressed_generator_without_gamma_is_static(self):
+        # the frame acts on the two-level factor alone, so H2 and the cavity jump
+        # stay static, and so does the generator
+        me = model.full_system_master_equation(model.ModelParams())
+        assert me.liouvillian.frequencies.tolist() == [0.0]
+        rho, _ = steady_state(me)
+        assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_decay_jump_is_the_dressed_jump_up_to_a_phase(self, branch):
+        # the memory model's frame leaves out exp(-i delta1 sigma_z t / 2), which
+        # turns |g><e| by exp(-i delta1 t): D[.] is the same; delta1 = 0 otherwise
+        if branch == "nonadiabatic":
+            p = dimensionless_params(phi1=0.3, phi2=-0.8, gamma=0.1)
+        else:
+            p = memory_params(0.5, phi1=0.3).replace(gamma=0.1)
+        me = model.full_system_master_equation(p, branch, include_gamma=True)
+        jump = model.dressed_decay_jump(p, branch)
+        for t in (0.0, 0.013, 0.4):
+            expected = np.exp(1j * p.delta1 * t) * np.kron(jump(t), np.eye(p.n_max + 1))
+            assert np.max(np.abs(me.terms[1].operator_at(t) - expected)) < 1e-12
 
     def test_photon_population_small_excitation(self):
         p = dimensionless_params()

@@ -646,6 +646,22 @@ class TestCli:
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["run", "/nonexistent/config.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("params", [[1], "omega1", 3.5])
+    def test_non_object_params_is_config_error(self, tmp_path, capsys, command, params):
+        cfg = self.write(tmp_path, {"name": "nonadiabatic", "params": params})
+        assert cli.main([command, cfg]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["path"] == ["params"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'\xff\xfe{"name": "nonadiabatic"}')
+        assert cli.main([command, str(cfg)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
+
     def test_regime_violation_exit_code(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
