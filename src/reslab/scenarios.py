@@ -153,15 +153,15 @@ def parse_config(text: str) -> Scenario:
     _require(isinstance(name, str), "scenario name must be a string", ("name",))
     _require(name in SCENARIOS, f"unknown scenario {name!r}", ("name",))
 
-    raw_params = raw.get("params") or {}
-    _require(isinstance(raw_params, dict), "params must be an object", ("params",))
+    sections = {key: {} if raw.get(key) is None else raw[key] for key in ("params", "grid", "options")}
+    for key, value in sections.items():
+        _require(isinstance(value, dict), f"{key} must be an object", (key,))
+    raw_params, grid_raw, raw_options = sections.values()
     params = {}
     for key, value in raw_params.items():
         _require(key in _PARAM_KEYS, f"unknown parameter {key!r}", ("params", key))
         params[key] = _check_param(key, value, ("params", key))
 
-    grid_raw = raw.get("grid") or {}
-    _require(isinstance(grid_raw, dict), "grid must be an object", ("grid",))
     for key in grid_raw:
         _require(key in ("t_end", "n_samples"), f"unknown grid key {key!r}", ("grid", key))
     t_end = None
@@ -174,8 +174,6 @@ def parse_config(text: str) -> Scenario:
         _require(n_samples >= 2, f"n_samples must be >= 2, got {n_samples}", ("grid", "n_samples"))
 
     options = {}
-    raw_options = raw.get("options") or {}
-    _require(isinstance(raw_options, dict), "options must be an object", ("options",))
     # a sweep takes its base scenario's options too, and forwards them to every point
     kind = name
     if name == "sweep":

@@ -235,6 +235,25 @@ class TestH2ClosedForm:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(model.build_h2(p, branch) - expected)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("g", [1e2, 1e3])
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_small_coupling(self, branch, g):
+        # the drive terms cancel in the average, leaving an error set by max|H1|,
+        # not by g: at these phases it would break Hermiticity by ~1e-9 > 1e-10
+        defaults = model.ModelParams()
+        phi1, phi2 = 1.8535801469589548, 4.830335426435867
+        if branch == "nonadiabatic":
+            p = defaults.replace(g=g, phi1=phi1, phi2=phi2)
+        else:
+            p = memory_params(-1.2, lam=defaults.omega1, g=g, phi1=phi1).replace(phi2=phi2)
+        h1, _, h2 = model.effective_model(p, branch)
+        assert np.array_equal(h2, qmath.dag(h2))
+        scale = max(np.max(np.abs(m)) for m in h1.matrices)
+        assert np.max(np.abs(h2 - h2_closed_form(p, branch))) <= 1e-14 * scale
+        model.full_system_master_equation(p, branch, include_gamma=True).liouvillian
+        rho, _ = steady_state(model.full_system_master_equation(p, branch))
+        assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestEngineeredRate:
     def test_reference_magnitudes(self):

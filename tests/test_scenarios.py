@@ -647,12 +647,20 @@ class TestCli:
         assert cli.main(["run", "/nonexistent/config.json"]) == 2
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("params", [[1], "omega1", 3.5])
+    @pytest.mark.parametrize("params", [[1], "omega1", 3.5, 0, False, ""])
     def test_non_object_params_is_config_error(self, tmp_path, capsys, command, params):
         cfg = self.write(tmp_path, {"name": "nonadiabatic", "params": params})
         assert cli.main([command, cfg]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == 2 and payload["error"]["path"] == ["params"]
+
+    @pytest.mark.parametrize("section", ["grid", "options"])
+    @pytest.mark.parametrize("value", [[], 0, False, ""])
+    def test_non_object_section_is_config_error(self, tmp_path, capsys, section, value):
+        cfg = self.write(tmp_path, {"name": "nonadiabatic", section: value})
+        assert cli.main(["validate", cfg]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["path"] == [section]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
