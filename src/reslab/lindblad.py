@@ -24,24 +24,29 @@ equal intervals takes one pass in blocks by the powers ``[M, ..., M^b]``,
 time-dependent one cuts each output interval into ``k`` equal substeps,
 each ``[t, t + h]`` applying ``expm(Omega)`` with the fourth-order Magnus exponent
 
-    Omega = h/2 (A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1],
+    Omega = int_t^{t+h} L(s) ds + (sqrt(3)/12) h^2 [A_2, A_1],
     A_i = L(t + c_i h),  c = 1/2 -+ sqrt(3)/6 (the Gauss-Legendre nodes).
 
-The static part of ``L`` is thereby handled exactly, so the step is set
-only by the oscillating harmonics: the first count spans at most about
-2 rad of the fastest one, and it is doubled until halving the step moves
-the final state by at most ``tol`` (the step-doubling loop :func:`_refine`,
-which :func:`frames.schroedinger_evolve` shares).  The steps run in the
+The integral is exact for every harmonic, so the step is exact when the
+harmonics commute, and its error is set by their commutators, not by
+their frequencies (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009)): the first count spans at most about 2 rad of
+the fastest harmonic or ``h ||R|| = 1/4``, whichever takes fewer steps, and
+it is doubled until halving the step moves the final state by at most
+``tol`` (the step-doubling loop :func:`_refine`, which
+:func:`frames.schroedinger_evolve` shares).  The steps run in the
 real coordinates ``x = B vec(rho)`` of an orthonormal Hermitian operator
 basis (the coherence vector), where a Hermiticity-preserving ``L`` is a
 real matrix ``R(t) = R_0 + sum_{nu > 0} cos(nu t) C_nu + sin(nu t) S_nu``,
 built once per master equation; the states map back by ``B^dag`` at the
 output times.
 A pass lays its steps out flat and takes them in blocks that run across
-interval ends, as many as a byte budget holds: ``B_i = (h/2) R(t + c_i h)``
-is evaluated on all the Gauss nodes of a block by one matrix product, each
-width folded into its phase rows, and the block's exponents
-``Omega = B_1 + B_2 + [B_2, B_1] / sqrt 3`` are formed in place, in one
+interval ends, as many as a byte budget holds: the integral,
+``h sum_nu sinc(nu h / 2) (cos(nu m) C_nu + sin(nu m) S_nu)`` at each
+step's midpoint ``m``, and ``B_i = (h/2) R(t + c_i h)`` on its Gauss nodes
+are evaluated for a whole block by one matrix product, each width folded
+into its rows' per-frequency weights, and the block's exponents
+``Omega = int R + [B_2, B_1] / sqrt 3`` are formed in place, in one
 buffer the pass allocates once.  Each ``expm(Omega)`` is applied to the
 state, never formed: the Taylor series, one matrix-vector product per term,
 its terms summed smallest first, of the least degree whose double-precision
@@ -53,19 +58,20 @@ live in one buffer sized to the pass's widest step, and the weighted sum is
 written into the carried state, so no step allocates.  Only where that bound passes the
 table is ``||Omega||_1`` measured, and only an exponent past the table's
 largest bound is formed, by :func:`_expm`.  Every
-``A_i`` annihilates the trace functional and maps Hermitian matrices to
-Hermitian ones, and so does their commutator and every Taylor term, so each
-step keeps trace and Hermiticity; a real ``x`` is Hermitian by construction.
+``L(t)`` annihilates the trace functional and maps Hermitian matrices to
+Hermitian ones, and so does their integral, their commutator and every
+Taylor term, so each step keeps trace and Hermiticity; a real ``x`` is
+Hermitian by construction.
 
 When the grid is longer than the period ``T`` of ``L``, the steps cover one
 period only: the identity is carried through the points ``t mod T``, and
 each state is ``M(t mod T) M(T)^n x0`` with the powers of the one-period
 map taken only between the distinct whole counts ``n`` (Floquet theory;
 Grifoni & Haenggi, Phys. Rep. 304, 229 (1998)); :func:`_span_states`
-assembles them for :func:`frames.schroedinger_evolve` too.  The trace row
-of ``M(T)`` is set to the exact trace functional before it is powered,
-when the two differ by rounding alone, so ``n`` periods do not multiply
-that rounding by ``n``.
+assembles them for :func:`frames.schroedinger_evolve` too.  ``evolve``
+takes those powers in coordinates whose first one is the trace, and sets
+that row of ``M(T)`` to the exact trace functional when the two differ by
+rounding alone, so no power of ``M(T)`` moves the trace.
 
 A static generator's steady state is the null vector of ``R_0`` in these
 real coordinates, from one SVD (:func:`steady_state`).
@@ -234,13 +240,17 @@ class _RealGenerator:
     def __call__(self, t, weights=None, out=None) -> np.ndarray:
         """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``,
         one matrix product of the phases with the components, written into
-        ``out`` (C-contiguous) when it is given.  ``weights``, broadcast
-        against ``t``, scales each time's phase row in place, so the product
-        gives ``w R(t)`` at no further pass over the stack."""
+        ``out`` (C-contiguous) when it is given.  ``weights``, an array whose
+        last axis runs over the ``F`` frequencies, broadcast against
+        ``S + (F,)``, scales each time's phase row in place,
+        the cosine and the sine of a frequency alike, so the product gives
+        ``sum_nu w_nu (cos(nu t) C_nu + sin(nu t) S_nu)`` at no further pass
+        over the stack."""
         nt = np.multiply.outer(t, self.frequencies)
         phases = np.concatenate([np.cos(nt), np.sin(nt)], -1)
         if weights is not None:
-            phases *= np.asarray(weights)[..., None]
+            halves = phases.reshape(*nt.shape[:-1], 2, -1)  # a view: the cosines, then the sines
+            halves *= np.asarray(weights)[..., None, :]
         shape = (*phases.shape[:-1], *self.matrices.shape[1:])
         flat = out.reshape(-1, shape[-1] * shape[-1]) if out is not None else None
         components = self.matrices.reshape(phases.shape[-1], -1)
@@ -424,8 +434,10 @@ def apply_generator(me: MasterEquation, rho: np.ndarray, t: float = 0.0) -> np.n
     return unvec(me.liouvillian(t) @ vec(rho), me.dim)
 
 
-#: Gauss-Legendre nodes of the two-point Magnus step, as fractions of the step
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+#: the times of a Magnus step's three phase rows, as fractions of the step: its
+#: midpoint, where the integral of R is taken, then the two Gauss-Legendre
+#: nodes ``c = 1/2 -+ sqrt(3)/6`` of its commutator
+_STEP_NODES = 0.5 + np.array([0.0, -1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 #: bytes of the buffers one block of steps is formed in, which a pass allocates
 #: once and every block reuses: 64 Gauss-Legendre steps of
@@ -562,21 +574,30 @@ def _check_exponent_norm(norm: float) -> None:
 
 
 def _magnus_exponents(R: _RealGenerator, starts, widths, buffer):
-    """The fourth-order Magnus exponents ``Omega = B_1 + B_2 + [B_2, B_1] / sqrt 3``
-    of the steps ``[t, t + w]``, one per start ``t`` and width ``w``, where
-    ``B_i = (w/2) R(t + c_i w)``, formed in the flat ``buffer`` of at least
-    four matrices per step: the ``B_i`` on every step's two Gauss nodes by one
-    product, the width folded into its phase rows, then the two products of
-    the commutator, each a contiguous stack; the returned exponents are the first."""
+    """The fourth-order Magnus exponents ``Omega = int R + [B_2, B_1] / sqrt 3``
+    of the steps ``[t, t + w]``, one per start ``t`` and width ``w``.  The
+    first term is the exact integral of ``R`` over the step,
+    ``w sum_nu sinc(nu w / 2) (cos(nu m) C_nu + sin(nu m) S_nu)`` at its
+    midpoint ``m``, so a harmonic of any frequency enters it without error;
+    ``B_i = (w/2) R(t + c_i w)`` on the two Gauss nodes.  The step is exact
+    when the harmonics commute and of fourth order otherwise (Iserles, BIT 42,
+    561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The
+    exponents are formed in the flat ``buffer`` of at least four matrices per
+    step: the integral, ``B_1 / sqrt 3`` and ``B_2`` by one product of three
+    phase rows per step (``_STEP_NODES``), the width and the factors folded
+    into each row's per-frequency weights, then the commutator's two
+    products, each added into the integral from one contiguous stack; the
+    returned exponents are the first."""
     k, n = starts.size, R.matrices.shape[-1]
-    b1, b2, commutator, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
-    R(starts + np.multiply.outer(_GAUSS_NODES, widths), 0.5 * widths, out=buffer[: 2 * k * n * n])
-    np.matmul(b2, b1, out=commutator)
-    commutator -= np.matmul(b1, b2, out=product)
-    commutator *= 1.0 / math.sqrt(3.0)
-    b1 += b2
-    b1 += commutator
-    return b1
+    integral, b1, b2, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
+    weights = np.empty((3, k, R.frequencies.size))
+    weights[0] = widths[:, None] * np.sinc(np.multiply.outer(widths / (2.0 * math.pi), R.frequencies))
+    weights[1] = (0.5 / math.sqrt(3.0)) * widths[:, None]
+    weights[2] = 0.5 * widths[:, None]
+    R(starts + np.multiply.outer(_STEP_NODES, widths), weights, out=buffer[: 3 * k * n * n])
+    integral += np.matmul(b2, b1, out=product)
+    integral -= np.matmul(b1, b2, out=product)
+    return integral
 
 
 def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
@@ -589,7 +610,9 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     rows of the result; its Taylor terms are rows of one buffer sized to the
     widest step's degree.  A step of width ``h`` takes the Taylor degree that
     the bound ``h ||R|| + (sqrt(3)/6) (h ||R||)^2`` on its exponent's 1-norm
-    sets, with ``||R||`` the :attr:`_RealGenerator.norm_bound`; the widest step's bound
+    sets, with ``||R||`` the :attr:`_RealGenerator.norm_bound` (the integral
+    term is at most ``h ||R||``, since ``|sinc| <= 1``, and the commutator
+    term at most the rest); the widest step's bound
     is checked before any exponent is formed, and a step whose bound passes
     the Taylor table takes its measured 1-norm instead, so that a loose
     bound forms no exponential."""
@@ -603,8 +626,9 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     n = R.matrices.shape[-1]
     # per step: the four n x n matrices of the buffer, R's phase arrays (the
     # times by each of the F frequencies, their cosines, sines and both joined,
-    # on two nodes: 10 F floats) and n floats, which cover its bound and weight
-    rows = _block_rows(8 * (4 * n * n + 10 * R.frequencies.size + n), widths.size)
+    # on three rows: 15 F floats), the rows' weights (3 F) and n floats, which
+    # cover its bound and times
+    rows = _block_rows(8 * (4 * n * n + 18 * R.frequencies.size + n), widths.size)
     buffer = np.empty(4 * rows * n * n)
     terms = np.empty((_taylor_top(widest) + 1, *x.shape))
     out = np.empty((points.size, *x.shape))
@@ -657,16 +681,17 @@ def _whole_spans(span_map: np.ndarray, whole: np.ndarray, x0: np.ndarray) -> np.
     return out[which]
 
 
-def _span_states(run, whole, where, x0) -> np.ndarray:
+def _span_states(run, whole, where, x0, powers=_whole_spans) -> np.ndarray:
     """The state at each time ``n S + r`` of :func:`_split`, stacked, from
     ``run(x)``, which carries an operand ``x`` through the span's points.
     Without a whole span in the grid, ``run`` carries ``x0`` itself; with one,
     it carries the identity, which gives the maps ``M(r)``, and each state is
-    ``M(r) M(S)^n x0`` (:func:`_whole_spans`)."""
+    ``M(r) M(S)^n x0``, the ``M(S)^n x0`` from ``powers(M(S), whole, x0)``
+    (:func:`_whole_spans` unless a caller takes them its own way)."""
     if whole[-1] == 0:
         return run(x0)[where[:-1]]
     maps = run(np.eye(x0.size, dtype=x0.dtype))
-    return np.einsum("nij,nj->ni", maps[where[:-1]], _whole_spans(maps[-1], whole, x0))
+    return np.einsum("nij,nj->ni", maps[where[:-1]], powers(maps[-1], whole, x0))
 
 
 #: the largest defect of a span map's trace row that counts as rounding; the
@@ -674,15 +699,30 @@ def _span_states(run, whole, where, x0) -> np.ndarray:
 _TRACE_ROUNDING = 1e-12
 
 
+def _trace_exact_powers(span_map: np.ndarray, whole: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """:func:`_whole_spans` of a span map of ``d x d`` density matrices in real
+    coordinates, taken in the coordinates ``y = P x`` whose first is the
+    trace: ``P`` is the identity with row 0 set to the trace functional (the
+    sum of the first ``d`` coordinates).  Where row 0 of ``P M(S) P^-1``
+    differs from ``e_0`` by rounding alone, it is set to ``e_0``, so every
+    power keeps ``y_0`` exactly and ``n`` spans do not multiply that rounding
+    by ``n``; the powers map back by ``P^-1``."""
+    n, d = x0.size, math.isqrt(x0.size)
+    p, p_inv, e0 = np.eye(n), np.eye(n), np.eye(n)[0]
+    p[0, :d], p_inv[0, 1:d] = 1.0, -1.0
+    m = p @ span_map @ p_inv
+    if np.max(np.abs(m[0] - e0)) <= _TRACE_ROUNDING:
+        m[0] = e0
+    return _whole_spans(m, whole, p @ x0) @ p_inv.T
+
+
 def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np.ndarray:
     """States at ``times`` as an ``(N, d, d)`` stack: by exact maps for a
     static generator, else by :func:`_magnus_pass` over the span of ``split``
     (what :func:`_split` returns for ``times``), the interval before its
-    point ``i + 1`` in ``substeps[i]`` steps, assembled by :func:`_span_states`.
-    The trace row of a span map, which must equal the trace functional (the
-    sum of the first ``d`` coordinates), is projected onto it before it is
-    powered, when the two differ by rounding alone: ``M(S)^n`` multiplies
-    that defect by ``n``."""
+    point ``i + 1`` in ``substeps[i]`` steps, assembled by :func:`_span_states`
+    with the span map's powers taken where the trace is a coordinate
+    (:func:`_trace_exact_powers`)."""
     L, d = me.liouvillian, me.dim
     out = np.empty((times.size, d * d), dtype=complex)  # one vec(rho) per row
     out[0] = vec(rho0)
@@ -705,21 +745,22 @@ def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np
                 out[k + 1 : min(k + b, stop) + 1] = (powers @ out[k]).reshape(b, -1)[: stop - k]
     else:
         R, (whole, points, where) = me._real_liouvillian, split
-
-        def run(x):
-            maps = _magnus_pass(R, points, substeps, x)
-            if x.ndim == 2:  # the identity carried: M(S)'s trace row less the functional
-                defect = np.sum(maps[-1, :d], axis=0) - (np.arange(x.shape[0]) < d)
-                if np.max(np.abs(defect)) <= _TRACE_ROUNDING:
-                    maps[-1, :d] -= defect / d
-            return maps
-
         # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
-        xs = _span_states(run, whole, where, (R.basis @ out[0]).real)
+        xs = _span_states(
+            lambda x: _magnus_pass(R, points, substeps, x),
+            whole,
+            where,
+            (R.basis @ out[0]).real,
+            _trace_exact_powers,
+        )
         out[1:] = xs[1:] @ R.basis.conj()
     # a row vec(rho) read in C order is rho transposed
     return out.reshape(-1, d, d).transpose(0, 2, 1)
 
+
+#: ``h ||R||`` of a first Magnus step where the generator's norm, not its
+#: fastest frequency, sets the first count of :func:`evolve`
+_FIRST_STEP_NORM = 0.25
 
 #: most doublings of the step counts before an integration gives up
 _MAX_REFINEMENTS = 12
@@ -775,7 +816,9 @@ def _time_grid(t_grid) -> np.ndarray:
 def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -> Trajectory:
     """Integrate the master equation over ``t_grid``: a static generator by
     exact ``expm`` maps in one pass (``tol`` is only recorded), a time-dependent
-    one by fourth-order Magnus steps, applied by a Taylor series exact to rounding.
+    one by fourth-order Magnus steps whose first term is the exact integral of
+    ``L`` over the step (:func:`_magnus_exponents`), applied by a Taylor series
+    exact to rounding.
 
     A time-dependent generator is integrated over one span ``S``: its period
     when the grid is longer than that, else the whole grid.  Without a whole
@@ -786,8 +829,15 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     229 (1998)); the record's ``period`` and ``whole_periods`` say so.
     ``substeps[i]`` counts the steps between consecutive points of the span:
     the output times, or the sorted distinct ``t mod S`` and ``S``.  Such an
-    interval ``dt`` starts at ``max(1, ceil(max|nu_k| dt / 2))`` substeps,
-    about 2 rad of the fastest frequency ``nu_k`` of ``L`` each;
+    interval ``dt`` starts at
+    ``max(1, ceil(dt min(max|nu_k| / 2, ||R|| / theta)))`` substeps,
+    ``theta = 1/4``: each spans about 2 rad of the fastest frequency ``nu_k``
+    of ``L`` or ``h ||R|| <= theta`` (``||R||`` the
+    :attr:`_RealGenerator.norm_bound`), whichever asks for fewer steps.  A
+    step integrates the harmonics exactly in its first term, so a generator
+    weak against its fastest frequency needs no step per 2 rad of it: the
+    full model in the dressed frame, whose fast harmonics come from the weak
+    frame-rotated decay jump alone, takes the norm's count.
     :func:`_refine` doubles the counts until halving the step changes the
     final state by at most ``tol`` (Frobenius) and the trace drifts by at
     most 1e-9, or until a converged pass's drift repeats the last pass's to
@@ -829,7 +879,8 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
         traj = Trajectory(times, _integrate(me, rho0, times), np.ones(times.size - 1, int), tol=tol)
     else:
         split = whole, points, _ = _split(me.liouvillian, times)
-        substeps = _counts(np.maximum(1.0, np.ceil(fastest * np.diff(points) / 2.0)))
+        rate = min(fastest / 2.0, me._real_liouvillian.norm_bound / _FIRST_STEP_NORM)
+        substeps = _counts(np.maximum(1.0, np.ceil(rate * np.diff(points))))
         refined = _refine(
             lambda counts: _integrate(me, rho0, times, split, counts),
             substeps,

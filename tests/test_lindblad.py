@@ -71,10 +71,11 @@ def random_harmonic_master_equation(rng, dim, nu, jump_nu, rate):
 
 def magnus_step_bytes(me):
     """The bytes one Magnus step of ``me`` counts against ``_BLOCK_BYTES``: four
-    n x n real matrices, R's phase arrays (10 per frequency) and n more floats."""
+    n x n real matrices, R's phase arrays and their weights on three rows (18
+    per frequency) and n more floats."""
     R = me._real_liouvillian
     n = R.matrices.shape[-1]
-    return 8 * (4 * n * n + 10 * R.frequencies.size + n)
+    return 8 * (4 * n * n + 18 * R.frequencies.size + n)
 
 
 def magnus_step_norms(monkeypatch, R, points, counts):
@@ -108,17 +109,24 @@ def block_engine_case(monkeypatch):
 
 
 def per_interval_steps(R, times, counts, x):
-    """The reference for ``_magnus_pass``: each interval's exponents from
-    B_i = (h/2) R on its own Gauss nodes, written out, and applied to ``x``
+    """The reference for ``_magnus_pass``: each interval's exponents, the
+    integral of R over each step (its harmonics weighted by
+    h sinc(nu h / 2) at the step's midpoint) plus [B_2, B_1] / sqrt 3 with
+    B_i = (h/2) R on the step's Gauss nodes, written out, and applied to ``x``
     interval by interval at the Taylor degrees of the bound
     h ||R|| + (sqrt(3)/6) (h ||R||)^2, or of the measured 1-norm where that
     bound passes the table. Returns the operand at each interval's end."""
     xs = []
     for t, dt, k in zip(times, np.diff(times), counts):
         h = dt / k
-        b = R((t + h * np.arange(k))[:, None] + h * lindblad._GAUSS_NODES, 0.5 * h)
-        b1, b2 = b[:, 0], b[:, 1]
-        omegas = b1 + b2 + (b2 @ b1 - b1 @ b2) * (1.0 / np.sqrt(3.0))
+        nodes = 0.5 + np.array([0.0, -1.0, 1.0]) * np.sqrt(3.0) / 6.0  # the midpoint, then Gauss
+        rows = (t + h * np.arange(k))[:, None] + h * nodes
+        weights = np.empty((3, R.frequencies.size))
+        weights[0] = h * np.sinc(h / (2.0 * np.pi) * R.frequencies)
+        weights[1:] = np.array([[0.5 / np.sqrt(3.0)], [0.5]]) * h  # B_1 / sqrt 3 and B_2
+        b = R(rows, weights)
+        integral, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+        omegas = integral + b2 @ b1 - b1 @ b2
         hr = h * R.norm_bound
         norm = hr + np.sqrt(3.0) / 6.0 * hr * hr
         if norm > lindblad._TAYLOR_THETA[-1]:
@@ -472,6 +480,29 @@ class TestEvolve:
         )
         assert coarse >= 12.0 * fine
 
+    def test_commuting_harmonics_take_one_exact_step(self):
+        # a diagonal harmonic Hamiltonian and a diagonal harmonic jump: every L(t)
+        # commutes with every other, so the step's exponent is the integral of L
+        # alone, and one step across 15 to 33 rad of each harmonic is exp(int L)
+        # (measured: 3.5e-17; 0.15 with the Gauss sum in place of the integral)
+        h = Harmonic(
+            [0.0, 7.0, -7.0, 11.0, -11.0],
+            [np.diag([0.4, -0.3, 0.1]), *[np.diag(a) for a in ([0.5, 0.2j, -0.1], [0.5, -0.2j, -0.1])],
+             *[np.diag(a) for a in ([0.1j, 0.3, 0.2], [-0.1j, 0.3, 0.2])]],
+        )
+        jump = Harmonic([0.0, 5.0], [np.diag([0.3, -0.2, 0.5]), np.diag([0.4j, 0.1, -0.2])])
+        me = MasterEquation(dim=3, hamiltonian=h, terms=(LindbladTerm(0.6, jump),))
+        rho0 = random_density(np.random.default_rng(23), 3)
+        t = 3.0
+        L = me.liouvillian
+        # int_0^t exp(-i nu s) ds, written out
+        nu = np.where(L.frequencies == 0.0, 1.0, L.frequencies)
+        factors = np.where(L.frequencies == 0.0, t, (1.0 - np.exp(-1j * nu * t)) / (1j * nu))
+        exact = scipy.linalg.expm(np.tensordot(factors, L.matrices, axes=1)) @ vec(rho0)
+        R = me._real_liouvillian
+        x = lindblad._magnus_pass(R, np.array([0.0, t]), np.array([1]), (R.basis @ vec(rho0)).real)
+        assert np.max(np.abs(x[-1] @ R.basis.conj() - exact)) <= 1e-14
+
     @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0])
     @pytest.mark.parametrize(
         "operand",
@@ -638,14 +669,15 @@ class TestEvolve:
             assert R.norm_bound <= np.max(np.sum(np.abs(R.matrices), axis=(0, 1)))
 
     def test_step_bound_sets_the_full_model_degrees(self, monkeypatch):
-        # the benchmark's full-model generator at every phase pair it draws, at 4
-        # and 8 steps per interval (its coarse and fine passes): the bound covers
-        # ||Omega||_1 and sets the Taylor degrees that the measured norm would
+        # the benchmark's full-model generator at every phase pair it draws, at 2,
+        # 4 and 8 steps per interval (its coarse and fine passes, and one more
+        # doubling): the bound covers ||Omega||_1 and sets the Taylor degrees
+        # that the measured norm would
         workloads = benchmark_workloads()
         for phases in workloads.phase_table():
             me, _, times = workloads.full_model_inputs(reslab, phases, "full")
             points = lindblad._split(me.liouvillian, times)[1]
-            for k in (4, 8):
+            for k in (2, 4, 8):
                 counts = np.full(points.size - 1, k)
                 measured, applied = magnus_step_norms(monkeypatch, me._real_liouvillian, points, counts)
                 assert np.all(applied >= measured)
@@ -669,14 +701,24 @@ class TestEvolve:
         assert not np.isfinite(err.value.achieved)
 
     def test_uncountable_first_steps_are_a_divergence(self):
-        # a drive at 1e200 rad/s over 1 s: no 64-bit count of first steps, in
-        # either integrator
+        # a drive at 1e200 rad/s over 1 s: no 64-bit count of whole periods in
+        # evolve, and a static 1e200 sigma_x has no 64-bit count of first steps
+        # in schroedinger_evolve
         fast = Harmonic([1e200, -1e200], [0.5 * SIGMA_X, 0.5 * SIGMA_X])
         me = MasterEquation(dim=2, hamiltonian=fast, terms=decay_qubit(1.0).terms)
         with pytest.raises(IntegrationDivergenceError, match="below 2\\*\\*63"):
             evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1.0])
         with pytest.raises(IntegrationDivergenceError, match="below 2\\*\\*63"):
             schroedinger_evolve(1e200 * SIGMA_X, [1.0, 0.0], [0.0, 1.0])
+
+    def test_uncountable_first_count_of_an_aperiodic_grid(self):
+        # incommensurate harmonics have no period, so a grid of 1e30 s is one
+        # span, and its first count, 0.71 steps per unit time, has no 64-bit int
+        slow = Harmonic([1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0)], [0.5 * SIGMA_X] * 4)
+        me = MasterEquation(dim=2, hamiltonian=slow, terms=decay_qubit(1.0).terms)
+        assert me.liouvillian.period is None
+        with pytest.raises(IntegrationDivergenceError, match="below 2\\*\\*63"):
+            evolve(me, np.diag([1.0, 0.0 + 0j]), [0.0, 1e30])
 
     def test_both_integrators_share_the_refinement_cap(self, monkeypatch):
         monkeypatch.setattr(lindblad, "_MAX_REFINEMENTS", 2)
@@ -829,7 +871,7 @@ class TestWholePeriods:
         traj = evolve(me, rho0, times)
         assert traj.period is None and traj.whole_periods == 0
         assert carried == [(36,)] * (traj.refinements + 1)
-        assert int(np.sum(traj.substeps)) == 80 and traj.refinements == 1
+        assert int(np.sum(traj.substeps)) == 40 and traj.refinements == 1
 
     def test_full_model_evolve_allocates_no_block_temporaries(self):
         # each pass forms its blocks of 18 steps in one 0.75 MB buffer (four
@@ -871,8 +913,8 @@ class TestWholePeriods:
     def test_trace_holds_over_ten_million_periods(self):
         # the span map's trace row is exact to about 1e-15, and M(S)^n multiplies
         # that defect by n: 1.2e7 periods failed the 1e-9 trace-drift check at
-        # tol 1e-8 and 1e-6 until the row was projected onto the trace functional
-        # (measured now: drift 5e-11, states within 3.0e-9 of the periodic state)
+        # tol 1e-8 and 1e-6 until the powers kept the trace row exact (measured
+        # now: drift 0, states within 3.0e-9 of the periodic state)
         drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
         me = MasterEquation(dim=2, hamiltonian=drive, terms=decay_qubit(0.5).terms)
         rho0 = np.diag([1.0, 0.0 + 0j])
@@ -922,8 +964,10 @@ class TestWholePeriods:
 
     @pytest.mark.parametrize("periods", [6e7, 1.2e8])
     def test_doublings_cure_the_drift_of_many_periods(self, periods):
-        # the final state converges at 256 steps per span, where the powers drift
-        # by 1e-9 to 6e-9; the doublings the trace check asks for cure it
+        # the final state converges at 256 steps per span, and the powers, taken
+        # where the trace is a coordinate, keep it to 4.4e-16 on every pass; with
+        # the trace row projected instead, their drift jumped between 1e-10 and
+        # 1e-8 from pass to pass, and 1.2e8 periods ran out of doublings
         drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
         me = MasterEquation(dim=2, hamiltonian=drive, terms=decay_qubit(0.5).terms)
         traj = evolve(me, np.diag([1.0, 0.0 + 0j]), np.linspace(0.0, periods * drive.period, 5))
@@ -959,6 +1003,21 @@ class TestFullModelReference:
         for phases, (real, imag) in zip(reference["phases"], recorded):
             traj = evolve(*workloads.full_model_inputs(reslab, phases, "tiny"))
             assert np.linalg.norm(traj.final - (np.array(real) + 1j * np.array(imag))) <= 1e-7
+
+    @pytest.mark.parametrize("size, substeps", [("full", 4), ("tiny", 2)])
+    def test_benchmark_inputs_take_the_counts_of_the_norm(self, size, substeps):
+        # on every recorded phase pair the first count is set by ||R|| = 81, not
+        # by the harmonics at 760-1640 rad/s of the weak rotated decay jump: 2
+        # and 1 steps per interval, accepted after one doubling (measured: 3.4e-12
+        # and 2.4e-12 from the reference; 9.3e-11 and 5.9e-11 at twice the steps
+        # with the Gauss sum in place of the integral of R)
+        workloads = benchmark_workloads()
+        reference = json.loads(workloads.REFERENCE.read_text())
+        assert len(reference["phases"]) == len(reference["full-model"][size]) == 16
+        for phases, (real, imag) in zip(reference["phases"], reference["full-model"][size]):
+            traj = evolve(*workloads.full_model_inputs(reslab, phases, size))
+            assert traj.refinements == 1 and np.all(traj.substeps == substeps)
+            assert np.linalg.norm(traj.final - (np.array(real) + 1j * np.array(imag))) <= 1e-10
 
 
 class TestSteadyState:
