@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, RegimeError, SimulationError
 from . import model
-from .scenarios import SCENARIOS, _branch_for, _points, parse_config, resolve_params, run_scenario
+from .scenarios import SCENARIOS, _branch_for, _points, _strict_json, parse_config
+from .scenarios import resolve_params, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +41,7 @@ def _error_json(exc: Exception, code: int) -> str:
     }
     if isinstance(exc, ConfigError) and exc.path:
         payload["error"]["path"] = list(exc.path)
-    return json.dumps(payload, sort_keys=True)
+    return _strict_json(payload)
 
 
 def _classify(exc: Exception) -> int:
@@ -57,7 +57,7 @@ def _classify(exc: Exception) -> int:
 def cmd_run(args) -> int:
     sc = _load_scenario(args.config)
     result = run_scenario(sc, out_dir=args.out, verbose=args.verbose)
-    print(json.dumps({"scenario": sc.name, "out_dir": str(result.out_dir)}, sort_keys=True))
+    print(_strict_json({"scenario": sc.name, "out_dir": str(result.out_dir)}))
     return EXIT_OK
 
 
@@ -75,7 +75,7 @@ def cmd_validate(args) -> int:
     ]
     report = {"valid": True, "scenario": sc.name}
     report.update({"points": entries} if sc.name == "sweep" else entries[0])
-    print(json.dumps(report, sort_keys=True))
+    print(_strict_json(report))
     for regime in regimes:
         if not regime.ok:
             raise RegimeError(regime, "resolved parameters violate the branch constraints")

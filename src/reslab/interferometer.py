@@ -97,9 +97,7 @@ def run_interferometer(
     conservation = float(np.max(np.abs(rho_aa + pop_up + pop_down - 1.0)))
 
     # reference ray mapped back into the frame of the simulation: (R(t) W)^dag ref(t)
-    nonadiabatic = model.branch_of(p, "nonadiabatic")
-    w = nonadiabatic.basis
-    rw = nonadiabatic.frame.map(lambda u: u @ w)(times)
+    rw = model.branch_of(p, "nonadiabatic").dressed_frame(times)
     refs = np.einsum("nji,nj->ni", rw.conj(), model.protected_state_dressed_gauge(p, times))
     coherence = np.einsum("ni,ni->n", refs.conj(), traj.states[:, 1:, 0])
 

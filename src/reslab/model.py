@@ -52,7 +52,6 @@ __all__ = [
     "drive_generator_1",
     "drive_generator_2",
     "memory_generator",
-    "effective_check_frame",
     "build_h1",
     "build_h1_memory",
     "build_h2",
@@ -167,9 +166,11 @@ class Branch:
         return np.column_stack(self.kets())
 
     @property
-    def frame(self) -> Harmonic:
-        """``R(t)``, mapping the branch's dressed frame into the interaction picture."""
-        return rotation(self.generators())
+    def dressed_frame(self) -> Harmonic:
+        """``R(t) W``: the :attr:`basis` ``W`` turned by the frame ``R`` of the
+        generators ``h1`` is not already written in, so it maps into ``h1``'s frame."""
+        w = self.basis
+        return rotation(self.generators()[self.h1_rotated :]).map(lambda u: u @ w)
 
 
 def branch_of(p: ModelParams, branch: str) -> Branch:
@@ -328,16 +329,6 @@ def memory_generator(p: ModelParams) -> np.ndarray:
     return 0.5 * p.delta1 * SIGMA_Z + drive_generator_1(p)
 
 
-def effective_check_frame(p: ModelParams, branch: str) -> Harmonic:
-    """``R(t) (x) 1 . W``: maps states of the effective model (protected basis
-    ``W`` x Fock) into the frame of the branch's full Hamiltonian, with ``R``
-    the branch frame less the factors that Hamiltonian is already in (the
-    memory branch's ``exp(-i K t)`` alone)."""
-    b = branch_of(p, branch)
-    r, w = rotation(b.generators()[b.h1_rotated :]), b.basis
-    return r.map(lambda u: np.kron(u @ w, np.eye(p.n_max + 1)))
-
-
 # --- Hamiltonians ----------------------------------------------------------
 
 
@@ -375,14 +366,16 @@ def build_h1_memory(p: ModelParams) -> Harmonic:
 
 
 def effective_model(p: ModelParams, branch: str) -> tuple[Harmonic, Harmonic, np.ndarray]:
-    """``(H1, F, H2)``: the branch's full Hamiltonian, the frame of
-    :func:`effective_check_frame` and ``H2 = mean(F^dag H1 F - i F^dag dF/dt)``,
+    """``(H1, F, H2)``: the branch's full Hamiltonian, its dressed frame lifted
+    to the Fock factor, ``F = R W (x) 1`` (:attr:`Branch.dressed_frame`), and
+    ``H2 = mean(F^dag H1 F - i F^dag dF/dt)``,
     ``H1`` averaged in that frame (James & Jerke, Can. J. Phys. 85, 625 (2007)).
     The drive terms cancel in that mean, leaving an error of ``~1e-15 max|H1|``
     at any ``g``; its Hermitian part is kept.  Raises :class:`RegimeError` off
     the branch's resonances."""
     require_regime(p, branch)
-    h1, frame = branch_of(p, branch).h1(), effective_check_frame(p, branch)
+    b, eye_f = branch_of(p, branch), np.eye(p.n_max + 1)
+    h1, frame = b.h1(), b.dressed_frame.map(lambda m: np.kron(m, eye_f))
     h2 = to_frame(frame, h1, hamiltonian=True).mean
     return h1, frame, 0.5 * (h2 + qmath.dag(h2))
 
@@ -539,10 +532,9 @@ def drive_interaction_hamiltonian(p: ModelParams) -> Harmonic:
 
 
 def dressed_decay_jump(p: ModelParams, branch: str) -> Harmonic:
-    """Spontaneous-emission jump ``|g><e|`` seen from the branch frame ``R`` in
-    the branch's basis ``w``: ``(R w)^dag |g><e| R w``."""
-    b = branch_of(p, branch)
-    return to_frame(b.frame.map(lambda u: u @ b.basis), sigma(ket_g(), ket_e()))
+    """Spontaneous-emission jump ``|g><e|`` seen from the branch's dressed
+    frame ``R W`` (:attr:`Branch.dressed_frame`): ``(R W)^dag |g><e| R W``."""
+    return to_frame(branch_of(p, branch).dressed_frame, sigma(ket_g(), ket_e()))
 
 
 def full_system_master_equation(
@@ -556,8 +548,9 @@ def full_system_master_equation(
     branch's full Hamiltonian, cavity decay ``1 x a`` at population rate Gamma
     and, with ``include_gamma``, spontaneous emission ``|g><e| x 1`` at rate
     gamma, as they are (``frame="bare"``) or seen from the frame ``F`` of
-    :func:`effective_check_frame`: :func:`build_h2` and the decay jump
-    ``F^dag (|g><e| x 1) F``; ``F`` acts on the two-level factor alone."""
+    :func:`effective_model`: :func:`build_h2` and the decay jump
+    ``F^dag (|g><e| x 1) F``, which is :func:`dressed_decay_jump` ``x 1``;
+    ``F`` acts on the two-level factor alone."""
     decay = np.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
     if frame == "bare":
         hamiltonian = branch_of(p, branch).h1()

@@ -13,7 +13,7 @@ Outputs per run: ``summary.json`` (scalar results, schema-tagged),
 ``resolved_config.json`` (the fully resolved parameter record).  Given
 identical configs the summary and CSV bytes are identical across runs;
 wall-clock time is reported in the summary under the volatile key
-``wall_time_s``.
+``wall_time_s``.  JSON outputs write a non-finite number as ``null``.
 """
 
 from __future__ import annotations
@@ -545,7 +545,7 @@ def _run_sweep(sc: Scenario) -> ScenarioResult:
     rows = [
         [v] + [s["derived"][c] for c in columns] for v, s in zip(values, summaries)
     ]
-    p = resolve_params(sc)
+    p = model.ModelParams(**summaries[0]["resolved_params"])  # as its run resolved it
     derived = {
         "axis": axis_name,
         "values": list(values),
@@ -597,10 +597,18 @@ def run_scenario(
         result = _run_point(sc)
     result.summary["wall_time_s"] = time.perf_counter() - start
     if verbose:
-        print(json.dumps(result.summary["derived"], sort_keys=True, default=str), file=sys.stderr)
+        print(_strict_json(result.summary["derived"]), file=sys.stderr)
     if out_dir is not None:
         result.out_dir = write_outputs(Path(out_dir), sc.name, result)
     return result
+
+
+def _strict_json(obj, **kwargs) -> str:
+    """RFC 8259 JSON of ``obj``, keys sorted, with every non-finite number in it
+    written as ``null``, which parsers that reject NaN and Infinity read.  The
+    round trip is exact: a float's ``repr`` parses back to the same float."""
+    plain = json.loads(json.dumps(obj, default=str), parse_constant=lambda _: None)
+    return json.dumps(plain, sort_keys=True, allow_nan=False, **kwargs)
 
 
 def write_outputs(out_root: Path, scenario_name: str, result: ScenarioResult) -> Path:
@@ -612,12 +620,8 @@ def write_outputs(out_root: Path, scenario_name: str, result: ScenarioResult) ->
         run_dir = out_root / scenario_name / f"{stamp}-{counter}"
     run_dir.mkdir(parents=True)
 
-    (run_dir / "summary.json").write_text(
-        json.dumps(result.summary, indent=2, sort_keys=True, default=str) + "\n"
-    )
-    (run_dir / "resolved_config.json").write_text(
-        json.dumps(result.resolved_config, indent=2, sort_keys=True) + "\n"
-    )
+    for name, doc in (("summary.json", result.summary), ("resolved_config.json", result.resolved_config)):
+        (run_dir / name).write_text(_strict_json(doc, indent=2) + "\n")
     lines = [",".join(result.series_header)]
     for row in result.series_rows:
         lines.append(",".join(map(repr, map(float, row))))

@@ -125,26 +125,16 @@ def test_criterion_4_adiabatic_elimination():
 
 def _nonadiabatic_comparison(p):
     psi0 = np.kron(model.up_ket(p.phi1, p.phi), qmath.basis_ket(p.n_max + 1, 0))
-    return compare_effective(
-        model.build_h1(p),
-        model.build_h2(p, "nonadiabatic"),
-        psi0,
-        np.linspace(0.0, 2.0 / p.g, 101),
-        frame=model.effective_check_frame(p, "nonadiabatic"),
-    )
+    full, frame, h2 = model.effective_model(p, "nonadiabatic")
+    return compare_effective(full, h2, psi0, np.linspace(0.0, 2.0 / p.g, 101), frame=frame)
 
 
 def _memory_comparison(chi):
     p = memory_params(chi)
     d = model.DerivedMemoryParams.from_params(p)
     psi0 = np.kron(model.tilde_minus_ket(d.chi, p.phi1), qmath.basis_ket(p.n_max + 1, 0))
-    return compare_effective(
-        model.build_h1_memory(p),
-        model.build_h2(p, "memory"),
-        psi0,
-        np.linspace(0.0, 2.0 / p.g, 101),
-        frame=model.effective_check_frame(p, "memory"),
-    )
+    full, frame, h2 = model.effective_model(p, "memory")
+    return compare_effective(full, h2, psi0, np.linspace(0.0, 2.0 / p.g, 101), frame=frame)
 
 
 def test_criterion_5_effective_hamiltonian_oracle():

@@ -3,7 +3,8 @@ import pytest
 
 from reslab import model, qmath
 from reslab.errors import RegimeError
-from reslab.lindblad import Harmonic, apply_generator, evolve, steady_state
+from reslab.frames import rotation, to_frame
+from reslab.lindblad import Harmonic, LindbladTerm, apply_generator, evolve, steady_state
 
 
 def dimensionless_params(**overrides):
@@ -386,7 +387,7 @@ class TestProtectedStates:
 
     def test_null_vector_of_transformed_jump(self):
         p = dimensionless_params(phi1=0.3, phi2=0.7)
-        r = model.branch_of(p, "nonadiabatic").frame
+        r = rotation(model.branch_of(p, "nonadiabatic").generators())
         jump = model.sigma(model.up_ket(p.phi1, p.phi), model.down_ket(p.phi1, p.phi))
         for t in np.linspace(0.0, 0.05, 7):
             rt = r(t)
@@ -401,7 +402,7 @@ class TestProtectedStates:
         for chi in (0.0, 1.0, -1.0):
             p = memory_params(chi, phi1=0.4)
             d = model.DerivedMemoryParams.from_params(p)
-            r = model.branch_of(p, "memory").frame
+            r = rotation(model.branch_of(p, "memory").generators())
             jump = model.sigma(
                 model.tilde_plus_ket(d.chi, p.phi1), model.tilde_minus_ket(d.chi, p.phi1)
             )
@@ -464,7 +465,7 @@ class TestDriveInteractionHamiltonian:
     def test_matches_frame_generator(self):
         # i dR/dt R^dag of the composed frame by a central finite difference
         p = dimensionless_params(phi1=0.5, phi2=-0.2)
-        r = model.branch_of(p, "nonadiabatic").frame
+        r = rotation(model.branch_of(p, "nonadiabatic").generators())
         h = model.drive_interaction_hamiltonian(p)
         dt = 1e-7
         for t in (0.0, 0.013, 0.4):
@@ -478,6 +479,33 @@ class TestDriveInteractionHamiltonian:
             psi = model.protected_state_nonadiabatic(p, t)
             e = np.real(np.vdot(psi, h(t) @ psi))
             assert e == pytest.approx(p.omega2 / 2.0, abs=1e-10)
+
+
+class TestDressedFrame:
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_starts_at_the_basis_and_stays_unitary(self, branch):
+        if branch == "nonadiabatic":
+            p = dimensionless_params(phi1=0.4, phi2=1.1)
+        else:
+            p = memory_params(0.8, phi1=0.4)
+        b = model.branch_of(p, branch)
+        assert np.max(np.abs(b.dressed_frame(0.0) - b.basis)) < 1e-15
+        for u in b.dressed_frame(np.linspace(0.0, 0.1, 17)):
+            assert np.max(np.abs(qmath.dag(u) @ u - np.eye(2))) < 1e-13
+
+    def test_memory_frame_omits_the_detuning_rotation(self):
+        # the branch frame is exp(-i delta1 sigma_z t / 2) exp(-i K t), and the
+        # memory Hamiltonian is already written in the first factor's frame
+        p = memory_params(0.8, phi1=0.4)
+        b = model.branch_of(p, "memory")
+        evals, v = np.linalg.eigh(model.memory_generator(p))
+        for t in np.linspace(0.0, 0.05, 7):
+            frame = b.dressed_frame(t)
+            expected = v @ np.diag(np.exp(-1j * evals * t)) @ qmath.dag(v) @ b.basis
+            assert np.max(np.abs(frame - expected)) < 1e-12
+            detuning = np.diag(np.exp([-0.5j * p.delta1 * t, 0.5j * p.delta1 * t]))
+            whole = rotation(b.generators())(t) @ b.basis
+            assert np.max(np.abs(whole - detuning @ frame)) < 1e-12
 
 
 class TestFullSystemMasterEquation:
@@ -500,16 +528,17 @@ class TestFullSystemMasterEquation:
 
     @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
     def test_dressed_decay_jump_matches_conjugated_sampler(self, branch):
-        # independent reference: the frame R(t) conjugating |g><e| directly
+        # independent reference: the frame R(t) conjugating |g><e| directly; the
+        # memory Hamiltonian is already in the frame of the first generator
         rng = np.random.default_rng(7)
         s_ge = model.sigma(model.ket_g(), model.ket_e())
         for phi1, phi2 in ((0.0, 0.0), (0.4, 1.1), (-2.3, 0.6)):
             if branch == "nonadiabatic":
                 p = dimensionless_params(phi1=phi1, phi2=phi2)
-                r = model.branch_of(p, "nonadiabatic").frame
+                r = rotation(model.branch_of(p, "nonadiabatic").generators())
             else:
                 p = memory_params(0.8, phi1=phi1)
-                r = model.branch_of(p, "memory").frame
+                r = rotation(model.branch_of(p, "memory").generators()[1:])
             w = model.branch_of(p, branch).basis
             jump = model.dressed_decay_jump(p, branch)
             for t in rng.uniform(0.0, 0.1, 5):
@@ -537,17 +566,30 @@ class TestFullSystemMasterEquation:
 
     @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
     def test_decay_jump_is_the_dressed_jump_up_to_a_phase(self, branch):
-        # the memory model's frame leaves out exp(-i delta1 sigma_z t / 2), which
-        # turns |g><e| by exp(-i delta1 t): D[.] is the same; delta1 = 0 otherwise
+        # one frame turns both jumps, so the full model's is the dressed one x 1
+        # to the bit
         if branch == "nonadiabatic":
             p = dimensionless_params(phi1=0.3, phi2=-0.8, gamma=0.1)
         else:
             p = memory_params(0.5, phi1=0.3).replace(gamma=0.1)
         me = model.full_system_master_equation(p, branch, include_gamma=True)
         jump = model.dressed_decay_jump(p, branch)
+        eye_f = np.eye(p.n_max + 1)
+        lifted, decay = jump.map(lambda o: np.kron(o, eye_f)), me.terms[1].operator
+        assert np.array_equal(decay.frequencies, lifted.frequencies)
+        assert np.array_equal(decay.matrices, lifted.matrices)
+        # the jump of the whole branch frame, R = rotation(generators()), adds
+        # exp(-i delta1 sigma_z t / 2) on the memory branch, which turns |g><e| by
+        # exp(-i delta1 t): D[.] is the same; delta1 = 0 otherwise
+        b = model.branch_of(p, branch)
+        w = b.basis
+        whole = to_frame(rotation(b.generators()).map(lambda u: u @ w),
+                         model.sigma(model.ket_g(), model.ket_e()))
+        ours, theirs = (LindbladTerm(p.gamma, o).superoperator() for o in (jump, whole))
+        assert np.max(np.abs(ours.mean - theirs.mean)) < 1e-12
         for t in (0.0, 0.013, 0.4):
-            expected = np.exp(1j * p.delta1 * t) * np.kron(jump(t), np.eye(p.n_max + 1))
-            assert np.max(np.abs(me.terms[1].operator_at(t) - expected)) < 1e-12
+            assert np.max(np.abs(jump(t) - np.exp(1j * p.delta1 * t) * whole(t))) < 1e-12
+            assert np.max(np.abs(ours(t) - theirs(t))) < 1e-12
 
     def test_photon_population_small_excitation(self):
         p = dimensionless_params()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,20 @@ class TestRunScenario:
         values = [row[col] for row in result.series_rows]
         expected = [1.0 - 3.0 / 14.0, 83.0 / 86.0, 803.0 / 806.0]
         assert np.allclose(values, expected, atol=1e-12, rtol=0.0)
+
+    def test_sweep_resolves_each_point_once(self, monkeypatch):
+        # the points' runs resolve them; the sweep keeps the first one's record
+        resolve, calls = scenarios.resolve_params, []
+
+        def counting(sc):
+            calls.append(sc.name)
+            return resolve(sc)
+
+        monkeypatch.setattr(scenarios, "resolve_params", counting)
+        sc = parse_config('{"name": "sweep", "sweep_axis": ["gamma", [1.0, 10.0, 100.0]]}')
+        summary = run_scenario(sc).summary
+        assert calls == ["nonadiabatic"] * 3
+        assert summary["resolved_params"] == asdict(resolve(scenarios._points(sc)[0]))
 
     def test_elimination_check_summary(self):
         sc = Scenario(
@@ -759,6 +774,24 @@ class TestCli:
         assert Path(json.loads(ran)["out_dir"]).parts[:2] == ("runs", "nonadiabatic")
         assert cli.main(["validate", cfg]) == 0
         assert capsys.readouterr().out == validated
+
+    def test_outputs_are_strict_json(self, tmp_path, capsys):
+        # a non-finite number is written as null, so parsers that reject NaN
+        # and Infinity read the validate report, the outputs and the verbose line
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
+
+        assert cli.main(["validate", self.write(tmp_path, {"name": "memory"})]) == 0
+        assert strict(capsys.readouterr().out)["ratios"]["omega1_over_omega2"] is None
+        doc = {"name": "nonadiabatic", "params": {"gamma": 0}, "grid": {"n_samples": 50}}
+        cfg = self.write(tmp_path, doc)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "runs"), "--verbose"]) == 0
+        captured = capsys.readouterr()
+        run_dir = Path(json.loads(captured.out)["out_dir"])
+        summary = strict((run_dir / "summary.json").read_text())
+        assert summary["derived"]["rate_ratio"] is None
+        assert strict(captured.err) == summary["derived"]
+        assert strict((run_dir / "resolved_config.json").read_text())["params"]["gamma"] == 0.0
 
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
