@@ -441,8 +441,9 @@ _STEP_NODES = 0.5 + np.array([0.0, -1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 #: bytes of the buffers one block of steps is formed in, which a pass allocates
 #: once and every block reuses: 64 Gauss-Legendre steps of
-#: :func:`frames.schroedinger_evolve` at d = 6, or 18 Magnus steps of the
-#: 36 x 36 real full-model generator
+#: :func:`frames.schroedinger_evolve` at d = 6 (each step's stage matrices,
+#: stage system and step map, 16 d^2 (s + s^2 + 1) bytes at s = 4 stages), or
+#: 17 Magnus steps of the 36 x 36 real full-model generator at its 13 frequencies
 _BLOCK_BYTES = 774_144
 
 

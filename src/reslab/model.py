@@ -54,7 +54,6 @@ __all__ = [
     "memory_generator",
     "build_h1",
     "build_h1_memory",
-    "build_h2",
     "effective_model",
     "dressed_decay_jump",
     "engineered_rate",
@@ -380,11 +379,6 @@ def effective_model(p: ModelParams, branch: str) -> tuple[Harmonic, Harmonic, np
     return h1, frame, 0.5 * (h2 + qmath.dag(h2))
 
 
-def build_h2(p: ModelParams, branch: str) -> np.ndarray:
-    """``H2`` of :func:`effective_model`, in the (protected, pumped) x Fock basis."""
-    return effective_model(p, branch)[2]
-
-
 # --- engineered reservoir, closed forms -------------------------------------
 
 
@@ -548,19 +542,18 @@ def full_system_master_equation(
     branch's full Hamiltonian, cavity decay ``1 x a`` at population rate Gamma
     and, with ``include_gamma``, spontaneous emission ``|g><e| x 1`` at rate
     gamma, as they are (``frame="bare"``) or seen from the frame ``F`` of
-    :func:`effective_model`: :func:`build_h2` and the decay jump
-    ``F^dag (|g><e| x 1) F``, which is :func:`dressed_decay_jump` ``x 1``;
+    :func:`effective_model`: its ``H2`` and, with ``include_gamma``, the decay
+    jump ``F^dag (|g><e| x 1) F``, which is :func:`dressed_decay_jump` ``x 1``;
     ``F`` acts on the two-level factor alone."""
     decay = np.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
     if frame == "bare":
         hamiltonian = branch_of(p, branch).h1()
     elif frame != "dressed-effective":
         raise ValueError(f"unknown frame {frame!r}")
-    elif include_gamma:  # the F that averages H1 into H2 turns the decay jump too
-        _, f, hamiltonian = effective_model(p, branch)
-        decay = to_frame(f, decay)
     else:
-        hamiltonian = build_h2(p, branch)
+        _, f, hamiltonian = effective_model(p, branch)
+        if include_gamma:  # the F that averages H1 into H2 turns the decay jump too
+            decay = to_frame(f, decay)
     terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), qmath.fock_annihilation(p.n_max)))]
     terms += [LindbladTerm(rate=p.gamma, operator=decay)] if include_gamma else []
     return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

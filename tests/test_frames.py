@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.linalg
 
 import reslab
-from reslab import frames, model, qmath
+from reslab import frames, lindblad, model, qmath
 from reslab.errors import IntegrationDivergenceError
 from reslab.frames import compare_effective, rotation, schroedinger_evolve, to_frame
 from reslab.scenarios import Scenario, resolve_params
@@ -235,13 +235,8 @@ def regime_params():
 
 
 def run_h1_h2_comparison(p, enforce=True):
-    h2 = (
-        model.build_h2(p, "nonadiabatic")
-        if enforce
-        else model.build_h2(
-            p.replace(**dict(model.branch_of(p, "nonadiabatic").pins.values())), "nonadiabatic"
-        )
-    )
+    pinned = p.replace(**dict(model.branch_of(p, "nonadiabatic").pins.values()))
+    h2 = model.effective_model(p if enforce else pinned, "nonadiabatic")[2]
     # the dressed frame lifted to the Fock factor, as effective_model lifts it;
     # that builder refuses the violated detuning
     eye_f = np.eye(p.n_max + 1)
@@ -442,11 +437,19 @@ class TestGaussLegendre:
         assert errors[1] > 1e-11  # above the reference's own error
         assert errors[0] / errors[1] >= 200.0
 
-    @pytest.mark.parametrize("substeps", [[1], [63], [64], [65], [40, 90]])
-    def test_propagators_match_the_step_formula(self, substeps):
+    @pytest.mark.parametrize(
+        "substeps",
+        [[1], [63], [64], [65], [40, 90], [1, 3, 4] * 8, [4, 4, 1, 3, 1, 1, 4, 3, 4, 1] * 3],
+    )
+    def test_propagators_match_the_step_formula(self, substeps, monkeypatch):
         # the step written out: I - w [a_ij M_i] assembled and solved for the
-        # stage slopes, then I + w sum_i b_i K_i, applied one step at a time;
-        # block edges fall inside and between the intervals
+        # stage slopes, then I + w sum_i b_i K_i, applied one step at a time, to
+        # the identity and to a ket.  Blocks of 12 steps (16 d^2 (s + s^2 + 1)
+        # bytes each at d = 3, s = 4): their edges fall inside and between the
+        # intervals, the 63-, 64- and 65-step intervals span blocks with no
+        # interval end, and the last blocks are short.  The last two cases mix
+        # the 1-, 3- and 4-step intervals of the effective check
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 12 * 16 * 3**2 * (4 + 4**2 + 1))
         rng = np.random.default_rng(len(substeps) + sum(substeps))
         a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
         nus = [-2.5, -1.0, 0.0, 1.0, 2.5]
@@ -465,6 +468,9 @@ class TestGaussLegendre:
             expected.append(u)
         props = frames._propagators(h, points, np.array(substeps), np.eye(3, dtype=complex))
         assert np.max(np.abs(props - np.array(expected))) <= 1e-13
+        psi = qmath.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
+        kets = frames._propagators(h, points, np.array(substeps), psi)
+        assert np.max(np.abs(kets - np.array(expected) @ psi)) <= 1e-13
 
     def test_propagation_allocates_no_block_temporaries(self):
         # the stage systems and maps are written into buffers allocated once per

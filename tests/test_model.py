@@ -164,24 +164,24 @@ class TestBuildH1:
 class TestBuildH2:
     def test_requires_constraints(self):
         with pytest.raises(RegimeError) as err:
-            model.build_h2(dimensionless_params(delta_a=-19.0), "nonadiabatic")
+            model.effective_model(dimensionless_params(delta_a=-19.0), "nonadiabatic")
         assert not err.value.report.ok
         assert "delta_a_minus_omega2" in str(err.value.report)
 
     def test_spectral_norm_single_excitation(self):
         p = dimensionless_params(n_max=1)
-        h2 = model.build_h2(p, "nonadiabatic")
+        h2 = model.effective_model(p, "nonadiabatic")[2]
         assert np.linalg.norm(h2, 2) == pytest.approx(p.g / 2.0, rel=1e-12)
 
     def test_phase_shift_flips_sign(self):
         p0 = dimensionless_params(n_max=1)
         p1 = p0.replace(phi1=p0.phi1 + np.pi)
-        h0, h1 = model.build_h2(p0, "nonadiabatic"), model.build_h2(p1, "nonadiabatic")
+        h0, h1 = (model.effective_model(q, "nonadiabatic")[2] for q in (p0, p1))
         assert np.max(np.abs(h0 + h1)) < 1e-12
 
     def test_matrix_elements(self):
         p = dimensionless_params(phi1=0.8, n_max=1)
-        h2 = model.build_h2(p, "nonadiabatic")
+        h2 = model.effective_model(p, "nonadiabatic")[2]
         # basis (up, down) x (|0>, |1>): index = 2*tl + fock
         up1, down0 = 1, 2
         assert h2[up1, down0] == pytest.approx(0.5 * p.g * np.exp(1j * p.phi1))
@@ -189,14 +189,15 @@ class TestBuildH2:
 
     def test_memory_coupling_endpoints(self):
         # chi = 0: full coupling; chi = 2: vanishes; chi = -2: doubled
-        h0 = model.build_h2(memory_params(0.0).replace(n_max=1), "memory")
+        h0 = model.effective_model(memory_params(0.0).replace(n_max=1), "memory")[2]
         assert np.linalg.norm(h0, 2) == pytest.approx(0.5, rel=1e-9)
         p2 = model.ModelParams(
             g=1.0, omega1=0.0, omega2=0.0, delta1=200.0, delta_a=-200.0, Gamma=20.0, n_max=1
         )
-        assert np.max(np.abs(model.build_h2(p2, "memory"))) < 1e-12
+        assert np.max(np.abs(model.effective_model(p2, "memory")[2])) < 1e-12
         pm2 = p2.replace(delta1=-200.0)
-        assert np.linalg.norm(model.build_h2(pm2, "memory"), 2) == pytest.approx(1.0, rel=1e-9)
+        h2 = model.effective_model(pm2, "memory")[2]
+        assert np.linalg.norm(h2, 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def h2_closed_form(p, branch):
@@ -231,10 +232,10 @@ def h2_reference_cases():
 class TestH2ClosedForm:
     @pytest.mark.parametrize("branch, p", list(h2_reference_cases()))
     def test_derived_h2_is_the_closed_form(self, branch, p):
-        # build_h2 averages H1 in the branch frame; the closed form is the reference
+        # effective_model averages H1 in the branch frame; the closed form is the reference
         expected = h2_closed_form(p, branch)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(model.build_h2(p, branch) - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(model.effective_model(p, branch)[2] - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("g", [1e2, 1e3])
     @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
