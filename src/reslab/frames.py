@@ -15,26 +15,23 @@ sums with commensurate frequencies, so they repeat with a period ``T``
 integrates the propagator over one period only and advances whole periods
 by powers of the one-period map ``U(T)`` (Floquet theory; Grifoni &
 Haenggi, Phys. Rep. 304, 229 (1998)).  Its steps are the eighth-order,
-unitary 4-stage Gauss-Legendre collocation maps, halved by the loop of
-:func:`~reslab.lindblad.evolve` (``lindblad._refine``) until the Richardson
-estimate of the error meets the tolerance, and it returns the record that
-``evolve`` returns, a :class:`~reslab.lindblad.Trajectory`.
+unitary 4-stage Gauss-Legendre collocation maps, halved by the driver
+that :func:`~reslab.lindblad.evolve` shares (``lindblad._refine``) until
+the Richardson estimate of the error meets the tolerance, and it returns the
+record that ``evolve`` returns, a :class:`~reslab.lindblad.Trajectory`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qmath
-from .lindblad import Harmonic, Trajectory, _as_harmonic, _block_rows, _check_operator, _counts
-from .lindblad import _refine, _span_states, _split, _step_layout, _time_grid
+from .lindblad import Harmonic, Trajectory, _as_harmonic, _block_rows, _check_operator
+from .lindblad import _refine, _span_states, _step_layout, _time_grid
 
 __all__ = [
     "rotation",
     "to_frame",
-    "EffectiveComparison",
     "compare_effective",
     "schroedinger_evolve",
 ]
@@ -202,41 +199,24 @@ def schroedinger_evolve(
     h = _as_harmonic(hamiltonian)
     times = _time_grid(times)
     psi0 = qmath.as_ket(psi0)
-    whole, points, where = _split(h, times)  # points 0, ..., S
     rate = np.max(np.abs(h.frequencies)) + np.sum(np.linalg.norm(h.matrices, 2, axis=(1, 2)))
-    substeps = _counts(np.maximum(1.0, np.ceil(_STEP_SCALE * np.diff(points) * rate)))
 
-    def run(counts):
+    def run(split, counts):  # split: what lindblad._split returns for times
+        whole, points, where = split
         return _span_states(lambda u: _propagators(h, points, counts, u), whole, where, psi0)
 
     def richardson(fine, coarse):
         return float(np.max(np.abs(fine - coarse))) / (2**_GL_ORDER - 1)
 
-    refined = _refine(run, substeps, richardson, tol)
-    period = float(points[-1]) if whole[-1] > 0 else None
-    return Trajectory(times, *refined, tol, "gauss-legendre-4", period, int(whole[-1]))
+    return _refine(h, times, _STEP_SCALE * rate, run, richardson, tol, "gauss-legendre-4")
 
 
-@dataclass(frozen=True)
-class EffectiveComparison:
-    """Fidelity record of a full-model versus effective-model evolution:
-    the full model's :func:`schroedinger_evolve` ``trajectory`` and the
-    fidelity at each of its times."""
-
-    trajectory: Trajectory
-    fidelity_series: np.ndarray
-
-    @property
-    def worst_fidelity(self) -> float:
-        return float(np.min(self.fidelity_series))
-
-
-def compare_effective(
-    full, effective, psi0, times, *, frame: Harmonic | None = None
-) -> EffectiveComparison:
+def compare_effective(full, effective, psi0, times, *, frame) -> tuple[Trajectory, np.ndarray]:
     """Evolve ``psi0`` under a full (possibly time-dependent) Hamiltonian and
     under a static effective one and record ``|<psi_full|psi_eff>|^2`` on the
-    grid ``times``, which must start at 0 and increase strictly.
+    grid ``times``, which must start at 0 and increase strictly.  Returns the
+    full model's :func:`schroedinger_evolve` trajectory and the fidelity at
+    each of its times.
 
     ``psi0`` is given in full-frame coordinates.  ``frame`` is the unitary
     ``R(t)`` (a :class:`Harmonic` or a static matrix) that maps
@@ -251,9 +231,9 @@ def compare_effective(
 
     h_eff = qmath.as_operator(effective)
     w, v = np.linalg.eigh(0.5 * (h_eff + qmath.dag(h_eff)))
-    rs = _as_harmonic(np.eye(psi0.size) if frame is None else frame)(times)
+    rs = _as_harmonic(frame)(times)
     coeff = qmath.dag(v) @ (qmath.dag(rs[0]) @ psi0)
     eff_states = (np.exp(-1j * np.multiply.outer(times, w)) * coeff) @ v.T
     eff_states = np.einsum("nij,nj->ni", rs, eff_states)
     fids = np.abs(np.einsum("ni,ni->n", traj.states.conj(), eff_states)) ** 2
-    return EffectiveComparison(trajectory=traj, fidelity_series=fids)
+    return traj, fids

@@ -125,11 +125,9 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if dim is None:
-        dim = round(math.isqrt(v.size))
-    return v.reshape((dim, dim), order="F")
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim x dim`` matrix whose :func:`vec` is ``v``."""
+    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -767,26 +765,31 @@ _FIRST_STEP_NORM = 0.25
 _MAX_REFINEMENTS = 12
 
 
-def _refine(run, counts, estimate, tol, settled=lambda fine, coarse: True):
-    """The step-doubling policy of both integrators: ``run(counts)`` once,
-    then again with every count doubled until ``estimate(fine, coarse)`` is
-    at most ``tol`` and ``settled(fine, coarse)`` holds, at most
-    ``_MAX_REFINEMENTS`` times.  Returns the last pass's ``(states, counts,
-    refinements, estimate)``, the leading fields of its :class:`Trajectory`.
-    Raises :class:`IntegrationDivergenceError` when that estimate exceeds
-    ``tol``; a last pass that fails the caller's own check is the caller's
-    to report."""
-    coarse = run(counts)
+def _refine(h: Harmonic, times, rate, run, estimate, tol, method, settled=lambda fine, coarse: True):
+    """The step-doubling driver of both integrators, over the span of ``h``
+    that :func:`_split` cuts from ``times``: each interval ``dt`` between its
+    points starts at ``max(1, ceil(rate dt))`` steps, and ``run(split,
+    counts)`` runs once, then again with every count doubled until
+    ``estimate(fine, coarse)`` is at most ``tol`` and ``settled(fine,
+    coarse)`` holds, at most ``_MAX_REFINEMENTS`` times.  Returns the last
+    pass's :class:`Trajectory`, its states and record.  Raises
+    :class:`IntegrationDivergenceError` when that estimate exceeds ``tol`` or
+    a first count has no int; a last pass that fails the caller's own check
+    is the caller's to report."""
+    split = whole, points, _ = _split(h, times)
+    counts = _counts(np.maximum(1.0, np.ceil(rate * np.diff(points))))
+    coarse = run(split, counts)
     for refinements in range(1, _MAX_REFINEMENTS + 1):
         counts = counts * 2
-        fine = run(counts)
+        fine = run(split, counts)
         achieved = estimate(fine, coarse)
         if achieved <= tol and settled(fine, coarse):
             break
         coarse = fine
     if not achieved <= tol:
         raise IntegrationDivergenceError(achieved, tol)
-    return fine, counts, refinements, achieved
+    period = float(points[-1]) if whole[-1] > 0 else None
+    return Trajectory(times, fine, counts, refinements, achieved, tol, method, period, int(whole[-1]))
 
 
 def _counts(x) -> np.ndarray:
@@ -879,18 +882,16 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     if not fastest:  # exact maps: one pass, nothing to refine
         traj = Trajectory(times, _integrate(me, rho0, times), np.ones(times.size - 1, int), tol=tol)
     else:
-        split = whole, points, _ = _split(me.liouvillian, times)
-        rate = min(fastest / 2.0, me._real_liouvillian.norm_bound / _FIRST_STEP_NORM)
-        substeps = _counts(np.maximum(1.0, np.ceil(rate * np.diff(points))))
-        refined = _refine(
-            lambda counts: _integrate(me, rho0, times, split, counts),
-            substeps,
+        traj = _refine(
+            me.liouvillian,
+            times,
+            min(fastest / 2.0, me._real_liouvillian.norm_bound / _FIRST_STEP_NORM),
+            lambda split, counts: _integrate(me, rho0, times, split, counts),
             lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
             tol,
+            method,
             settled,
         )
-        period = float(points[-1]) if whole[-1] > 0 else None
-        traj = Trajectory(times, *refined, tol, method, period, int(whole[-1]))
     trace_drift = drift(traj.states)
     if not trace_drift <= 1e-9:
         raise IntegrationDivergenceError(trace_drift, 1e-9, f"the trace drifted by {trace_drift:.3e}")

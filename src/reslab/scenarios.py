@@ -244,7 +244,8 @@ def parse_config(text: str) -> Scenario:
 
 
 def resolve_params(sc: Scenario) -> model.ModelParams:
-    """Fill defaults and branch resonance conditions around the overrides.
+    """Fill defaults and branch resonance conditions around the overrides of
+    one run: a scenario other than a sweep, or a sweep point.
 
     Detunings not explicitly set follow the branch constraints of the
     scenario (delta1 = 0, delta2 = -2 omega1, delta_a = -omega2 for the
@@ -256,11 +257,8 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
 
     Parameters the scenario divides by must be positive; a zero raises
     :class:`ConfigError`, and so does an engineered rate that is not finite,
-    or that underflows to zero where the scenario needs ``g > 0``.  A sweep
-    is checked at every point and resolves to its first point.
+    or that underflows to zero where the scenario needs ``g > 0``.
     """
-    if sc.name == "sweep":
-        return [resolve_params(point) for point in _points(sc)][0]
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
     branch = _branch_for(sc)
@@ -311,12 +309,11 @@ def _grid(sc: Scenario, default_t_end: float, default_n: int) -> np.ndarray:
 
 def _integrator_stats(traj: Trajectory) -> dict:
     """The ``integrator`` block of every summary whose run integrates."""
-    substeps = traj.substeps if traj.substeps is not None else np.zeros(1, dtype=int)
     return {
         "method": traj.method,
         "refinements": traj.refinements,
-        "max_substeps_per_interval": int(np.max(substeps)),
-        "steps": int(np.sum(substeps)),
+        "max_substeps_per_interval": int(np.max(traj.substeps)),
+        "steps": int(np.sum(traj.substeps)),
         "achieved_residual": traj.achieved,
         "tol": traj.tol,
         "period": traj.period,
@@ -432,19 +429,19 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     full, frame, h2 = model.effective_model(p, branch)
     psi0 = np.kron(b.kets()[b.start], qmath.basis_ket(p.n_max + 1, 0))
     times = _grid(sc, 2.0 / max(p.g, 1e-300), 201)
-    comp = compare_effective(full, h2, psi0, times, frame=frame)
+    traj, fidelities = compare_effective(full, h2, psi0, times, frame=frame)
 
     report = model.check_regime(p, branch)
     derived = {
         "branch": branch,
-        "worst_fidelity": comp.worst_fidelity,
+        "worst_fidelity": float(np.min(fidelities)),
         "regime_ok": report.ok,
         **{f"ratio_{k}": v for k, v in report.ratios.items()},
         **{key: sc.options.get(key, default) for key, default in b.check_options.items()},
     }
     header = ["t", "fidelity"]
-    rows = np.column_stack([comp.trajectory.times, comp.fidelity_series]).tolist()
-    return _result(sc, p, derived, header, rows, integrator=_integrator_stats(comp.trajectory))
+    rows = np.column_stack([traj.times, fidelities]).tolist()
+    return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
 def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reslab
 from reslab import lindblad, model, qmath
-from reslab.errors import IntegrationDivergenceError, NotHermitianError
+from reslab.errors import IntegrationDivergenceError, NotHermitianError, SteadyStateError
 from reslab.frames import compare_effective, schroedinger_evolve
 from reslab.lindblad import (
     Harmonic,
@@ -1075,6 +1075,12 @@ class TestSteadyState:
         rho0 = qmath.projector(np.kron(qmath.basis_ket(2, 1), qmath.basis_ket(p.n_max + 1, 0)))
         final = evolve(me, rho0, [0.0, 100.0 / model.engineered_rate(p)]).final
         assert np.max(np.abs(final - rho)) <= 1e-12
+
+    def test_generator_without_a_null_vector_raises(self):
+        # -0.1 I damps every state, the trace included: no singular value is null
+        me = MasterEquation(dim=2, extra_generator=-0.1 * np.eye(4))
+        with pytest.raises(SteadyStateError, match="no null singular value found"):
+            steady_state(me)
 
     def test_rejects_non_hermiticity_preserving_generator(self):
         # the static generator that evolve admits on its exact expm path

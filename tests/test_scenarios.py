@@ -270,8 +270,8 @@ class TestRunScenario:
         }
         assert {key: set(block) for key, block in blocks.items()} == dict.fromkeys(cases, keys)
         assert len(comparisons) == 2
-        for key, comp in zip(("nonadiabatic check", "memory check"), comparisons):
-            traj, block = comp.trajectory, blocks[key]
+        for key, (traj, _) in zip(("nonadiabatic check", "memory check"), comparisons):
+            block = blocks[key]
             assert traj.period is not None
             assert (block["steps"], block["refinements"], block["period"]) == (
                 int(np.sum(traj.substeps)),
@@ -506,6 +506,10 @@ class TestCli:
                  "sweep_axis": ["n_max", [2, 1e6]]},
                 ["sweep_axis", 1, 1],
             ),
+            # a value that is no number; a bool is an int to Python, and no parameter takes one
+            ({"name": "nonadiabatic", "params": {"g": "1e5"}}, ["params", "g"]),
+            ({"name": "memory", "params": {"gamma": True}}, ["params", "gamma"]),
+            ({"name": "sweep", "sweep_axis": ["g", [1e5, "1e5"]]}, ["sweep_axis", 1, 1]),
         ],
     )
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, path):
