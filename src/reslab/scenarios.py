@@ -302,6 +302,9 @@ def _branch_for(sc: Scenario) -> str:
 
 
 def _grid(sc: Scenario, default_t_end: float, default_n: int) -> np.ndarray:
+    if sc.grid.t_end is None and not 0.0 < default_t_end < math.inf:
+        message = f"the default t_end {default_t_end} is not a finite positive time: set grid.t_end"
+        raise ConfigError(message, ("grid", "t_end"))
     t_end = sc.grid.t_end if sc.grid.t_end is not None else default_t_end
     n = sc.grid.n_samples if sc.grid.n_samples is not None else default_n
     return np.linspace(0.0, t_end, n)
@@ -585,7 +588,8 @@ def run_scenario(
     """Execute a validated scenario; optionally persist the outputs.
 
     Outputs land in ``<out_dir>/<scenario>/<timestamp>/`` as
-    ``summary.json``, ``series.csv`` and ``resolved_config.json``.
+    ``summary.json``, ``series.csv`` and ``resolved_config.json``; an
+    ``OSError`` while writing them is raised as a :class:`ConfigError`.
     """
     start = time.perf_counter()
     if sc.name == "sweep":
@@ -596,7 +600,10 @@ def run_scenario(
     if verbose:
         print(_strict_json(result.summary["derived"]), file=sys.stderr)
     if out_dir is not None:
-        result.out_dir = write_outputs(Path(out_dir), sc.name, result)
+        try:
+            result.out_dir = write_outputs(Path(out_dir), sc.name, result)
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
     return result
 
 

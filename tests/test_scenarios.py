@@ -665,6 +665,39 @@ class TestCli:
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["run", "/nonexistent/config.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # pi / omega1, 3 pi / omega1 and 5 / rate at a rate of 1e-320 are inf
+            {"name": "phase-cycle", "params": {"omega1": 1e-320}},
+            {"name": "interferometer", "params": {"omega1": 1e-320}},
+            {
+                "name": "elimination-check",
+                "params": {"g": 1e-160, "Gamma": 1.0, "omega2": 1e-150, "omega1": 2e-149},
+            },
+        ],
+        ids=["phase-cycle", "interferometer", "elimination-check"],
+    )
+    def test_non_finite_default_horizon_is_config_error(self, tmp_path, capsys, doc):
+        code = cli.main(["run", self.write(tmp_path, doc), "--out", str(tmp_path / "runs")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["path"] == ["grid", "t_end"]
+        assert "grid.t_end" in payload["error"]["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_set_horizon_runs_where_the_default_is_not_finite(self, tmp_path, capsys):
+        doc = {"name": "phase-cycle", "params": {"omega1": 1e-320}, "grid": {"t_end": 1.0}}
+        assert cli.main(["run", self.write(tmp_path, doc), "--out", str(tmp_path / "runs")]) == 0
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = self.write(tmp_path, {"name": "phase-cycle", "grid": {"n_samples": 33}})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "file" / "sub")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith("cannot write outputs: ")
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("params", [[1], "omega1", 3.5, 0, False, ""])
     def test_non_object_params_is_config_error(self, tmp_path, capsys, command, params):
