@@ -85,7 +85,7 @@ def run_interferometer(
     if include_tl_decay:
         decay = model.dressed_decay_jump(p, "nonadiabatic")
         # auxiliary row and column identically zero
-        decay = decay.map(lambda o: np.pad(o, ((1, 0), (1, 0))))
+        decay = decay.map(lambda o: np.pad(o, ((0, 0), (1, 0), (1, 0))))
         terms.append(LindbladTerm(rate=p.gamma, operator=decay))
 
     me = MasterEquation(dim=3, hamiltonian=None, terms=tuple(terms))

@@ -125,8 +125,9 @@ class Harmonic:
     those that close to 0 are 0, and so are sums that cancel up to rounding.
     When they are commensurate, ``O`` repeats with :attr:`period`.
 
-    Arrays that need no sorting or merging are stored without a copy, so
-    they must not be changed after the harmonic is built."""
+    A single component, or frequencies already ascending and distinct, skip
+    the sort and the merge, and complex matrices are then stored without a
+    copy, so they must not be changed after the harmonic is built."""
 
     frequencies: np.ndarray
     matrices: np.ndarray
@@ -136,16 +137,18 @@ class Harmonic:
         mats = np.asarray(self.matrices, dtype=complex)
         if nu.ndim != 1 or nu.size == 0 or mats.shape != (nu.size, *mats.shape[-2:]):
             raise DimensionMismatchError(f"{nu.shape} frequencies, matrices {mats.shape}")
-        tol = FREQUENCY_RTOL * np.max(np.abs(nu))
-        nu = np.where(np.abs(nu) <= tol, 0.0, nu)
-        # the stack is copied only to sort it and to merge it, and only if needed
-        if np.any(np.diff(nu) < 0.0):
-            order = np.argsort(nu, kind="stable")
-            nu, mats = nu[order], mats[order]
-        starts = np.flatnonzero(np.diff(nu, prepend=-np.inf) > tol)
-        if starts.size < nu.size:
-            counts = np.diff(starts, append=nu.size)
-            nu, mats = np.add.reduceat(nu, starts) / counts, np.add.reduceat(mats, starts, axis=0)
+        magnitudes = np.abs(nu)
+        tol = FREQUENCY_RTOL * magnitudes.max()
+        nu = np.where(magnitudes <= tol, 0.0, nu)
+        if nu.size > 1:
+            if (nu[1:] < nu[:-1]).any():
+                order = np.argsort(nu, kind="stable")
+                nu, mats = nu[order], mats[order]
+            gaps = nu[1:] - nu[:-1] > tol
+            if not gaps.all():
+                starts = np.flatnonzero(np.concatenate([[True], gaps]))
+                counts = np.diff(starts, append=nu.size)
+                nu, mats = np.add.reduceat(nu, starts) / counts, np.add.reduceat(mats, starts, axis=0)
         object.__setattr__(self, "frequencies", nu)
         object.__setattr__(self, "matrices", mats)
 
@@ -187,8 +190,9 @@ class Harmonic:
         return self.matrices[zero[0]] if zero.size else np.zeros_like(self.matrices[0])
 
     def map(self, f) -> "Harmonic":
-        """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``."""
-        return Harmonic(self.frequencies, [f(a) for a in self.matrices])
+        """The harmonic ``sum_k exp(-i nu_k t) f(A_k)`` for a linear map ``f``
+        that acts matrix by matrix on the stack of components it is given."""
+        return Harmonic(self.frequencies, f(self.matrices))
 
 
 def _as_harmonic(op) -> Harmonic:
@@ -200,16 +204,19 @@ def _check_operator(op, what: str) -> None:
         raise TypeError(f"{what} must be a static matrix or a Harmonic, got {type(op).__name__}")
 
 
+@functools.cache
 def _hermitian_basis(dim: int) -> np.ndarray:
     """The unitary ``B`` whose rows are ``vec(E_a)^dag`` for the orthonormal
     Hermitian basis ``|i><i|``, ``(|i><j| + |j><i|)/sqrt 2`` and
     ``i (|i><j| - |j><i|)/sqrt 2`` (``i < j``): ``B vec(rho)`` is real for
-    every Hermitian ``rho``."""
+    every Hermitian ``rho``.  Built once per dimension, shared and read-only."""
     eye = np.eye(dim * dim)
     i, j = np.triu_indices(dim, 1)
     ij, ji = eye[i + dim * j], eye[j + dim * i]  # vec(|i><j|), vec(|j><i|)
     root2 = math.sqrt(2.0)
-    return np.concatenate([eye[:: dim + 1], (ij + ji) / root2, -1j * (ij - ji) / root2])
+    basis = np.concatenate([eye[:: dim + 1], (ij + ji) / root2, -1j * (ij - ji) / root2])
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +280,7 @@ class LindbladTerm:
     def superoperator(self) -> Harmonic:
         """``D[O(t)]`` as a harmonic sum of ``dim^2 x dim^2`` superoperators: the
         pair ``(A_k, A_l)`` of components enters at ``nu_k - nu_l``, added into
-        one matrix per merged frequency as it is built."""
+        one matrix per merged frequency, the pairs of one ``A_k`` built at once."""
         op = _as_harmonic(self.operator)
         nus = np.subtract.outer(op.frequencies, op.frequencies)
         # merged as a harmonic, the unit vectors e_kl mark the pairs of each frequency
@@ -281,8 +288,9 @@ class LindbladTerm:
         slots = np.argmax(np.abs(groups.matrices[:, 0, :]), axis=0).reshape(nus.shape)
         d = op.matrices.shape[-1]
         out = np.zeros((groups.frequencies.size, d * d, d * d), dtype=complex)
-        for (k, l), slot in np.ndenumerate(slots):
-            out[slot] += _pair_dissipator(op.matrices[k], op.matrices[l], 0.5 * self.rate)
+        for k, a in enumerate(op.matrices):
+            for slot, pair in zip(slots[k], _pair_dissipator(a, op.matrices, 0.5 * self.rate)):
+                out[slot] += pair
         return Harmonic(groups.frequencies, out)
 
 
@@ -323,24 +331,26 @@ class MasterEquation:
         The Hamiltonian's shape and Hermiticity are checked here."""
         d = self.dim
         eye = np.eye(d)
-        parts = [Harmonic([0.0], [np.zeros((d * d, d * d))])]
+        parts = [(np.zeros(1), np.zeros((1, d * d, d * d), dtype=complex))]
         if self.hamiltonian is not None:
             h = _as_harmonic(self.hamiltonian)
             if h.matrices.shape[1:] != (d, d):
                 raise DimensionMismatchError(f"hamiltonian shape {h.matrices.shape} != dim {d}")
             # Hermitian at every t exactly when the component at -nu is the
             # adjoint of the one at nu; a static H is the nu = 0 case
-            adjoint = h.matrices.conj().transpose(0, 2, 1)
-            gap = Harmonic([*h.frequencies, *-h.frequencies], [*h.matrices, *-adjoint])
-            defect = float(np.max(np.abs(gap.matrices)))
-            if defect > max(1e-10, 1e-12 * float(np.max(np.abs(h.matrices)))):
+            mirrored = np.concatenate([h.frequencies, -h.frequencies])
+            gap = Harmonic(mirrored, np.concatenate([h.matrices, -qmath.dag(h.matrices)]))
+            defect = float(np.abs(gap.matrices).max())
+            if defect > max(1e-10, 1e-12 * float(np.abs(h.matrices).max())):
                 raise NotHermitianError(defect, "hamiltonian is not Hermitian: H(-nu) != H(nu)^dag")
-            parts.append(h.map(lambda a: -1j * (np.kron(eye, a) - np.kron(a.T, eye))))
-        parts += [term.superoperator() for term in self.terms if term.rate != 0.0]
+            commutator = qmath.kron(eye, h.matrices) - qmath.kron(h.matrices.mT, eye)
+            parts.append((h.frequencies, -1j * commutator))
+        dissipators = [term.superoperator() for term in self.terms if term.rate != 0.0]
+        parts += [(dissipator.frequencies, dissipator.matrices) for dissipator in dissipators]
         if self.extra_generator is not None:
-            parts.append(Harmonic([0.0], [self.extra_generator]))
-        nus = np.concatenate([p.frequencies for p in parts])
-        return Harmonic(nus, np.concatenate([p.matrices for p in parts]))
+            parts.append((np.zeros(1), self.extra_generator[None]))
+        nus, mats = zip(*parts)
+        return Harmonic(np.concatenate(nus), np.concatenate(mats))
 
     @functools.cached_property
     def _real_liouvillian(self) -> _RealGenerator:
@@ -358,8 +368,8 @@ class MasterEquation:
         r = np.where(below, r.conj(), r)
         gap = Harmonic(np.abs(L.frequencies), np.where(below, -r, r))
         gap.matrices[0] = gap.matrices[0].imag  # the smallest |nu| is 0: R_0 must be real
-        defect = float(np.max(np.abs(gap.matrices)))
-        if defect > max(1e-10, 1e-12 * float(np.max(np.abs(L.matrices)))):
+        defect = float(np.abs(gap.matrices).max())
+        if defect > max(1e-10, 1e-12 * float(np.abs(L.matrices).max())):
             raise NotHermitianError(
                 defect, "the Liouvillian does not preserve Hermiticity: R(-nu) != conj(R(nu))"
             )
@@ -403,10 +413,11 @@ class SteadyStateInfo:
 
 def _pair_dissipator(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     """Superoperator of ``scale * (2 A . B^dag - B^dag A . - . B^dag A)``, the
-    ``(A, B)`` pair term of a dissipator; ``A = B = O`` gives ``D[O]``."""
-    eye = np.eye(a.shape[0])
+    ``(A, B)`` pair term of a dissipator, for a matrix ``A`` and a matrix or a
+    stack of them ``B``; ``A = B = O`` gives ``D[O]``."""
+    eye = np.eye(a.shape[-1])
     bda = qmath.dag(b) @ a
-    return scale * (2.0 * np.kron(b.conj(), a) - np.kron(eye, bda) - np.kron(bda.T, eye))
+    return scale * (2.0 * qmath.kron(b.conj(), a) - qmath.kron(eye, bda) - qmath.kron(bda.mT, eye))
 
 
 def liouvillian_matrix(me: MasterEquation, t: float = 0.0) -> np.ndarray:
@@ -487,11 +498,11 @@ def _exp_action(omegas: np.ndarray, v: np.ndarray, norms=None, terms=None, ends=
     products) and applied by one product; :func:`_expm` takes its own series
     from this kernel, on the identity."""
     if norms is None:
-        norms = np.max(np.sum(np.abs(omegas), axis=-2), axis=-1)
+        norms = np.abs(omegas).sum(axis=-2).max(axis=-1)
     index = np.searchsorted(_TAYLOR_THETA, norms).tolist()
     v = np.array(v, dtype=np.result_type(omegas, v))  # the carried operand
     if terms is None:
-        terms = np.empty((_taylor_top(np.max(norms)) + 1, *v.shape), dtype=v.dtype)
+        terms = np.empty((_taylor_top(max(norms)) + 1, *v.shape), dtype=v.dtype)
     flat, rows, plans = v.reshape(-1), list(terms), {}
     for i in set(index) - {_TAYLOR_DEGREES.size}:
         m = int(_TAYLOR_DEGREES[i])
@@ -520,9 +531,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     to 40-digit references on 24 random real Liouvillians at 1-norms 10 and
     1000 (worst relative errors 4.3e-16, 3.1e-14) and 8 at 300 (1.1e-14
     against 1.5e-14).  ``||a||_1`` must be below ``2^55``: ``j >= 54``
-    squarings would amplify the series' rounding past every digit."""
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    j = max(0, int(np.frexp(norm)[1]) - 2)
+    squarings would amplify the series' rounding past every digit, and a
+    larger or non-finite one raises :class:`IntegrationDivergenceError`."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    _check_exponent_norm(norm)
+    j = max(0, math.frexp(norm)[1] - 2)
     x = _exp_action(a[None] / 2.0**j, np.eye(a.shape[0]), [norm / 2.0**j])
     for _ in range(j):
         x = x @ x
@@ -695,18 +708,18 @@ def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np
     R, d = me._real_liouvillian, me.dim
     # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
     x0 = (R.basis @ vec(rho0)).real
-    if not np.any(R.frequencies):
-        dts = np.diff(times)
+    if not R.frequencies.any():
+        dts = times[1:] - times[:-1]
         # interval lengths equal up to rounding (a linspace grid) share one map, which
         # spans their mean length so that no run's time error grows along it
         keys = np.rint(dts / times[-1] * 1e12)
         _, which = np.unique(keys, return_inverse=True)
         lengths = np.bincount(which, weights=dts) / np.bincount(which)
-        _check_exponent_norm(float(np.max(lengths)) * float(np.linalg.norm(R.matrices[0], 1)))
-        maps = [_expm(dt * R.matrices[0]) for dt in lengths]
+        _check_exponent_norm(float(lengths.max()) * float(np.abs(R.matrices[0]).sum(axis=0).max()))
+        maps = [_expm(dt * R.matrices[0]) for dt in lengths.tolist()]
         xs = np.empty((times.size, x0.size))
         xs[0] = x0
-        starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
+        starts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()]
         for start, stop in zip(starts, [*starts[1:], dts.size]):
             powers = [maps[which[start]]]  # M, ..., M^b with b = ceil(sqrt(run length))
             while len(powers) ** 2 < stop - start:
@@ -779,7 +792,7 @@ def _time_grid(t_grid) -> np.ndarray:
         raise ValueError("the time grid must be a non-empty 1-d array of times")
     if abs(times[0]) > 0.0:
         raise ValueError(f"the time grid must start at 0, got {times[0]}")
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
+    if (times[1:] <= times[:-1]).any():
         raise ValueError("the time grid must be strictly increasing")
     return times
 
@@ -833,16 +846,16 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (me.dim, me.dim):
         raise DimensionMismatchError(f"rho0 shape {rho0.shape} != dim {me.dim}")
-    defects = qmath.density_matrix_defects(rho0)
-    if defects["trace_deviation"] > 1e-9 or defects["hermiticity_defect"] > 1e-10:
-        raise ValueError(f"rho0 is not a valid density matrix: {defects}")
-    fastest = float(np.max(np.abs(me.liouvillian.frequencies)))
+    trace0 = np.trace(rho0)
+    if abs(trace0 - 1.0) > 1e-9 or qmath.hermitian_defect(rho0) > 1e-10:
+        raise ValueError(f"rho0 is not a valid density matrix: {qmath.density_matrix_defects(rho0)}")
+    fastest = float(np.abs(me.liouvillian.frequencies).max())
     method = "magnus-4" if fastest else "expm"
     if times.size == 1:
         return Trajectory(times, rho0[None].copy(), tol=tol, method=method)
 
     def drift(states):
-        return float(np.max(np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))))
+        return float(np.abs(np.einsum("nii->n", states) - trace0).max())
 
     def settled(fine, coarse):
         # the trace holds, or a doubling moved its drift by under 1e-3 of it:
@@ -886,7 +899,7 @@ def steady_state(me: MasterEquation) -> tuple[np.ndarray, SteadyStateInfo]:
     NotHermitianError
         If the generator does not preserve Hermiticity.
     """
-    if np.any(me.liouvillian.frequencies):
+    if me.liouvillian.frequencies.any():
         raise ValueError("steady_state requires a time-independent master equation")
     d, R = me.dim, me._real_liouvillian
     r = R.matrices[0] / max(1.0, float(np.max(np.abs(R.matrices[0]))))

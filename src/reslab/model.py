@@ -345,9 +345,9 @@ def build_h1(p: ModelParams) -> Harmonic:
     seg = sigma(ket_e(), ket_g())
     nus = [p.delta_a, p.delta1, p.delta2]
     uppers = [
-        p.g * np.kron(seg, qmath.fock_annihilation(p.n_max)),
-        p.omega1 * np.exp(1j * p.phi1) * np.kron(seg, eye_f),
-        p.omega2 * np.exp(1j * p.phi2) * np.kron(seg, eye_f),
+        p.g * qmath.kron(seg, qmath.fock_annihilation(p.n_max)),
+        p.omega1 * np.exp(1j * p.phi1) * qmath.kron(seg, eye_f),
+        p.omega2 * np.exp(1j * p.phi2) * qmath.kron(seg, eye_f),
     ]
     return Harmonic(nus + [-nu for nu in nus], uppers + [qmath.dag(u) for u in uppers])
 
@@ -357,10 +357,10 @@ def build_h1_memory(p: ModelParams) -> Harmonic:
     static: ``delta1 sigma_z/2 + omega1 (e^{i phi1}|e><g| + h.c.)
     + (g e^{-i delta_a t} a |e><g| + h.c.)``."""
     eye_f = np.eye(p.n_max + 1)
-    upper = p.g * np.kron(sigma(ket_e(), ket_g()), qmath.fock_annihilation(p.n_max))
+    upper = p.g * qmath.kron(sigma(ket_e(), ket_g()), qmath.fock_annihilation(p.n_max))
     return Harmonic(
         [0.0, p.delta_a, -p.delta_a],
-        [np.kron(memory_generator(p), eye_f), upper, qmath.dag(upper)],
+        [qmath.kron(memory_generator(p), eye_f), upper, qmath.dag(upper)],
     )
 
 
@@ -374,7 +374,7 @@ def effective_model(p: ModelParams, branch: str) -> tuple[Harmonic, Harmonic, np
     the branch's resonances."""
     require_regime(p, branch)
     b, eye_f = branch_of(p, branch), np.eye(p.n_max + 1)
-    h1, frame = b.h1(), b.dressed_frame.map(lambda m: np.kron(m, eye_f))
+    h1, frame = b.h1(), b.dressed_frame.map(lambda m: qmath.kron(m, eye_f))
     h2 = to_frame(frame, h1, hamiltonian=True).mean
     return h1, frame, 0.5 * (h2 + qmath.dag(h2))
 
@@ -545,7 +545,7 @@ def full_system_master_equation(
     :func:`effective_model`: its ``H2`` and, with ``include_gamma``, the decay
     jump ``F^dag (|g><e| x 1) F``, which is :func:`dressed_decay_jump` ``x 1``;
     ``F`` acts on the two-level factor alone."""
-    decay = np.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
+    decay = qmath.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
     if frame == "bare":
         hamiltonian = branch_of(p, branch).h1()
     elif frame != "dressed-effective":
@@ -554,6 +554,6 @@ def full_system_master_equation(
         _, f, hamiltonian = effective_model(p, branch)
         if include_gamma:  # the F that averages H1 into H2 turns the decay jump too
             decay = to_frame(f, decay)
-    terms = [LindbladTerm(rate=p.Gamma, operator=np.kron(np.eye(2), qmath.fock_annihilation(p.n_max)))]
+    terms = [LindbladTerm(rate=p.Gamma, operator=qmath.kron(np.eye(2), qmath.fock_annihilation(p.n_max)))]
     terms += [LindbladTerm(rate=p.gamma, operator=decay)] if include_gamma else []
     return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -558,7 +558,7 @@ def _run_sweep(sc: Scenario) -> ScenarioResult:
 def _result(sc, p, derived, header, rows, integrator=None) -> ScenarioResult:
     resolved = {
         "name": sc.name,
-        "params": asdict(p),
+        "params": dict(vars(p)),
         "grid": {"t_end": sc.grid.t_end, "n_samples": sc.grid.n_samples},
         "options": dict(sc.options),
         "unit_scale": sc.unit_scale,
@@ -569,7 +569,7 @@ def _result(sc, p, derived, header, rows, integrator=None) -> ScenarioResult:
         "schema": SCHEMA_VERSION,
         "scenario": sc.name,
         "series_schema": f"{sc.name}/v1",
-        "resolved_params": asdict(p),
+        "resolved_params": dict(vars(p)),
         "derived": derived,
     }
     if integrator is not None:
@@ -588,9 +588,15 @@ def run_scenario(
     """Execute a validated scenario; optionally persist the outputs.
 
     Outputs land in ``<out_dir>/<scenario>/<timestamp>/`` as
-    ``summary.json``, ``series.csv`` and ``resolved_config.json``; an
-    ``OSError`` while writing them is raised as a :class:`ConfigError`.
+    ``summary.json``, ``series.csv`` and ``resolved_config.json``.  An ``OSError``
+    while writing them is a :class:`ConfigError`, and so, before the run, is an
+    ``out_dir`` whose nearest existing ancestor is not a writable directory.
     """
+    if out_dir is not None:
+        root = Path(out_dir)
+        existing = next((p for p in (root, *root.parents) if p.exists()), root)
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write outputs: {existing} is not a writable directory")
     start = time.perf_counter()
     if sc.name == "sweep":
         result = _run_sweep(sc)

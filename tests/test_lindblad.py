@@ -217,6 +217,22 @@ class TestLiouvillian:
         ),
     }
 
+    def test_superoperator_is_the_sum_of_its_pair_terms(self):
+        # the pair terms of one component are built at once; each frequency still
+        # adds its pairs (k, l) in order from zero, as one np.kron per pair would
+        rng = np.random.default_rng(9)
+        jump = Harmonic([-1.0, 0.0, 1.0], [random_matrix(rng, 3) for _ in range(3)])
+        expected, eye = {}, np.eye(3)
+        for (k, l), nu in np.ndenumerate(np.subtract.outer(jump.frequencies, jump.frequencies)):
+            a, b = jump.matrices[k], jump.matrices[l]
+            bda = b.conj().T @ a
+            pair = 0.35 * (2.0 * np.kron(b.conj(), a) - np.kron(eye, bda) - np.kron(bda.T, eye))
+            expected[nu] = expected.get(nu, np.zeros((9, 9), dtype=complex)) + pair
+        superop = LindbladTerm(0.7, jump).superoperator()
+        assert superop.frequencies.tolist() == sorted(expected)
+        for nu, matrix in zip(superop.frequencies, superop.matrices):
+            assert matrix.tobytes() == expected[nu].tobytes()
+
     def test_superoperator_matches_direct_rhs(self):
         rng = np.random.default_rng(3)
         equations = [random_master_equation(rng, dim) for dim in (2, 4)]
@@ -262,6 +278,12 @@ class TestRealCoordinates:
             a = random_matrix(rng, dim)
             x = basis @ vec(a + a.conj().T)
             assert np.max(np.abs(x.imag)) <= 1e-15 * np.max(np.abs(x))
+
+    def test_basis_is_shared_and_read_only(self):
+        basis = lindblad._hermitian_basis(3)
+        assert lindblad._hermitian_basis(3) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
 
     @pytest.mark.parametrize(
         "generator", ["paired harmonic", "dressed nonadiabatic", "dressed memory", "mixed"]
@@ -558,6 +580,12 @@ class TestEvolve:
         exact = scipy.linalg.expm(omegas[1]) @ scipy.linalg.expm(omegas[0]) @ v
         assert np.linalg.norm(lindblad._exp_action(omegas, v) - exact) <= 1e-13 * np.linalg.norm(exact)
         assert formed == [1]
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_interval_map_is_a_divergence(self, entry):
+        with pytest.raises(IntegrationDivergenceError) as err:
+            lindblad._expm(np.full((2, 2), entry))
+        assert not np.isfinite(err.value.achieved)
 
     @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.3, 2.0, 10.0, 50.0, 300.0, 1000.0])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -1157,6 +1185,29 @@ class TestHarmonic:
         op = Harmonic([1.0, -1.0, 1.0 + 1e-13, 0.0], [SIGMA_GE, SIGMA_GE, 2.0 * SIGMA_GE, SIGMA_GE])
         assert np.array_equal(op.frequencies, [-1.0, 0.0, 1.0 + 5e-14])
         assert np.max(np.abs(op.matrices[2] - 3.0 * SIGMA_GE)) == 0.0
+
+    @pytest.mark.parametrize("nus", [[-0.0], [-0.0, 2.0]], ids=["one", "two"])
+    def test_negative_zero_is_stored_as_zero(self, nus):
+        op = Harmonic(nus, [SIGMA_GE] * len(nus))
+        assert np.signbit(op.frequencies).tolist() == [False] * len(nus)
+        assert op.frequencies[0] == 0.0
+
+    @pytest.mark.parametrize("nus", [[0.0], [-1.0, 0.0, 2.5]], ids=["one", "ascending"])
+    def test_canonical_input_is_stored_without_a_copy(self, nus):
+        mats = np.stack([SIGMA_GE] * len(nus))
+        op = Harmonic(nus, mats)
+        assert op.matrices is mats
+
+    def test_frequencies_within_the_tolerance_merge(self):
+        # at the largest |nu| of 4, frequencies 3.9e-9 apart are one harmonic
+        # (their mean), and 4.1e-9 apart two
+        tol = lindblad.FREQUENCY_RTOL * 4.0
+        near, far = 1.0 + 0.975 * tol, 1.0 + 1.025 * tol
+        merged = Harmonic([near, 1.0, 4.0], [SIGMA_GE, SIGMA_X, SIGMA_Z])
+        assert merged.frequencies.tolist() == [(near + 1.0) / 2.0, 4.0]
+        assert np.array_equal(merged.matrices[0], SIGMA_X + SIGMA_GE)
+        kept = Harmonic([far, 1.0, 4.0], [SIGMA_GE, SIGMA_X, SIGMA_Z])
+        assert kept.frequencies.tolist() == [1.0, far, 4.0]
 
     def test_frequencies_that_cancel_up_to_rounding_are_zero(self):
         # within FREQUENCY_RTOL of 0 relative to the largest: merged at exactly 0

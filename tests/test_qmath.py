@@ -34,6 +34,20 @@ class TestKron:
             rhs = np.kron(a @ c, b @ d)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_matches_numpy_kron_bit_for_bit(self):
+        # each entry is the one product np.kron takes, signed zeros included;
+        # a stack pairs matrix by matrix, or broadcasts against a single matrix
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(3, 2, 3)) + 1j * rng.normal(size=(3, 2, 3))
+        b = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
+        a[0, 0, 0], b[1, 1, 0] = -0.0, complex(0.0, -0.0)
+        for x, y in ((a[0], b[0]), (a[1], np.eye(3)), (np.eye(2), b[2]), (a[2].real, b[1])):
+            assert qmath.kron(x, y).tobytes() == np.kron(x, y).tobytes()
+        stacks = [(a, b, zip(a, b)), (a, b[0], ((m, b[0]) for m in a))]
+        for x, y, pairs in stacks + [(a[0], b, ((a[0], m) for m in b))]:
+            expected = np.array([np.kron(m, n) for m, n in pairs])
+            assert qmath.kron(x, y).tobytes() == expected.tobytes()
+
     def test_associativity(self):
         rng = np.random.default_rng(12)
         for _ in range(5):

@@ -698,6 +698,26 @@ class TestCli:
         assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
         assert payload["error"]["message"].startswith("cannot write outputs: ")
 
+    @pytest.mark.parametrize("out", ["file/sub", "file", "locked/sub"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        def unreachable(sc):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(scenarios, "_run_point", unreachable)
+        # a directory this process may not write (root may write any, so it is simulated)
+        (tmp_path / "locked").mkdir()
+        writable = scenarios.os.access
+        monkeypatch.setattr(
+            scenarios.os, "access", lambda p, mode: Path(p).name != "locked" and writable(p, mode)
+        )
+        (tmp_path / "file").write_text("")
+        cfg = self.write(tmp_path, {"name": "phase-cycle", "grid": {"n_samples": 33}})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith("cannot write outputs: ")
+        assert not (tmp_path / "locked" / "sub").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("params", [[1], "omega1", 3.5, 0, False, ""])
     def test_non_object_params_is_config_error(self, tmp_path, capsys, command, params):
