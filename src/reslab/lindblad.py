@@ -745,17 +745,16 @@ _FIRST_STEP_NORM = 0.25
 _MAX_REFINEMENTS = 12
 
 
-def _refine(h: Harmonic, times, rate, run, estimate, tol, method, settled=lambda fine, coarse: True):
+def _refine(h: Harmonic, times, rate, run, estimate, tol, method):
     """The step-doubling driver of both integrators, over the span of ``h``
     that :func:`_split` cuts from ``times``: each interval ``dt`` between its
     points starts at ``max(1, ceil(rate dt))`` steps, and ``run(split,
     counts)`` runs once, then again with every count doubled until
-    ``estimate(fine, coarse)`` is at most ``tol`` and ``settled(fine,
-    coarse)`` holds, at most ``_MAX_REFINEMENTS`` times.  Returns the last
-    pass's :class:`Trajectory`, its states and record.  Raises
-    :class:`IntegrationDivergenceError` when that estimate exceeds ``tol`` or
-    a first count has no int; a last pass that fails the caller's own check
-    is the caller's to report."""
+    ``estimate(fine, coarse)`` is at most ``tol``, at most
+    ``_MAX_REFINEMENTS`` times.  Returns the last pass's :class:`Trajectory`,
+    its states and record.  Raises :class:`IntegrationDivergenceError` when
+    that estimate exceeds ``tol`` or a first count has no int; a last pass
+    that fails the caller's own check is the caller's to report."""
     split = whole, points, _ = _split(h, times)
     counts = _counts(np.maximum(1.0, np.ceil(rate * np.diff(points))))
     coarse = run(split, counts)
@@ -763,7 +762,7 @@ def _refine(h: Harmonic, times, rate, run, estimate, tol, method, settled=lambda
         counts = counts * 2
         fine = run(split, counts)
         achieved = estimate(fine, coarse)
-        if achieved <= tol and settled(fine, coarse):
+        if achieved <= tol:
             break
         coarse = fine
     if not achieved <= tol:
@@ -825,11 +824,10 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     full model in the dressed frame, whose fast harmonics come from the weak
     frame-rotated decay jump alone, takes the norm's count.
     :func:`_refine` doubles the counts until halving the step changes the
-    final state by at most ``tol`` (Frobenius) and the trace drifts by at
-    most 1e-9, or until a converged pass's drift repeats the last pass's to
-    1e-3 of itself: that drift is the generator's own, and no doubling cures
-    it.  Every trajectory, a static generator's one pass included, must meet
-    that trace check.
+    final state by at most ``tol`` (Frobenius).  The accepted trajectory, a
+    static generator's one pass included, must then keep the trace to 1e-9:
+    the whole-period powers keep it exactly (:func:`_trace_exact_powers`),
+    so a larger drift is the generator's own, and no doubling cures it.
 
     Raises
     ------
@@ -854,15 +852,6 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
     if times.size == 1:
         return Trajectory(times, rho0[None].copy(), tol=tol, method=method)
 
-    def drift(states):
-        return float(np.abs(np.einsum("nii->n", states) - trace0).max())
-
-    def settled(fine, coarse):
-        # the trace holds, or a doubling moved its drift by under 1e-3 of it:
-        # then the drift is the generator's own, and no doubling cures it
-        now = drift(fine)
-        return now <= 1e-9 or abs(now - drift(coarse)) <= 1e-3 * now
-
     if not fastest:  # exact maps: one pass, nothing to refine
         traj = Trajectory(times, _integrate(me, rho0, times), np.ones(times.size - 1, int), tol=tol)
     else:
@@ -874,9 +863,8 @@ def evolve(me: MasterEquation, rho0: np.ndarray, t_grid, *, tol: float = 1e-8) -
             lambda fine, coarse: float(np.linalg.norm(fine[-1] - coarse[-1])),
             tol,
             method,
-            settled,
         )
-    trace_drift = drift(traj.states)
+    trace_drift = float(np.abs(np.einsum("nii->n", traj.states) - trace0).max())
     if not trace_drift <= 1e-9:
         raise IntegrationDivergenceError(trace_drift, 1e-9, f"the trace drifted by {trace_drift:.3e}")
     return traj

@@ -538,22 +538,24 @@ def full_system_master_equation(
     frame: str = "dressed-effective",
     include_gamma: bool = False,
 ) -> MasterEquation:
-    """Master equation of the two-level system plus lossy cavity mode: the
-    branch's full Hamiltonian, cavity decay ``1 x a`` at population rate Gamma
-    and, with ``include_gamma``, spontaneous emission ``|g><e| x 1`` at rate
-    gamma, as they are (``frame="bare"``) or seen from the frame ``F`` of
-    :func:`effective_model`: its ``H2`` and, with ``include_gamma``, the decay
-    jump ``F^dag (|g><e| x 1) F``, which is :func:`dressed_decay_jump` ``x 1``;
-    ``F`` acts on the two-level factor alone."""
-    decay = qmath.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1))
-    if frame == "bare":
-        hamiltonian = branch_of(p, branch).h1()
-    elif frame != "dressed-effective":
+    """Master equation of the two-level system plus lossy cavity mode, seen
+    from the frame ``F`` of :func:`effective_model`: cavity decay ``1 x a``
+    at population rate Gamma (``F`` acts on the two-level factor alone, so it
+    leaves that jump as it is) and, with ``include_gamma``, spontaneous
+    emission at rate gamma by ``F^dag (|g><e| x 1) F``, which is
+    :func:`dressed_decay_jump` ``x 1``.  The Hamiltonian is ``H2``
+    (``frame="dressed-effective"``) or ``F^dag H1 F - i F^dag dF/dt`` whole
+    (``frame="exact"``), whose time average is ``H2``: the exact arm's states
+    are those of ``H1`` with the jumps ``1 x a`` and ``|g><e| x 1``, each
+    ``rho(t)`` mapped to ``F(t)^dag rho(t) F(t)``.  Both arms raise
+    :class:`RegimeError` off the branch's resonances."""
+    if frame not in ("dressed-effective", "exact"):
         raise ValueError(f"unknown frame {frame!r}")
-    else:
-        _, f, hamiltonian = effective_model(p, branch)
-        if include_gamma:  # the F that averages H1 into H2 turns the decay jump too
-            decay = to_frame(f, decay)
+    h1, f, hamiltonian = effective_model(p, branch)
+    if frame == "exact":
+        hamiltonian = to_frame(f, h1, hamiltonian=True)
     terms = [LindbladTerm(rate=p.Gamma, operator=qmath.kron(np.eye(2), qmath.fock_annihilation(p.n_max)))]
-    terms += [LindbladTerm(rate=p.gamma, operator=decay)] if include_gamma else []
+    if include_gamma:
+        decay = to_frame(f, qmath.kron(sigma(ket_g(), ket_e()), np.eye(p.n_max + 1)))
+        terms.append(LindbladTerm(rate=p.gamma, operator=decay))
     return MasterEquation(dim=2 * (p.n_max + 1), hamiltonian=hamiltonian, terms=tuple(terms))

@@ -255,17 +255,18 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     memory branch takes delta1 = chi lambda from ``options.chi`` (setting
     ``params.delta1`` there is a :class:`ConfigError`) and delta2 = 0.
 
-    Parameters the scenario divides by must be positive; a zero raises
-    :class:`ConfigError`, and so does an engineered rate that is not finite,
-    or that underflows to zero where the scenario needs ``g > 0``.
+    Parameters the scenario divides by must be positive once scaled by
+    ``unit_scale``; a zero raises :class:`ConfigError`, and so does an
+    engineered rate that is not finite, or that underflows to zero where the
+    scenario needs ``g > 0``.
     """
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
     branch = _branch_for(sc)
     memory_check = sc.name == "effective-check" and branch == "memory"
     positive = _POSITIVE_KEYS[sc.name] + (("Gamma", "omega1") if memory_check else ())
-    for key in positive:
-        _require(vals[key] > 0, f"{key} must be positive for {sc.name}", ("params", key))
+    for key in positive:  # as scaled below, which may underflow a positive value
+        _require(vals[key] * sc.unit_scale > 0, f"{key} must be positive for {sc.name}", ("params", key))
     if memory_check:
         # chi sets delta1 = chi lambda with lambda = 2 omega1 / sqrt(4 - chi^2);
         # the second drive is off, and its detuning defaults to 0
@@ -274,7 +275,7 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
         vals["delta1"] = chi * (2.0 * vals["omega1"] / math.sqrt(4.0 - chi * chi))
         vals["delta2"] = sc.params.get("delta2", 0.0)
     if branch == "memory":
-        both_zero = vals["omega1"] == 0 and vals["delta1"] == 0
+        both_zero = vals["omega1"] * sc.unit_scale == 0 and vals["delta1"] * sc.unit_scale == 0
         _require(not both_zero, "omega1 and delta1 cannot both vanish", ("params", "omega1"))
     pins = model.branch_of(model.ModelParams(**vals), branch).pins.values()
     vals.update({key: value for key, value in pins if key not in sc.params})

@@ -988,8 +988,8 @@ class TestWholePeriods:
         assert raised.value.target == 1e-9
 
     def test_generator_drift_stops_the_doublings(self, monkeypatch):
-        # the drift of 2.094e-7 repeats on every pass, so the doublings stop at
-        # the first pass whose estimate meets tol: the seventh, at 256 substeps
+        # the doublings stop at the first pass whose estimate meets tol, the
+        # seventh, at 256 substeps; its drift of 2.094e-7 is the generator's own
         drive = Harmonic([3.0, -3.0, 0.0], [0.5 * SIGMA_X, 0.5 * SIGMA_X, SIGMA_Z])
         me = MasterEquation(2, drive, decay_qubit(0.5).terms, extra_generator=-1e-9 * np.eye(4))
         passes = []

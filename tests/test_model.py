@@ -4,7 +4,7 @@ import pytest
 from reslab import model, qmath
 from reslab.errors import RegimeError
 from reslab.frames import rotation, to_frame
-from reslab.lindblad import Harmonic, LindbladTerm, apply_generator, evolve, steady_state
+from reslab.lindblad import Harmonic, LindbladTerm, MasterEquation, apply_generator, evolve, steady_state
 
 
 def dimensionless_params(**overrides):
@@ -519,13 +519,68 @@ class TestFullSystemMasterEquation:
         for s in traj.states:
             assert np.real(np.trace(s @ s)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_bare_frame_uses_h1(self):
-        p = dimensionless_params(gamma=0.1)
-        me = model.full_system_master_equation(p, "nonadiabatic", frame="bare", include_gamma=True)
-        t = 0.23
-        assert np.max(np.abs(me.hamiltonian_at(t) - model.build_h1(p)(t))) < 1e-12
-        assert not any(isinstance(term.operator, Harmonic) for term in me.terms)
-        assert len(me.terms) == 2
+    def test_exact_frame_keeps_the_conjugated_h1(self):
+        # F^dag H1 F - i F^dag dF/dt at sampled times, dF/dt from F's harmonics
+        for branch, p in (("nonadiabatic", dimensionless_params(phi1=0.3, phi2=-0.7, gamma=0.1)),
+                          ("memory", memory_params(0.5, phi1=0.3).replace(gamma=0.1))):
+            me = model.full_system_master_equation(p, branch, frame="exact", include_gamma=True)
+            h1, f, _ = model.effective_model(p, branch)
+            df = Harmonic(f.frequencies, -1j * f.frequencies[:, None, None] * f.matrices)
+            for t in (0.0, 0.0071, 0.23):
+                ft = f(t)
+                expected = qmath.dag(ft) @ (h1(t) @ ft - 1j * df(t))
+                assert np.max(np.abs(me.hamiltonian_at(t) - expected)) < 1e-12 * np.max(np.abs(h1.matrices))
+            assert len(me.terms) == 2
+
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_arms_differ_in_the_hamiltonian_alone(self, branch):
+        # one frame F for both arms: the same jumps to the bit, and H2 is the
+        # Hermitian part of the exact Hamiltonian's mean to the bit
+        if branch == "nonadiabatic":
+            p = dimensionless_params(phi1=0.3, phi2=-0.7, gamma=0.1)
+        else:
+            p = memory_params(0.5, phi1=0.3).replace(gamma=0.1)
+        exact, dressed = (
+            model.full_system_master_equation(p, branch, frame=frame, include_gamma=True)
+            for frame in ("exact", "dressed-effective")
+        )
+        for ours, theirs in zip(exact.terms, dressed.terms, strict=True):
+            a, b = ours.operator, theirs.operator
+            if isinstance(a, Harmonic):
+                assert np.array_equal(a.frequencies, b.frequencies)
+                a, b = a.matrices, b.matrices
+            assert ours.rate == theirs.rate and np.array_equal(a, b)
+        m = exact.hamiltonian.mean
+        assert np.array_equal(0.5 * (m + qmath.dag(m)), dressed.hamiltonian)
+
+    @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
+    def test_exact_frame_evolves_like_the_bare_model(self, branch):
+        # the model of H1 as Branch.h1 builds it, with |g><e| x 1 and the cavity
+        # jump, mapped by F(t)^dag . F(t); the largest difference over half a
+        # period at tol 1e-10 was 5.4e-12 (nonadiabatic) and 1.9e-12 (memory,
+        # chi = 0.5) on four phase pairs
+        if branch == "nonadiabatic":
+            p = dimensionless_params(phi1=0.3, phi2=-0.7, gamma=0.1)
+        else:
+            p = memory_params(0.5, phi1=0.3).replace(gamma=0.1)
+        eye_f = np.eye(p.n_max + 1)
+        terms = (
+            LindbladTerm(p.Gamma, np.kron(np.eye(2), qmath.fock_annihilation(p.n_max))),
+            LindbladTerm(p.gamma, np.kron(model.sigma(model.ket_g(), model.ket_e()), eye_f)),
+        )
+        bare = MasterEquation(2 * (p.n_max + 1), model.branch_of(p, branch).h1(), terms)
+        exact = model.full_system_master_equation(p, branch, frame="exact", include_gamma=True)
+        f = model.effective_model(p, branch)[1]
+        times = np.linspace(0.0, 0.5 * exact.liouvillian.period, 9)
+        rho0 = qmath.projector(np.kron(model.branch_of(p, branch).kets()[1], qmath.basis_ket(p.n_max + 1, 0)))
+        ours = evolve(exact, qmath.dag(f(0.0)) @ rho0 @ f(0.0), times, tol=1e-10).states
+        fs = f(times)
+        theirs = np.conj(np.swapaxes(fs, 1, 2)) @ evolve(bare, rho0, times, tol=1e-10).states @ fs
+        assert np.max(np.abs(ours - theirs)) < 2e-11
+
+    def test_bare_frame_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown frame 'bare'"):
+            model.full_system_master_equation(dimensionless_params(), frame="bare")
 
     @pytest.mark.parametrize("branch", ["nonadiabatic", "memory"])
     def test_dressed_decay_jump_matches_conjugated_sampler(self, branch):

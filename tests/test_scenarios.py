@@ -28,6 +28,8 @@ _EDGE_VALUES = [0, 1e-300, 1e-3, 1, 1e6, 1e200]
 _CONTRACT_BASES = st.sampled_from(
     [(name, {}) for name in _SINGLE] + [_MEMORY_CHECK, _DECAYING_INTERFEROMETER]
 )
+# 1e-200 and 1e-300 underflow a positive parameter to zero when they scale it
+_UNIT_SCALES = st.sampled_from([1.0, 1e-200, 1e-300])
 _EDGE_PARAMS = st.lists(
     st.tuples(st.sampled_from(scenarios._PARAM_KEYS), st.sampled_from(_EDGE_VALUES)),
     min_size=1,
@@ -602,11 +604,11 @@ class TestCli:
         assert payload["error"]["type"] == error
 
     @staticmethod
-    def contract_doc(base, params, sweep):
-        """A single config of ``base`` with the edge ``params``, or a one-point
-        sweep over the first of them."""
+    def contract_doc(base, params, sweep, unit_scale):
+        """A single config of ``base`` with the edge ``params`` and
+        ``unit_scale``, or a one-point sweep over the first of them."""
         name, options = base
-        doc = {"name": name, "options": options, "params": dict(params)}
+        doc = {"name": name, "options": options, "params": dict(params), "unit_scale": unit_scale}
         if sweep:
             axis, value = params[0]
             doc = {**doc, "name": "sweep", "options": {**options, "base": name}}
@@ -620,10 +622,13 @@ class TestCli:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(base=_CONTRACT_BASES, params=_EDGE_PARAMS, sweep=st.booleans())
-    def test_validate_keeps_the_exit_code_contract(self, tmp_path, capsys, base, params, sweep):
+    @given(base=_CONTRACT_BASES, params=_EDGE_PARAMS, sweep=st.booleans(), unit_scale=_UNIT_SCALES)
+    def test_validate_keeps_the_exit_code_contract(
+        self, tmp_path, capsys, base, params, sweep, unit_scale
+    ):
         # any config that parses ends in 0, 2, 3 or 4, with error JSON on failure
-        code = cli.main(["validate", self.write(tmp_path, self.contract_doc(base, params, sweep))])
+        doc = self.contract_doc(base, params, sweep, unit_scale)
+        code = cli.main(["validate", self.write(tmp_path, doc)])
         assert code in (0, 2, 3, 4)
         last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         if code == 0:
@@ -641,15 +646,16 @@ class TestCli:
         base=_CONTRACT_BASES,
         params=_EDGE_PARAMS,
         sweep=st.booleans(),
+        unit_scale=_UNIT_SCALES,
         t_end=st.sampled_from([1e-7, 2e-6]),
         n_samples=st.sampled_from([2, 5, 21]),
     )
     def test_run_keeps_the_exit_code_contract(
-        self, tmp_path, capfd, base, params, sweep, t_end, n_samples
+        self, tmp_path, capfd, base, params, sweep, unit_scale, t_end, n_samples
     ):
         # a run of any config that parses ends in 0, 2, 3 or 4 with a JSON last
         # line (its outputs, or the error), never with a traceback
-        doc = self.contract_doc(base, params, sweep)
+        doc = self.contract_doc(base, params, sweep, unit_scale)
         doc["grid"] = {"t_end": t_end, "n_samples": n_samples}
         cfg = self.write(tmp_path, doc)
         code = cli.main(["run", cfg, "--out", str(tmp_path / "runs")])
@@ -685,6 +691,26 @@ class TestCli:
         assert payload["exit_code"] == 2 and payload["error"]["path"] == ["grid", "t_end"]
         assert "grid.t_end" in payload["error"]["message"]
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("nonadiabatic", "Gamma"),
+            ("elimination-check", "Gamma"),
+            ("phase-cycle", "omega1"),
+            ("interferometer", "omega1"),
+            ("memory", "omega1"),
+        ],
+    )
+    def test_unit_scale_underflow_is_config_error(self, tmp_path, capsys, command, name, key):
+        # 1e-200 scaled by 1e-200 underflows to 0, and the scaled value is checked
+        doc = {"name": name, "params": {key: 1e-200}, "unit_scale": 1e-200}
+        out = ["--out", str(tmp_path / "runs")] if command == "run" else []
+        assert cli.main([command, self.write(tmp_path, doc), *out]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["path"] == ["params", key]
 
     def test_set_horizon_runs_where_the_default_is_not_finite(self, tmp_path, capsys):
         doc = {"name": "phase-cycle", "params": {"omega1": 1e-320}, "grid": {"t_end": 1.0}}
