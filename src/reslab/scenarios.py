@@ -102,11 +102,16 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """A run's outputs; ``series_rows`` becomes a float array, one row per sample."""
+
     summary: dict
     series_header: list
-    series_rows: list
+    series_rows: np.ndarray
     resolved_config: dict
     out_dir: Path | None = None
+
+    def __post_init__(self):
+        self.series_rows = np.asarray(self.series_rows, dtype=float)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -257,8 +262,8 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
 
     Parameters the scenario divides by must be positive once scaled by
     ``unit_scale``; a zero raises :class:`ConfigError`, and so does an
-    engineered rate that is not finite, or that underflows to zero where the
-    scenario needs ``g > 0``.
+    engineered rate that is not finite, or that underflows to zero from a
+    nonzero coupling in a scenario that uses the rate (all but phase-cycle).
     """
     defaults = model.ModelParams()
     vals = {k: sc.params.get(k, getattr(defaults, k)) for k in _PARAM_KEYS}
@@ -284,7 +289,9 @@ def resolve_params(sc: Scenario) -> model.ModelParams:
     p = model.ModelParams(**vals)
     if p.Gamma > 0:  # g^2 / Gamma overflows through a large g or a small Gamma
         rate = model.engineered_rate(p, branch)
-        ok = math.isfinite(rate) and (rate > 0 or "g" not in positive)
+        # 0 is the exact rate of a zero coupling; phase-cycle never reads the rate
+        exact = model.branch_of(p, branch).coupling == 0 and "g" not in positive
+        ok = math.isfinite(rate) and (rate > 0 or exact or sc.name == "phase-cycle")
         key = "Gamma" if math.isinf(rate) and p.Gamma < 1.0 else "g"
         _require(ok, f"engineered rate {rate} is out of range for {sc.name}", ("params", key))
     return p
@@ -366,7 +373,7 @@ def _run_nonadiabatic(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     header = ["t", "rho_uu", "rho_dd", "re_rho_ud", "im_rho_ud", "fidelity_up"]
     s = traj.states
     columns = [s[:, 0, 0].real, s[:, 1, 1].real, s[:, 0, 1].real, s[:, 0, 1].imag]
-    rows = np.column_stack([times, *columns, qmath.fidelity(s, up)]).tolist()
+    rows = np.column_stack([times, *columns, qmath.fidelity(s, up)])
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -401,7 +408,7 @@ def _run_memory(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     header = ["t", "rho_pp", "rho_mm", "fidelity_plus", "bloch_x", "bloch_y", "bloch_z"]
     s = traj.states
     columns = [s[:, 0, 0].real, s[:, 1, 1].real, qmath.fidelity(s, plus), bloch[:, 1:]]
-    rows = np.column_stack([times, *columns]).tolist()
+    rows = np.column_stack([times, *columns])
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -423,7 +430,7 @@ def _run_interferometer(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
     header = ["t", "rho_aa", "pop_up", "pop_down", "abs_coherence", "phase", "reference_pea"]
     columns = [res.rho_aa, res.population_up, res.population_down, np.abs(res.coherence)]
     traj = res.trajectory
-    rows = np.column_stack([traj.times, *columns, res.phase, res.reference_series]).tolist()
+    rows = np.column_stack([traj.times, *columns, res.phase, res.reference_series])
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -444,7 +451,7 @@ def _run_effective_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         **{key: sc.options.get(key, default) for key, default in b.check_options.items()},
     }
     header = ["t", "fidelity"]
-    rows = np.column_stack([traj.times, fidelities]).tolist()
+    rows = np.column_stack([traj.times, fidelities])
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(traj))
 
 
@@ -479,7 +486,7 @@ def _run_elimination_check(sc: Scenario, p: model.ModelParams) -> ScenarioResult
     }
     header = ["t", "trace_distance", "rho_uu_full", "rho_uu_reduced"]
     uu = [full_tl[:, 0, 0].real, reduced.states[:, 0, 0].real]
-    rows = np.column_stack([times, dists, *uu]).tolist()
+    rows = np.column_stack([times, dists, *uu])
     return _result(sc, p, derived, header, rows, integrator=_integrator_stats(full))
 
 
@@ -497,7 +504,7 @@ def _run_phase_cycle(sc: Scenario, p: model.ModelParams) -> ScenarioResult:
         "expected_dynamic_phase": -np.pi * p.omega2 / (2.0 * p.omega1),
     }
     header = ["t", "bloch_x", "bloch_y", "bloch_z"]
-    return _result(sc, p, derived, header, bloch.tolist())
+    return _result(sc, p, derived, header, bloch)
 
 
 _RUNNERS = {
@@ -509,12 +516,7 @@ _RUNNERS = {
     "phase-cycle": _run_phase_cycle,
 }
 
-_SWEEP_COLUMNS = (
-    "rate_eng",
-    "rate_ratio",
-    "epsilon_formula",
-    "fidelity_formula",
-)
+_SWEEP_COLUMNS = ("rate_eng", "rate_ratio", "epsilon_formula", "fidelity_formula")
 
 
 def _child_scenario(sc: Scenario, value) -> Scenario:
@@ -543,9 +545,7 @@ def _run_sweep(sc: Scenario) -> ScenarioResult:
 
     columns = [c for c in _SWEEP_COLUMNS if all(c in s["derived"] for s in summaries)]
     header = [axis_name] + list(columns)
-    rows = [
-        [v] + [s["derived"][c] for c in columns] for v, s in zip(values, summaries)
-    ]
+    rows = [[v] + [s["derived"][c] for c in columns] for v, s in zip(values, summaries)]
     p = model.ModelParams(**summaries[0]["resolved_params"])  # as its run resolved it
     derived = {
         "axis": axis_name,
@@ -575,9 +575,7 @@ def _result(sc, p, derived, header, rows, integrator=None) -> ScenarioResult:
     }
     if integrator is not None:
         summary["integrator"] = integrator
-    return ScenarioResult(
-        summary=summary, series_header=header, series_rows=rows, resolved_config=resolved
-    )
+    return ScenarioResult(summary, header, rows, resolved)
 
 
 def run_scenario(
@@ -633,8 +631,10 @@ def write_outputs(out_root: Path, scenario_name: str, result: ScenarioResult) ->
 
     for name, doc in (("summary.json", result.summary), ("resolved_config.json", result.resolved_config)):
         (run_dir / name).write_text(_strict_json(doc, indent=2) + "\n")
-    lines = [",".join(result.series_header)]
-    for row in result.series_rows:
-        lines.append(",".join(map(repr, map(float, row))))
-    (run_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    # column by column, in blocks of 512 rows: no more than a block's text is held at once
+    with open(run_dir / "series.csv", "w") as f:
+        f.write(",".join(result.series_header) + "\n")
+        for block in np.split(result.series_rows, range(512, len(result.series_rows), 512)):
+            columns = [map(repr, column) for column in block.T.tolist()]
+            f.write("\n".join([*map(",".join, zip(*columns)), ""]))
     return run_dir

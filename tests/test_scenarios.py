@@ -317,6 +317,25 @@ class TestRunScenario:
         assert expected == "3.0,0.1,1.0"
         assert (run_dir / "series.csv").read_text() == "n,x,flag\n" + expected + "\n"
 
+    # 8 rows; exactly one block of 512; blocks of 512, 512 and 8
+    @pytest.mark.parametrize("repeats", [1, 64, 129])
+    def test_series_csv_at_edge_values(self, tmp_path, repeats):
+        # every column as write_outputs receives it, an integer-valued one included
+        edge = [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, np.inf, -np.inf, np.nan]
+        rows = [[i, value, -value] for i, value in enumerate(edge)] * repeats
+        result = scenarios.ScenarioResult({}, ["i", "x", "minus_x"], rows, {})
+        run_dir = scenarios.write_outputs(tmp_path, "phase-cycle", result)
+        # the reference: each row formatted on its own, each value as repr(float(x))
+        lines = ["i,x,minus_x"] + [",".join(map(repr, map(float, row))) for row in rows]
+        assert (run_dir / "series.csv").read_text() == "\n".join(lines) + "\n"
+        assert lines[1:3] == ["0.0,-0.0,0.0", "1.0,5e-324,-5e-324"]
+        assert lines[5:9] == [
+            "4.0,0.30000000000000004,-0.30000000000000004",
+            "5.0,inf,-inf",
+            "6.0,-inf,inf",
+            "7.0,nan,nan",
+        ]
+
     @pytest.mark.parametrize(
         "base, options, axis, params, grid, shown",
         [
@@ -380,7 +399,7 @@ class TestSeriesRows:
             ]
             for t, s in zip(traj.times, traj.states)
         ]
-        assert len(expected) == 401 and result.series_rows == expected
+        assert len(expected) == 401 and result.series_rows.tolist() == expected
 
     def test_memory(self, monkeypatch):
         result, (traj,) = self.run_recording(monkeypatch, "memory")
@@ -394,7 +413,7 @@ class TestSeriesRows:
             [t, float(np.real(s[0, 0])), float(np.real(s[1, 1])), qmath.fidelity(s, plus), b[1], b[2], b[3]]
             for t, s, b in zip(times, traj.states, bloch)
         ]
-        assert len(expected) == 401 and result.series_rows == expected
+        assert len(expected) == 401 and result.series_rows.tolist() == expected
 
     def test_elimination_check(self, monkeypatch):
         result, (full, reduced) = self.run_recording(monkeypatch, "elimination-check")
@@ -408,7 +427,7 @@ class TestSeriesRows:
             ]
             for t, sf, sr in zip(full.times, full.states, reduced.states)
         ]
-        assert len(expected) == 201 and result.series_rows == expected
+        assert len(expected) == 201 and result.series_rows.tolist() == expected
 
 
 class TestCli:
@@ -501,6 +520,13 @@ class TestCli:
                 for name in ("nonadiabatic", "memory", "elimination-check")
             ],
             ({"name": "elimination-check", "params": {"g": 1e-300}}, ["params", "g"]),
+            # g^2 underflows where the scaled g does not; every one of these runs reads the rate
+            *[
+                ({"name": name, "unit_scale": 1e-300}, ["params", "g"])
+                for name in ("nonadiabatic", "memory", "interferometer")
+            ],
+            ({"name": "nonadiabatic", "unit_scale": 1e-200}, ["params", "g"]),
+            ({"name": "sweep", "sweep_axis": ["gamma", [1.0]], "unit_scale": 1e-300}, ["params", "g"]),
             # the Fock cutoff's ceiling: the full model's dimension is 2 (n_max + 1)
             ({"name": "elimination-check", "params": {"n_max": 21}}, ["params", "n_max"]),
             (
@@ -711,6 +737,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == 2 and payload["error"]["type"] == "ConfigError"
         assert payload["error"]["path"] == ["params", key]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # phase-cycle never reads the engineered rate
+            {"name": "phase-cycle", "unit_scale": 1e-300, "grid": {"n_samples": 33}},
+            # g = 0 makes the rate exactly 0
+            *[
+                {"name": name, "params": {"g": 0}, "grid": {"n_samples": 21}}
+                for name in ("nonadiabatic", "memory", "interferometer")
+            ],
+        ],
+    )
+    def test_zero_rate_runs_where_it_is_exact_or_unread(self, tmp_path, capsys, doc):
+        cfg = self.write(tmp_path, doc)
+        assert cli.main(["validate", cfg]) == 0
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
 
     def test_set_horizon_runs_where_the_default_is_not_finite(self, tmp_path, capsys):
         doc = {"name": "phase-cycle", "params": {"omega1": 1e-320}, "grid": {"t_end": 1.0}}
