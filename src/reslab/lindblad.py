@@ -222,27 +222,31 @@ def _hermitian_basis(dim: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _RealGenerator:
     """A Hermiticity-preserving generator in the coordinates ``x = B vec(rho)``
-    of :func:`_hermitian_basis`: ``R(t) = sum_nu cos(nu t) C_nu + sin(nu t) S_nu``
-    over ``nu >= 0``, every ``C_nu`` and ``S_nu`` real."""
+    of :func:`_hermitian_basis`: ``R(t) = C_0 + sum_{nu > 0} cos(nu t) C_nu +
+    sin(nu t) S_nu``, every ``C_nu`` and ``S_nu`` real.  It keeps only what can
+    contribute: ``frequencies`` ascend from 0, ``matrices`` holds ``C_nu`` at
+    each of them, then ``S_nu`` at each past 0 (``S_0`` multiplies sin 0)."""
 
     basis: np.ndarray
     frequencies: np.ndarray
-    matrices: np.ndarray  # the C_nu, then the S_nu
+    matrices: np.ndarray  # C_0, the C_nu, then the S_nu over nu > 0
 
     def __call__(self, t, weights=None, out=None) -> np.ndarray:
         """``R(t)``; an array of times of shape ``S`` gives the stack ``S + (n, n)``,
         one matrix product of the phases with the components, written into
         ``out`` (C-contiguous) when it is given.  ``weights``, an array whose
         last axis runs over the ``F`` frequencies, broadcast against
-        ``S + (F,)``, scales each time's phase row in place,
+        ``S + (F,)``, scales each time's phase row,
         the cosine and the sine of a frequency alike, so the product gives
         ``sum_nu w_nu (cos(nu t) C_nu + sin(nu t) S_nu)`` at no further pass
         over the stack."""
-        nt = np.multiply.outer(t, self.frequencies)
-        phases = np.concatenate([np.cos(nt), np.sin(nt)], -1)
-        if weights is not None:
-            halves = phases.reshape(*nt.shape[:-1], 2, -1)  # a view: the cosines, then the sines
-            halves *= np.asarray(weights)[..., None, :]
+        w = np.ones(self.frequencies.size) if weights is None else np.asarray(weights)
+        nt = np.multiply.outer(t, self.frequencies[1:])
+        phases = np.empty((*nt.shape[:-1], self.matrices.shape[0]))
+        phases[..., 0] = w[..., 0]  # cos 0 = 1
+        halves = phases[..., 1:].reshape(*nt.shape[:-1], 2, nt.shape[-1])  # the cosines, then the sines
+        np.multiply(np.cos(nt), w[..., 1:], out=halves[..., 0, :])
+        np.multiply(np.sin(nt), w[..., 1:], out=halves[..., 1, :])
         shape = (*phases.shape[:-1], *self.matrices.shape[1:])
         flat = out.reshape(-1, shape[-1] * shape[-1]) if out is not None else None
         components = self.matrices.reshape(phases.shape[-1], -1)
@@ -251,9 +255,10 @@ class _RealGenerator:
     @functools.cached_property
     def norm_bound(self) -> float:
         """A bound on ``||R(t)||_1`` at every ``t``: the 1-norm of the entrywise
-        ``sum_nu hypot(C_nu, S_nu)``, since ``|c cos + s sin| <= hypot(c, s)``."""
-        cosines, sines = np.split(self.matrices, 2)
-        return float(np.max(np.sum(np.hypot(cosines, sines), axis=(0, 1))))
+        ``|C_0| + sum_{nu > 0} hypot(C_nu, S_nu)``, since ``|c cos + s sin| <= hypot(c, s)``."""
+        f = self.frequencies.size
+        pairs = np.hypot(self.matrices[1:f], self.matrices[f:])
+        return float(np.max(np.abs(self.matrices[0]).sum(axis=0) + pairs.sum(axis=(0, 1))))
 
 
 @dataclass(frozen=True)
@@ -374,9 +379,12 @@ class MasterEquation:
                 defect, "the Liouvillian does not preserve Hermiticity: R(-nu) != conj(R(nu))"
             )
         pairs = Harmonic(np.abs(L.frequencies), r)
-        return _RealGenerator(
-            basis, pairs.frequencies, np.concatenate([pairs.matrices.real, pairs.matrices.imag])
-        )
+        # a pair sum that cancels leaves entries at most eps max|R|, the rounding of R(t)'s
+        # largest entries, which such a frequency cannot move: it is dropped, nu = 0 kept
+        sizes = np.abs(pairs.matrices).max(axis=(1, 2))
+        live = (sizes > np.finfo(float).eps * sizes.max()) | (pairs.frequencies == 0.0)
+        kept = pairs.matrices[live]
+        return _RealGenerator(basis, pairs.frequencies[live], np.concatenate([kept.real, kept[1:].imag]))
 
 
 @dataclass
@@ -439,7 +447,7 @@ _STEP_NODES = 0.5 + np.array([0.0, -1.0, 1.0]) * math.sqrt(3.0) / 6.0
 #: once and every block reuses: 64 Gauss-Legendre steps of
 #: :func:`frames.schroedinger_evolve` at d = 6 (each step's stage matrices,
 #: stage system and step map, 16 d^2 (s + s^2 + 1) bytes at s = 4 stages), or
-#: 17 Magnus steps of the 36 x 36 real full-model generator at its 13 frequencies
+#: 17 Magnus steps of the 36 x 36 real full-model generator at its 10 live frequencies
 _BLOCK_BYTES = 774_144
 
 
@@ -571,9 +579,10 @@ def _magnus_exponents(R: _RealGenerator, starts, widths, buffer):
     k, n = starts.size, R.matrices.shape[-1]
     integral, b1, b2, product = buffer[: 4 * k * n * n].reshape(4, k, n, n)
     weights = np.empty((3, k, R.frequencies.size))
-    weights[0] = widths[:, None] * np.sinc(np.multiply.outer(widths / (2.0 * math.pi), R.frequencies))
-    weights[1] = (0.5 / math.sqrt(3.0)) * widths[:, None]
-    weights[2] = 0.5 * widths[:, None]
+    weights[...] = np.multiply.outer([1.0, 0.5 / math.sqrt(3.0), 0.5], widths)[..., None]  # at nu = 0
+    x = np.multiply.outer(widths / (2.0 * math.pi), R.frequencies[1:])
+    x *= math.pi  # nu w / 2, rounded as np.sinc rounds it
+    weights[0, :, 1:] *= np.sin(x) / x  # w sinc(nu w / 2)
     R(starts + np.multiply.outer(_STEP_NODES, widths), weights, out=buffer[: 3 * k * n * n])
     integral += np.matmul(b2, b1, out=product)
     integral -= np.matmul(b1, b2, out=product)
@@ -603,25 +612,26 @@ def _magnus_pass(R: _RealGenerator, points, substeps, x) -> np.ndarray:
     starts, widths, last = _step_layout(points, substeps)
     widest = bound(float(np.max(widths)) * R.norm_bound)
     _check_exponent_norm(widest)
+    norms = bound(widths * R.norm_bound)  # each step's, for every block at once
     n = R.matrices.shape[-1]
     # per step: the four n x n matrices of the buffer, R's phase arrays (the
     # times by each of the F frequencies, their cosines, sines and both joined,
-    # on three rows: 15 F floats), the rows' weights (3 F) and n floats, which
-    # cover its bound and times
+    # on three rows: under 15 F floats), the rows' weights (3 F) and n floats,
+    # which cover its bound and times
     rows = _block_rows(8 * (4 * n * n + 18 * R.frequencies.size + n), widths.size)
     buffer = np.empty(4 * rows * n * n)
     terms = np.empty((_taylor_top(widest) + 1, *x.shape))
     out = np.empty((points.size, *x.shape))
     out[0] = x
-    for j in range(0, widths.size, rows):
-        block = widths[j : j + rows]
-        omegas = _magnus_exponents(R, starts[j : j + rows], block, buffer)
-        norms = bound(block * R.norm_bound)
+    edges = [*range(0, widths.size, rows), widths.size]
+    closing = np.searchsorted(last, edges).tolist()  # the intervals ending in each block
+    for j, a, z in zip(edges, closing, closing[1:]):
+        omegas = _magnus_exponents(R, starts[j : j + rows], widths[j : j + rows], buffer)
+        block = norms[j : j + rows]
         if widest > _TAYLOR_THETA[-1]:  # a step is formed only if its measured norm passes the table
-            for i in np.flatnonzero(norms > _TAYLOR_THETA[-1]).tolist():
-                norms[i] = np.linalg.norm(omegas[i], 1)
-        ends = slice(*np.searchsorted(last, [j, j + norms.size]))  # the intervals ending in the block
-        x = _exp_action(omegas, x, norms, terms, (last[ends] - j).tolist(), out[1:][ends])
+            for i in np.flatnonzero(block > _TAYLOR_THETA[-1]).tolist():
+                block[i] = np.linalg.norm(omegas[i], 1)
+        x = _exp_action(omegas, x, block, terms, (last[a:z] - j).tolist(), out[a + 1 : z + 1])
     return out
 
 
@@ -698,17 +708,17 @@ def _trace_exact_powers(span_map: np.ndarray, whole: np.ndarray, x0: np.ndarray)
 
 def _integrate(me: MasterEquation, rho0, times, split=None, substeps=None) -> np.ndarray:
     """States at ``times`` as an ``(N, d, d)`` stack, integrated in the real
-    coordinates of ``me._real_liouvillian``: for a static generator by the
-    exact maps ``expm(dt R_0)`` of :func:`_expm`, else by :func:`_magnus_pass`
-    over the span of ``split`` (what :func:`_split` returns for ``times``),
-    the interval before its point ``i + 1`` in ``substeps[i]`` steps,
-    assembled by :func:`_span_states` with the span map's powers taken where
-    the trace is a coordinate (:func:`_trace_exact_powers`).  Both map back
-    by ``B^dag``, and the first state is ``rho0`` itself."""
+    coordinates of ``me._real_liouvillian``: without a ``split`` by the exact
+    maps ``expm(dt R_0)`` of :func:`_expm`, else (even if every harmonic cancels
+    in ``R``) by :func:`_magnus_pass` over the span of ``split`` (what
+    :func:`_split` returns for ``times``), the interval before its point ``i + 1``
+    in ``substeps[i]`` steps, assembled by :func:`_span_states` with the span
+    map's powers taken where the trace is a coordinate (:func:`_trace_exact_powers`).
+    Both map back by ``B^dag``, and the first state is ``rho0`` itself."""
     R, d = me._real_liouvillian, me.dim
     # the Hermitian part of rho0: evolve admits an anti-Hermitian one below 1e-10
     x0 = (R.basis @ vec(rho0)).real
-    if not R.frequencies.any():
+    if split is None:
         dts = times[1:] - times[:-1]
         # interval lengths equal up to rounding (a linspace grid) share one map, which
         # spans their mean length so that no run's time error grows along it

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -613,11 +614,13 @@ def run_scenario(
 
 
 def _strict_json(obj, **kwargs) -> str:
-    """RFC 8259 JSON of ``obj``, keys sorted, with every non-finite number in it
-    written as ``null``, which parsers that reject NaN and Infinity read.  The
-    round trip is exact: a float's ``repr`` parses back to the same float."""
-    plain = json.loads(json.dumps(obj, default=str), parse_constant=lambda _: None)
-    return json.dumps(plain, sort_keys=True, allow_nan=False, **kwargs)
+    """RFC 8259 JSON of ``obj``, keys sorted, from one ``json.dumps`` pass, with
+    every non-finite number in it written as ``null`` (outside strings), which
+    parsers that reject NaN and Infinity read."""
+    text = json.dumps(obj, default=str, sort_keys=True, **kwargs)
+    if "NaN" in text or "Infinity" in text:  # a string token is matched whole and kept
+        text = re.sub(r'("(?:[^"\\]|\\.)*")|-?Infinity|NaN', lambda m: m[1] or "null", text)
+    return text
 
 
 def write_outputs(out_root: Path, scenario_name: str, result: ScenarioResult) -> Path:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -918,6 +919,15 @@ class TestCli:
         assert summary["derived"]["rate_ratio"] is None
         assert strict(captured.err) == summary["derived"]
         assert strict((run_dir / "resolved_config.json").read_text())["params"]["gamma"] == 0.0
+
+    def test_strict_json_keeps_strings_that_name_non_finite_numbers(self):
+        # NaN and Infinity become null as numbers only: a key or a string holding
+        # them, quoted or after an escaped backslash, is written as json writes it
+        text = 'NaN \\"Infinity\\" \\\\'
+        doc = {"-Infinity": [math.nan, text, -math.inf], "b": {"NaN": math.inf, "c": (1.5, -0.0)}}
+        plain = {"-Infinity": [None, text, None], "b": {"NaN": None, "c": [1.5, -0.0]}}
+        for kwargs in ({}, {"indent": 2}):
+            assert scenarios._strict_json(doc, **kwargs) == json.dumps(plain, sort_keys=True, **kwargs)
 
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
