@@ -19,6 +19,9 @@ unitary 4-stage Gauss-Legendre collocation maps, halved by the driver
 that :func:`~reslab.lindblad.evolve` shares (``lindblad._refine``) until
 the Richardson estimate of the error meets the tolerance, and it returns the
 record that ``evolve`` returns, a :class:`~reslab.lindblad.Trajectory`.
+When every term of ``H`` links two sublattices of the basis, none within one
+(each term of the ion-cavity ``H1`` flips the ion), a step's stage system is
+solved on the smaller sublattice, the larger eliminated by exact algebra.
 """
 
 from __future__ import annotations
@@ -108,6 +111,26 @@ def _prefix_products(x: np.ndarray) -> None:
         x[3 * g - 1 :: 2 * g] = x[3 * g - 1 :: 2 * g] @ x[2 * g - 1 : k - g : 2 * g]
 
 
+def _sublattices(h: Harmonic):
+    """``(order, p)`` when the graph of the entries nonzero in any component of
+    ``H`` is two-coloured, ``order`` listing the larger class (``p`` rows) first;
+    ``None`` when a diagonal entry is nonzero or a cycle is odd."""
+    links = np.any(h.matrices != 0, axis=0)
+    side = np.full(len(links), -1)
+    for root in range(len(links)):
+        side[root], todo = max(side[root], 0), [root]
+        while todo:
+            i = todo.pop()
+            new = np.flatnonzero(links[i] & (side < 0))
+            side[new] = 1 - side[i]
+            todo += new.tolist()
+    if np.any(links & np.equal.outer(side, side)):
+        return None
+    ones = int(np.sum(side))  # the larger class first
+    order = np.argsort(side if 2 * ones <= side.size else -side, kind="stable")
+    return order, max(ones, side.size - ones)
+
+
 def _propagators(h: Harmonic, points, substeps, u) -> np.ndarray:
     """``U(p) u`` at each point ``p``, ``points[0] = 0``, for a ket or a block
     of columns ``u`` carried from 0 (the identity gives the propagators ``U``),
@@ -117,7 +140,12 @@ def _propagators(h: Harmonic, points, substeps, u) -> np.ndarray:
     sum_k p_ik (-i A_k)`` with the phases ``p_ik = exp(-i nu_k (t + c_i w))``,
     solve one linear system.  Its block row ``i``, the blocks ``-w a_ij M_i``
     over ``j``, is one product of the weighted phases ``w p_ik`` with the stack
-    ``-a_ij (-i A_k)`` formed once per pass.  Blocks of steps reuse buffers
+    ``-a_ij (-i A_k)`` formed once per pass.  When :func:`_sublattices` splits
+    ``H`` into ``p`` and ``q <= p`` rows (3 | 3 for the ion-cavity ``H1``, whose
+    terms all flip the ion), ``M_i = [[0, B_i], [C_i, 0]]`` in its order, and
+    with ``P = w [a_ij B_i]``, ``Q = w [a_ij C_i]`` the slopes' rows obey ``K^P =
+    M^P + P K^Q``: eliminating ``K^P`` leaves ``(I - Q P) K^Q = M^Q + Q M^P``,
+    exactly, on ``s q`` rows instead of ``s d``.  Blocks of steps reuse buffers
     allocated once (``lindblad._BLOCK_BYTES``).  Each block's step maps become
     their products from the block's start (:func:`_prefix_products`); those
     at the block's interval ends take the operand there in one batched
@@ -125,36 +153,58 @@ def _propagators(h: Harmonic, points, substeps, u) -> np.ndarray:
     starts, widths, last = _step_layout(points, substeps)
     n, s, d = widths.size, _GL_C.size, h.matrices.shape[-1]
     rows = _block_rows(16 * d * d * (s + s * s + 1), n)
-    generator = -1j * h.matrices.reshape(-1, d * d)  # the -i A_k, flattened
+    order, p = _sublattices(h) or (np.arange(d), d)
+    q = d - p  # 0: the full stage systems
+    generator = -1j * h.matrices[:, order][:, :, order].reshape(-1, d * d)  # the -i A_k, flattened
     stack = np.multiply.outer(-_GL_A, generator.reshape(-1, d, d)).transpose(0, 2, 3, 1, 4)
-    stack = stack.reshape(s, -1, d * s * d)  # (i, k, (a, j, b)): -a_ij (-i A_k)_ab
+    if q:  # (i, k, (a, j, b)) from the P rows to the Q columns, -P / w, and Q / w back
+        sides = (stack[..., :p, :, p:], -stack[..., p:, :, :p])
+        sides = [x.reshape(s, -1, p * s * q) for x in sides]
+        shapes = [(s * p, d), (s * q, d), (s * p, s * q), (s * q, s * p), (s * q, s * q)]
+    else:  # (i, k, (a, j, b)): -a_ij (-i A_k)_ab
+        stack, shapes = stack.reshape(s, -1, d * s * d), [(s, d, d), (s * d, s * d)]
     edges = [*range(0, n, rows), n]
     closing = np.searchsorted(last, edges).tolist()  # the intervals ending in each block
     # one allocation: glibc trims its heap past twice the largest block freed, so
     # a pass's frees then stay mapped and the next pass faults no pages in
-    shapes = [(rows, s, d, d), (rows, s * d, s * d), (rows, d, d)]
+    shapes = [(rows, *x) for x in [*shapes, (d, d)]]
     ends = np.cumsum([np.prod(x) for x in shapes])
-    m, system, maps = map(np.reshape, np.split(np.empty(ends[-1], complex), ends[:-1]), shapes)
+    *buffers, maps = map(np.reshape, np.split(np.empty(ends[-1], complex), ends[:-1]), shapes)
     props = np.empty((points.size, *u.shape), dtype=complex)
-    props[0] = u
+    props[0] = u = u[order]
     for j, a, z in zip(edges, closing, closing[1:]):
         t, w = starts[j : j + rows], widths[j : j + rows]
         k = t.size
-        mk, sk, out = m[:k], system[:k], maps[:k]
+        out, flat = maps[:k], maps[:k].reshape(k, d * d)
         phases = np.exp(-1j * np.multiply.outer(t[:, None] + w[:, None] * _GL_C, h.frequencies))
-        np.matmul(phases.reshape(k * s, -1), generator, out=mk.reshape(k * s, d * d))
-        # block (i, j) of each stage system is -w a_ij M_i, plus 1 on the diagonal
-        stage_rows = sk.reshape(k, s, d * s * d).transpose(1, 0, 2)
-        np.matmul((w[:, None, None] * phases).transpose(1, 0, 2), stack, out=stage_rows)
-        sk.reshape(k, -1)[:, :: s * d + 1] += 1.0
-        slopes = np.linalg.solve(sk, mk.reshape(k, s * d, d))
-        np.matmul(_GL_B, slopes.reshape(k, s, d * d), out=out.reshape(k, d * d))
+        weighted = (w[:, None, None] * phases).transpose(1, 0, 2)
+        if q:  # M^P = [0, B_i] and M^Q = [C_i, 0], the rows of the M_i; -P and Q
+            mp, mq, bp, cq, system = (x[:k] for x in buffers)
+            np.matmul(phases.reshape(k * s, -1), generator[:, : p * d], out=mp.reshape(k * s, -1))
+            np.matmul(phases.reshape(k * s, -1), generator[:, p * d :], out=mq.reshape(k * s, -1))
+            np.matmul(weighted, sides[0], out=bp.reshape(k, s, -1).transpose(1, 0, 2))
+            np.matmul(weighted, sides[1], out=cq.reshape(k, s, -1).transpose(1, 0, 2))
+            np.matmul(cq, mp[:, :, p:], out=mq[:, :, p:])  # Q M^P, in M^Q's zero columns
+            np.matmul(cq, bp, out=system)  # -Q P, then I - Q P
+            system.reshape(k, -1)[:, :: s * q + 1] += 1.0
+            slopes = np.linalg.solve(system, mq)  # K^Q
+            mp -= bp @ slopes  # K^P = M^P + P K^Q
+            np.matmul(_GL_B, mp.reshape(k, s, p * d), out=flat[:, : p * d])
+            np.matmul(_GL_B, slopes.reshape(k, s, q * d), out=flat[:, p * d :])
+        else:
+            mk, sk = (x[:k] for x in buffers)
+            np.matmul(phases.reshape(k * s, -1), generator, out=mk.reshape(k * s, d * d))
+            # block (i, j) of each stage system is -w a_ij M_i, plus 1 on the diagonal
+            np.matmul(weighted, stack, out=sk.reshape(k, s, d * s * d).transpose(1, 0, 2))
+            sk.reshape(k, -1)[:, :: s * d + 1] += 1.0
+            slopes = np.linalg.solve(sk, mk.reshape(k, s * d, d))
+            np.matmul(_GL_B, slopes.reshape(k, s, d * d), out=flat)
         out *= w[:, None, None]
         out.reshape(k, -1)[:, :: d + 1] += 1.0
         _prefix_products(out)
         np.matmul(out[last[a:z] - j], u, out=props[a + 1 : z + 1])
         u = out[-1] @ u
-    return props
+    return props[:, np.argsort(order)]
 
 
 def schroedinger_evolve(

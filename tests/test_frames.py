@@ -412,6 +412,83 @@ def _harmonic_case():
     return h, qmath.normalized([1.0, 0.5 - 0.5j])
 
 
+def twelve_step_blocks(d):
+    """A ``_BLOCK_BYTES`` that holds 12 steps of dimension ``d``, at 16 d^2 (s + s^2 + 1)
+    bytes each with s = 4 stages."""
+    return 12 * 16 * d**2 * (4 + 4**2 + 1)
+
+
+def step_formula_propagators(h, points, substeps):
+    """The propagators at ``points``, each step written out: the full 4d x 4d
+    system I - w [a_ij M_i] assembled and solved for the stage slopes, then
+    I + w sum_i b_i K_i, applied one step at a time."""
+    d = h.matrices.shape[-1]
+    ga, gb, gc = frames._GL_A, frames._GL_B, frames._GL_C
+    u, expected = np.eye(d), [np.eye(d)]
+    for start, stop, k in zip(points[:-1], points[1:], substeps):
+        w = (stop - start) / k
+        for step in range(k):
+            m = -1j * h(start + step * w + gc * w)
+            blocks = [[aij * mi for aij in row] for row, mi in zip(ga, m)]
+            system = np.eye(4 * d) - w * np.block(blocks)
+            slopes = np.linalg.solve(system, m.reshape(4 * d, d)).reshape(4, d, d)
+            u = (np.eye(d) + w * np.tensordot(gb, slopes, axes=1)) @ u
+        expected.append(u)
+    return np.array(expected)
+
+
+def assert_step_formula(h, substeps, rng):
+    """``_propagators`` on the identity and on a ket within 1e-13 of the written-out steps."""
+    d = h.matrices.shape[-1]
+    points = np.linspace(0.0, 0.3 * len(substeps), len(substeps) + 1)
+    expected = step_formula_propagators(h, points, substeps)
+    props = frames._propagators(h, points, np.array(substeps), np.eye(d, dtype=complex))
+    assert np.max(np.abs(props - expected)) <= 1e-13
+    psi = qmath.normalized(rng.normal(size=d) + 1j * rng.normal(size=d))
+    kets = frames._propagators(h, points, np.array(substeps), psi)
+    assert np.max(np.abs(kets - expected @ psi)) <= 1e-13
+
+
+def linked_hamiltonian(links, seed):
+    """A Hermitian harmonic sum at 0, +-1 and +-2.5 whose components are nonzero
+    exactly on the symmetric boolean pattern ``links``."""
+    rng = np.random.default_rng(seed)
+    d = len(links)
+    a, b = (links * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(2))
+    static = np.triu(links * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+    static = static + qmath.dag(static)
+    return Harmonic([-2.5, -1.0, 0.0, 1.0, 2.5], [qmath.dag(b), qmath.dag(a), static, a, b])
+
+
+def unequal_split():
+    """Links only between the classes {0, 3} and {1, 2, 4}: 3 | 2."""
+    side = np.array([0, 1, 1, 0, 1])
+    return linked_hamiltonian(np.not_equal.outer(side, side), 5)
+
+
+def with_diagonal_entry():
+    """:func:`unequal_split` with one static diagonal entry of 1e-300: no split."""
+    h = unequal_split()
+    static = h.matrices[2].copy()
+    static[4, 4] = 1e-300
+    return Harmonic(h.frequencies, [*h.matrices[:2], static, *h.matrices[3:]])
+
+
+def ion_cavity_layout():
+    """H1's own pattern (e (x) n linked to g (x) n and g (x) (n + 1)) at rates of order 1."""
+    p = regime_params().replace(omega1=1.3, omega2=0.7, delta1=1.0, delta2=-2.5, delta_a=-1.5)
+    return model.build_h1(p)
+
+
+#: each chiral case's H and the smaller sublattice's size, 0 for the near misses
+CHIRAL_CASES = {
+    "3 | 2, scrambled": lambda: (unequal_split(), 2),
+    "ion-cavity 3 | 3": lambda: (ion_cavity_layout(), 3),
+    "a diagonal entry of 1e-300": lambda: (with_diagonal_entry(), 0),
+    "an odd cycle": lambda: (linked_hamiltonian(~np.eye(3, dtype=bool), 3), 0),
+}
+
+
 class TestGaussLegendre:
     def test_static_hamiltonian_matches_expm(self):
         rng = np.random.default_rng(8)
@@ -445,41 +522,55 @@ class TestGaussLegendre:
         [[1], [63], [64], [65], [40, 90], [1, 3, 4] * 8, [4, 4, 1, 3, 1, 1, 4, 3, 4, 1] * 3],
     )
     def test_propagators_match_the_step_formula(self, substeps, monkeypatch):
-        # the step written out: I - w [a_ij M_i] assembled and solved for the
-        # stage slopes, then I + w sum_i b_i K_i, applied one step at a time, to
-        # the identity and to a ket.  Blocks of 12 steps (16 d^2 (s + s^2 + 1)
-        # bytes each at d = 3, s = 4): their edges fall inside and between the
+        # the step written out (step_formula_propagators), to the identity and
+        # to a ket.  Blocks of 12 steps: their edges fall inside and between the
         # intervals, the 63-, 64- and 65-step intervals span blocks with no
         # interval end, and the last blocks are short.  The last two cases mix
         # the 1-, 3- and 4-step intervals of the effective check
-        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 12 * 16 * 3**2 * (4 + 4**2 + 1))
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", twelve_step_blocks(3))
         rng = np.random.default_rng(len(substeps) + sum(substeps))
         a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
         nus = [-2.5, -1.0, 0.0, 1.0, 2.5]
         h = Harmonic(nus, [qmath.dag(b), qmath.dag(a), random_hermitian(rng, 3), a, b])
-        points = np.linspace(0.0, 0.3 * len(substeps), len(substeps) + 1)
-        ga, gb, gc = frames._GL_A, frames._GL_B, frames._GL_C
-        u, expected = np.eye(3), [np.eye(3)]
-        for start, stop, k in zip(points[:-1], points[1:], substeps):
-            w = (stop - start) / k
-            for step in range(k):
-                m = -1j * h(start + step * w + gc * w)
-                blocks = [[aij * mi for aij in row] for row, mi in zip(ga, m)]
-                system = np.eye(12) - w * np.block(blocks)
-                slopes = np.linalg.solve(system, m.reshape(12, 3)).reshape(4, 3, 3)
-                u = (np.eye(3) + w * np.tensordot(gb, slopes, axes=1)) @ u
-            expected.append(u)
-        props = frames._propagators(h, points, np.array(substeps), np.eye(3, dtype=complex))
-        assert np.max(np.abs(props - np.array(expected))) <= 1e-13
-        psi = qmath.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        kets = frames._propagators(h, points, np.array(substeps), psi)
-        assert np.max(np.abs(kets - np.array(expected) @ psi)) <= 1e-13
+        assert_step_formula(h, substeps, rng)
+
+    @pytest.mark.parametrize("substeps", [[1], [65], [40, 90], [4, 4, 1, 3, 1, 1, 4, 3, 4, 1] * 3])
+    @pytest.mark.parametrize("case", CHIRAL_CASES)
+    def test_sublattice_steps_match_the_step_formula(self, case, substeps, monkeypatch):
+        # Hamiltonians whose terms only link two sublattices solve 4 q rows per
+        # stage system, q the smaller sublattice's size; the near misses (one
+        # diagonal entry of 1e-300, an odd cycle) solve the full 4 d rows.  All
+        # match the written-out full solve, in the blocks of the test above
+        h, q = CHIRAL_CASES[case]()
+        d = h.matrices.shape[-1]
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", twelve_step_blocks(d))
+        solved, solve = set(), np.linalg.solve
+
+        def recording(a, b):  # the batched stage systems; the written-out steps solve one each
+            solved.update([a.shape[1:]] if a.ndim == 3 else [])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        assert_step_formula(h, substeps, np.random.default_rng(sum(substeps)))
+        assert solved == {(4 * (q or d),) * 2}
+
+    def test_sublattices_of_the_ion_cavity_hamiltonians(self):
+        # every term of H1 flips the ion: the classes e (x) n and g (x) n, 3 | 3 at n_max = 2.
+        # Memory chi != 0 carries delta1 sigma_z / 2, and the non-periodic case
+        # a dense static term, so they keep the full stage systems
+        for case in ["effective-check nonadiabatic", "effective-check memory",
+                     "criterion 5 nonadiabatic", "criterion 5 memory chi=0"]:
+            order, p = frames._sublattices(EVOLVE_CASES[case][0]()[0])
+            assert (p, sorted(order[:3]), sorted(order[3:])) == (3, [0, 1, 2], [3, 4, 5])
+        for case in ["criterion 5 memory chi=+1", "criterion 5 memory chi=-1", "non-periodic"]:
+            assert frames._sublattices(EVOLVE_CASES[case][0]()[0]) is None
 
     def test_propagation_allocates_no_block_temporaries(self):
         # the stage systems and maps are written into buffers allocated once per
-        # pass: one effective-check integration peaks at 1.40 MB of numpy and
-        # Python allocations, against 1.89 MB when each 64-step block allocated
-        # its own stage systems (590 KB at this dimension, 6) and maps
+        # pass: one effective-check integration peaks at 1.08 MB of numpy and
+        # Python allocations on its 3 | 3 sublattices (1.31 MB with the full
+        # 24-row stage systems), against 1.89 MB when each 64-step block
+        # allocated its own stage systems (590 KB at this dimension, 6) and maps
         h, psi0, times = effective_check_case("nonadiabatic")
         tracemalloc.start()
         try:
